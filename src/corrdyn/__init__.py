@@ -50,7 +50,6 @@ from .hierarchy import (
     build_generator,
     decompose_blocks,
     reduced_eom_residual,
-    single_site_row,
     split_sectors,
 )
 from .oracle import EigenSystem, build_hamiltonian_matrix, eigensystem, evolve_exact
@@ -102,7 +101,6 @@ __all__ = [
     "reconstruct",
     "reduced_eom_residual",
     "resolvent",
-    "single_site_row",
     "split_sectors",
     "spectrum",
     "transverse_pair",

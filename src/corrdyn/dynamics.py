@@ -61,10 +61,13 @@ def _rk4_step(m, x, dt):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _budget_step(norm: float, budget: float = 0.1) -> float:
+    return budget / norm if norm > 0 else 1.0
+
+
 def default_step(gen: Generator, budget: float = 0.1) -> float:
     """Step size with dt * ||M||_inf = budget (1.0 if M vanishes)."""
-    norm = gen.infinity_norm()
-    return budget / norm if norm > 0 else 1.0
+    return _budget_step(gen.infinity_norm(), budget)
 
 
 def evolve(
@@ -83,16 +86,15 @@ def evolve(
     """
     if x0.n_sites != gen.n_sites:
         raise ValueError("state and generator site counts differ")
+    norm = gen.infinity_norm()
     if dt is None:
-        dt = default_step(gen)
+        dt = _budget_step(norm)
     if dt <= 0:
         raise ValueError("dt must be positive")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    if dt * gen.infinity_norm() > 1.0:
-        raise StepTooLargeError(
-            f"step too large: dt*||M|| = {dt * gen.infinity_norm():.3g} > 1"
-        )
+    if dt * norm > 1.0:
+        raise StepTooLargeError(f"step too large: dt*||M|| = {dt * norm:.3g} > 1")
     n_steps = max(1, int(round(t_max / dt)))
     rec = list(range(0, n_steps + 1, stride))
     if rec[-1] != n_steps:

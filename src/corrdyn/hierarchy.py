@@ -12,6 +12,12 @@ so every entry of M is +-h or +-V and the matrix is real, sparse and
 antisymmetric (norm conservation of the nonidentity sector, equivalently
 purity conservation).  Row and column 0 stay empty: the identity slot is
 inert and pinned to 1.
+
+The rules depend only on the base-4 digits of the row code, so
+build_generator applies (a), (b) and (c) as digit masks over all 4**N codes
+at once; each term reaches its column by a constant code shift.  The
+row-by-row reading of the rules is kept in the test suite as the reference
+the build must match bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .combinatorics import bit_indices
 from .density import DensityMatrix, partial_trace_array
 from .hamiltonian import SpinHamiltonian, restrict
 from .oracle import build_hamiltonian_matrix
-from .pauli import _EPS_TERMS, PauliString, digit, with_digit
+from .pauli import _EPS_TERMS, PauliString, support_mask
 
 _AXES = "xyz"
 
@@ -55,90 +61,52 @@ def antisymmetry_defect(gen: Generator) -> float:
 
 
 def build_generator(h: SpinHamiltonian) -> Generator:
+    """Assemble M by applying rules (a)-(c) to all 4**N row codes at once.
+
+    Each rule picks its rows by digit masks on the row code and reaches its
+    column by one constant code shift, so every (site, axis, partner,
+    epsilon term) adds a whole block of entries; a zero coefficient adds none.
+    """
     n = h.n_sites
     dim = 4**n
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
+    codes = np.arange(dim, dtype=np.int64)
+    # is_digit[i][d]: rows whose digit at site i equals d
+    is_digit = [[(codes >> (2 * i)) & 3 == d for d in range(4)] for i in range(n)]
+    blocks: list[tuple[int, np.ndarray, float]] = []  # (column shift, rows, coeff)
 
-    # per site and target axis: nonzero (nu, eps*h) field contractions
-    field_terms = [
-        [
-            [
-                (nu, s * h.fields[i, alpha - 1])
-                for alpha, nu, s in _EPS_TERMS[mu]
-                if h.fields[i, alpha - 1]
-            ]
-            for mu in (1, 2, 3)
-        ]
-        for i in range(n)
-    ]
+    def add(sel: np.ndarray, shift: int, coeff: float) -> None:
+        if coeff:
+            blocks.append((shift, sel, coeff))
 
-    for code in range(1, dim):
-        support = [i for i in range(n) if digit(code, i)]
-        for i in support:
-            mu = digit(code, i)
-            for nu, coeff in field_terms[i][mu - 1]:
-                rows.append(code)
-                cols.append(with_digit(code, i, nu))
-                vals.append(coeff)
+    for i in range(n):
+        for mu in (1, 2, 3):
+            on = is_digit[i][mu]
+            terms = _EPS_TERMS[mu]
+            sel = np.flatnonzero(on)  # (a) field: mu -> nu at i
+            for alpha, nu, s in terms:
+                add(sel, (nu - mu) << 2 * i, s * h.fields[i, alpha - 1])
             for j in h.partners(i):
                 v = h.coupling(i, j)
-                if digit(code, j):
-                    muj = digit(code, j)
-                    dropped = with_digit(code, j, 0)
-                    for alpha, nu, s in _EPS_TERMS[mu]:
-                        coeff = s * v[alpha - 1, muj - 1]
-                        if coeff:
-                            rows.append(code)
-                            cols.append(with_digit(dropped, i, nu))
-                            vals.append(coeff)
-                else:
-                    for alpha, nu, s in _EPS_TERMS[mu]:
-                        for lam in (1, 2, 3):
-                            coeff = s * v[alpha - 1, lam - 1]
-                            if coeff:
-                                rows.append(code)
-                                cols.append(
-                                    with_digit(with_digit(code, j, lam), i, nu)
-                                )
-                                vals.append(coeff)
+                for muj in (1, 2, 3):  # (b) intra-subset: j leaves the support
+                    sel = np.flatnonzero(on & is_digit[j][muj])
+                    for alpha, nu, s in terms:
+                        shift = ((nu - mu) << 2 * i) - (muj << 2 * j)
+                        add(sel, shift, s * v[alpha - 1, muj - 1])
+                sel = np.flatnonzero(on & is_digit[j][0])  # (c) growth: j joins as lam
+                for alpha, nu, s in terms:
+                    for lam in (1, 2, 3):
+                        shift = ((nu - mu) << 2 * i) + (lam << 2 * j)
+                        add(sel, shift, s * v[alpha - 1, lam - 1])
 
-    matrix = sp.coo_matrix(
-        (np.array(vals), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
-        shape=(dim, dim),
-    ).tocsr()
-    matrix.sum_duplicates()
+    # blocks in ascending shift list each row's columns in ascending order,
+    # so the CSR conversion finds them canonical and skips its per-row sort
+    blocks.sort(key=lambda b: b[0])
+    sizes = [b[1].size for b in blocks]
+    rows = np.concatenate([np.empty(0, dtype=np.int64)] + [b[1] for b in blocks])
+    cols = rows + np.repeat(np.array([b[0] for b in blocks], dtype=np.int64), sizes)
+    vals = np.repeat(np.array([b[2] for b in blocks], dtype=float), sizes)
+    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
     return Generator(n, matrix)
-
-
-def single_site_row(h: SpinHamiltonian, i: int) -> dict[str, list[tuple[float, int]]]:
-    """Rows of M for the three single-site expectations of site i.
-
-    Written directly from the one-spin equation of motion (precession in
-    the local field plus growth into pair correlators through every
-    coupling), independently of build_generator, as a consistency check.
-    Returns, per target axis, (coefficient, column code) pairs sorted by code.
-    """
-    if not 0 <= i < h.n_sites:
-        raise ValueError(f"site {i} out of range")
-    out: dict[str, list[tuple[float, int]]] = {}
-    for mu in (1, 2, 3):
-        entries: dict[int, float] = {}
-        for alpha, nu, s in _EPS_TERMS[mu]:
-            hv = h.fields[i, alpha - 1]
-            if hv:
-                code = with_digit(0, i, nu)
-                entries[code] = entries.get(code, 0.0) + s * hv
-            for ell in h.partners(i):
-                v = h.coupling(i, ell)
-                for lam in (1, 2, 3):
-                    coeff = s * v[alpha - 1, lam - 1]
-                    if coeff:
-                        code = with_digit(with_digit(0, i, nu), ell, lam)
-                        entries[code] = entries.get(code, 0.0) + coeff
-        out[_AXES[mu - 1]] = [(c, code) for code, c in sorted(entries.items()) if c]
-    return out
 
 
 def _pair_operator(h: SpinHamiltonian, sites: list[int], j: int, ell: int) -> np.ndarray:
@@ -241,10 +209,7 @@ def split_sectors(n_sites: int, system1: int) -> CoupledSplit:
     x1 = []
     x2 = []
     for code in range(1, 4**n_sites):
-        support = 0
-        for i in range(n_sites):
-            if digit(code, i):
-                support |= 1 << i
+        support = support_mask(code, n_sites)
         if not support & ~system1:
             x1.append(code)
         elif not support & system1:

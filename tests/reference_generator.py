@@ -1,0 +1,107 @@
+"""Row-by-row reference for the hierarchy generator.
+
+`build_generator_rowwise` reads the equation of motion one target string at
+a time, exactly as the rules (a) field, (b) intra-subset and (c) growth are
+stated in `corrdyn.hierarchy`, and appends every nonzero entry.  It is the
+slow path the vectorised `corrdyn.hierarchy.build_generator` is checked
+against bit for bit.  `single_site_row` writes the three single-site rows
+straight from the one-spin equation of motion.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.sparse as sp
+
+from corrdyn.hamiltonian import SpinHamiltonian
+from corrdyn.hierarchy import Generator
+from corrdyn.pauli import _EPS_TERMS, digit, with_digit
+
+_AXES = "xyz"
+
+
+def build_generator_rowwise(h: SpinHamiltonian) -> Generator:
+    n = h.n_sites
+    dim = 4**n
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+
+    # per site and target axis: nonzero (nu, eps*h) field contractions
+    field_terms = [
+        [
+            [
+                (nu, s * h.fields[i, alpha - 1])
+                for alpha, nu, s in _EPS_TERMS[mu]
+                if h.fields[i, alpha - 1]
+            ]
+            for mu in (1, 2, 3)
+        ]
+        for i in range(n)
+    ]
+
+    for code in range(1, dim):
+        support = [i for i in range(n) if digit(code, i)]
+        for i in support:
+            mu = digit(code, i)
+            for nu, coeff in field_terms[i][mu - 1]:
+                rows.append(code)
+                cols.append(with_digit(code, i, nu))
+                vals.append(coeff)
+            for j in h.partners(i):
+                v = h.coupling(i, j)
+                if digit(code, j):
+                    muj = digit(code, j)
+                    dropped = with_digit(code, j, 0)
+                    for alpha, nu, s in _EPS_TERMS[mu]:
+                        coeff = s * v[alpha - 1, muj - 1]
+                        if coeff:
+                            rows.append(code)
+                            cols.append(with_digit(dropped, i, nu))
+                            vals.append(coeff)
+                else:
+                    for alpha, nu, s in _EPS_TERMS[mu]:
+                        for lam in (1, 2, 3):
+                            coeff = s * v[alpha - 1, lam - 1]
+                            if coeff:
+                                rows.append(code)
+                                cols.append(
+                                    with_digit(with_digit(code, j, lam), i, nu)
+                                )
+                                vals.append(coeff)
+
+    matrix = sp.coo_matrix(
+        (np.array(vals), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
+        shape=(dim, dim),
+    ).tocsr()
+    matrix.sum_duplicates()
+    return Generator(n, matrix)
+
+
+def single_site_row(h: SpinHamiltonian, i: int) -> dict[str, list[tuple[float, int]]]:
+    """Rows of M for the three single-site expectations of site i.
+
+    Written directly from the one-spin equation of motion (precession in
+    the local field plus growth into pair correlators through every
+    coupling), independently of build_generator, as a consistency check.
+    Returns, per target axis, (coefficient, column code) pairs sorted by code.
+    """
+    if not 0 <= i < h.n_sites:
+        raise ValueError(f"site {i} out of range")
+    out: dict[str, list[tuple[float, int]]] = {}
+    for mu in (1, 2, 3):
+        entries: dict[int, float] = {}
+        for alpha, nu, s in _EPS_TERMS[mu]:
+            hv = h.fields[i, alpha - 1]
+            if hv:
+                code = with_digit(0, i, nu)
+                entries[code] = entries.get(code, 0.0) + s * hv
+            for ell in h.partners(i):
+                v = h.coupling(i, ell)
+                for lam in (1, 2, 3):
+                    coeff = s * v[alpha - 1, lam - 1]
+                    if coeff:
+                        code = with_digit(with_digit(0, i, nu), ell, lam)
+                        entries[code] = entries.get(code, 0.0) + coeff
+        out[_AXES[mu - 1]] = [(c, code) for code, c in sorted(entries.items()) if c]
+    return out

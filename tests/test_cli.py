@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -204,10 +206,14 @@ def test_error_lines_are_prefixed(tmp_path, capsys):
 
 def test_console_entry_point(tmp_path):
     cfg = write_config(tmp_path / "c.json", tasks=["spectrum"])
+    # the child imports the same corrdyn as this test, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "corrdyn.cli", "spectrum", str(cfg), "--out-dir", str(tmp_path / "out")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert (tmp_path / "out" / "spectrum.csv").exists()

@@ -10,11 +10,11 @@ from corrdyn.hierarchy import (
     build_generator,
     decompose_blocks,
     reduced_eom_residual,
-    single_site_row,
     split_sectors,
 )
 from corrdyn.pauli import PauliString
 from conftest import random_mixed_state
+from reference_generator import single_site_row
 
 EPS = np.zeros((3, 3, 3))
 for _p, _s in (((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
