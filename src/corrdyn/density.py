@@ -106,9 +106,16 @@ def _pair_order(n: int) -> list[int]:
     return order
 
 
-def _to_pair_digits(mat: np.ndarray, n: int) -> np.ndarray:
-    w = mat.reshape((2,) * (2 * n))
-    return np.transpose(w, _pair_order(n)).reshape((4,) * n).reshape(-1)
+def pauli_coefficients(mats: np.ndarray) -> np.ndarray:
+    """tr(P_c A) for every string code c and every A in a (k, 2**N, 2**N) stack.
+
+    Returns a (4**N, k) array, one column per matrix of the stack.
+    """
+    k, dim = mats.shape[0], mats.shape[1]
+    n = dim.bit_length() - 1
+    w = mats.reshape((k,) + (2,) * (2 * n))
+    w = np.transpose(w, [1 + a for a in _pair_order(n)] + [0]).reshape(4**n, k)
+    return pauli._apply_site_map(w, _B_EXTRACT)
 
 
 def _from_pair_digits(vec: np.ndarray, n: int) -> np.ndarray:
@@ -119,11 +126,10 @@ def _from_pair_digits(vec: np.ndarray, n: int) -> np.ndarray:
 
 def extract_correlators(rho: DensityMatrix) -> CorrelatorVector:
     """Read off v[c] = tr(rho P_c) for every string code c."""
-    n = rho.n_sites
-    v = pauli._apply_site_map(_to_pair_digits(rho.data, n), _B_EXTRACT)
+    v = pauli_coefficients(rho.data[None])[:, 0]
     if np.max(np.abs(v.imag)) > 1e-10:
         raise ValueError("matrix is not Hermitian enough for real correlators")
-    return CorrelatorVector(n, v.real)
+    return CorrelatorVector(rho.n_sites, v.real)
 
 
 def from_correlators(v: CorrelatorVector) -> DensityMatrix:

@@ -30,7 +30,7 @@ import scipy.sparse as sp
 from .combinatorics import bit_indices
 from .density import DensityMatrix, partial_trace_array
 from .hamiltonian import SpinHamiltonian, restrict
-from .oracle import build_hamiltonian_matrix
+from .oracle import EigenSystem, build_hamiltonian_matrix, eigensystem
 from .pauli import _EPS_TERMS, PauliString, support_mask
 
 _AXES = "xyz"
@@ -38,15 +38,26 @@ _AXES = "xyz"
 
 @dataclass
 class Generator:
-    """Sparse generator matrix over the 4**N correlator slots."""
+    """Sparse generator matrix over the 4**N correlator slots.
+
+    It keeps the Hamiltonian it was built from: M is the Pauli-basis form of
+    -i[H, .], so its spectral data come from the eigensystem of H, which is
+    computed once on first use and cached.
+    """
 
     n_sites: int
     matrix: sp.csr_matrix
-    _eigvals: np.ndarray | None = field(default=None, repr=False, compare=False)
+    hamiltonian: SpinHamiltonian = field(repr=False)
+    _eigensystem: EigenSystem | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return 4**self.n_sites
+
+    def eigensystem(self) -> EigenSystem:
+        if self._eigensystem is None:
+            self._eigensystem = eigensystem(self.hamiltonian)
+        return self._eigensystem
 
     def infinity_norm(self) -> float:
         if self.matrix.nnz == 0:
@@ -106,7 +117,7 @@ def build_generator(h: SpinHamiltonian) -> Generator:
     cols = rows + np.repeat(np.array([b[0] for b in blocks], dtype=np.int64), sizes)
     vals = np.repeat(np.array([b[2] for b in blocks], dtype=float), sizes)
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-    return Generator(n, matrix)
+    return Generator(n, matrix, h)
 
 
 def _pair_operator(h: SpinHamiltonian, sites: list[int], j: int, ell: int) -> np.ndarray:

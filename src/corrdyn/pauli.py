@@ -123,16 +123,6 @@ class PauliString:
         return out
 
 
-def index_of(s: PauliString) -> int:
-    """Supervector index of a Cartesian string (the base-4 code itself)."""
-    return s.code
-
-
-def string_of(code: int, n_sites: int) -> PauliString:
-    """Inverse of index_of."""
-    return PauliString(n_sites, code)
-
-
 # single-site products sigma^a sigma^b = phase * sigma^c, tabulated over digits
 _SITE_MUL = [[None] * 4 for _ in range(4)]
 for _a in range(4):
@@ -171,12 +161,16 @@ def _sites_of(length: int) -> int:
 
 
 def _apply_site_map(values: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Apply a 4x4 map independently to every base-4 digit of the index."""
+    """Apply a 4x4 map independently to every base-4 digit of the index.
+
+    The index is the first axis; any further axes are a batch carried along.
+    """
+    values = np.asarray(values, dtype=complex)
     n = _sites_of(values.shape[0])
-    w = np.asarray(values, dtype=complex).reshape((4,) * n)
+    w = values.reshape((4,) * n + values.shape[1:])
     for k in range(n):
         w = np.moveaxis(np.tensordot(t, w, axes=([1], [k])), 0, k)
-    return w.reshape(-1)
+    return w.reshape(values.shape)
 
 
 _SQRT2 = np.sqrt(2.0)

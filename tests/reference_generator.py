@@ -75,7 +75,7 @@ def build_generator_rowwise(h: SpinHamiltonian) -> Generator:
         shape=(dim, dim),
     ).tocsr()
     matrix.sum_duplicates()
-    return Generator(n, matrix)
+    return Generator(n, matrix, h)
 
 
 def single_site_row(h: SpinHamiltonian, i: int) -> dict[str, list[tuple[float, int]]]:

@@ -233,3 +233,28 @@ def test_seventeen_digit_floats(tmp_path):
     # round trips exactly through repr
     assert float(freq) == float(format(float(freq), ".17g"))
     assert len(freq.replace(".", "").replace("-", "").lstrip("0")) >= 16
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    return lines[0]
+
+
+def test_malformed_resolvent_z_exits_2(tmp_path, capsys):
+    for zs in ([[1]], [1, 2], [[float("nan"), 1]], [[0.5, float("inf")]], [[True, 0.5]]):
+        cfg = write_config(tmp_path / "c.json", tasks=["resolvent"], resolvent={"z": zs})
+        out = tmp_path / "out"
+        assert cli.run(cfg, out) == 2, zs
+        assert "resolvent.z" in _one_error_line(capsys)
+        assert not (out / "resolvent.csv").exists()
+
+
+def test_bad_broadening_exits_2(tmp_path, capsys):
+    for eps in (float("nan"), -1.0, 0.0, float("inf"), "0.1"):
+        cfg = write_config(tmp_path / "c.json", tasks=["spectrum"], spectrum={"broadening": eps})
+        out = tmp_path / "out"
+        assert cli.run(cfg, out) == 2, eps
+        assert "spectrum.broadening" in _one_error_line(capsys)
+        assert not (out / "density.csv").exists()

