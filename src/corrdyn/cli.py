@@ -40,6 +40,11 @@ def _finite(x) -> bool:
         return False
 
 
+def _vector3(v) -> bool:
+    """A list of three finite numbers."""
+    return isinstance(v, list) and len(v) == 3 and all(map(_finite, v))
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     t_max: float
@@ -90,10 +95,8 @@ def load_config(path: str | Path) -> RunConfig:
     if sites < 1:
         raise ConfigError("sites must be >= 1")
     fields = need("fields", list)
-    if len(fields) != sites or any(
-        not isinstance(f, list) or len(f) != 3 for f in fields
-    ):
-        raise ConfigError("fields must be a list of one 3-vector per site")
+    if len(fields) != sites or not all(map(_vector3, fields)):
+        raise ConfigError("fields must be a list of one finite 3-vector per site")
     couplings = need("couplings", list, default=[], required=False)
     for c in couplings:
         if not isinstance(c, dict) or not {"i", "j", "tensor"} <= set(c):
@@ -105,13 +108,27 @@ def load_config(path: str | Path) -> RunConfig:
         ):
             raise ConfigError("coupling sites must satisfy 0 <= i < j < sites")
         t = c["tensor"]
-        if not isinstance(t, list) or len(t) != 3 or any(len(r) != 3 for r in t):
-            raise ConfigError("coupling tensor must be 3x3")
+        if not isinstance(t, list) or len(t) != 3 or not all(map(_vector3, t)):
+            raise ConfigError("coupling tensor must be 3x3 of finite numbers")
     state = need("initial_state", dict)
     if len(set(state) & {"product", "named", "correlators"}) != 1:
         raise ConfigError(
             "initial_state must have exactly one of: product, named, correlators"
         )
+    if "product" in state and not (
+        isinstance(state["product"], list) and all(map(_vector3, state["product"]))
+    ):
+        raise ConfigError("product state needs a list of finite Bloch 3-vectors")
+    named = state.get("named", {})
+    if not isinstance(named, dict):
+        raise ConfigError("named state must be an object with a name")
+    if not _finite(named.get("phase", 0.0)):
+        raise ConfigError("named state phase must be a finite number")
+    table = state.get("correlators", {})
+    if not isinstance(table, dict):
+        raise ConfigError("correlators state must map labels to values")
+    if not all(map(_finite, table.values())):
+        raise ConfigError("initial correlators must be finite numbers")
     tasks = need("tasks", list)
     if not tasks or any(t not in _TASKS for t in tasks):
         raise ConfigError(f"tasks must be a nonempty subset of {_TASKS}")
@@ -119,17 +136,17 @@ def load_config(path: str | Path) -> RunConfig:
     grid = None
     if time_raw is not None:
         try:
-            grid = TimeGrid(
-                float(time_raw["t_max"]),
-                float(time_raw["dt"]),
-                int(time_raw.get("stride", 1)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad time block: {exc}") from exc
-        if grid.dt <= 0:
+            t_max, dt = time_raw["t_max"], time_raw["dt"]
+        except KeyError as exc:
+            raise ConfigError(f"bad time block: missing {exc}") from exc
+        stride = time_raw.get("stride", 1)
+        if not (_finite(t_max) and _finite(dt)):
+            raise ConfigError("time.t_max and time.dt must be finite numbers")
+        if dt <= 0:
             raise ConfigError("time.dt must be positive")
-        if grid.stride < 1:
-            raise ConfigError("time.stride must be >= 1")
+        if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:
+            raise ConfigError("time.stride must be an integer >= 1")
+        grid = TimeGrid(float(t_max), float(dt), stride)
     observables = need("observables", list, default=[], required=False)
     method = need("method", str, default="rk4", required=False)
     if method not in ("rk4", "expm"):
@@ -209,12 +226,10 @@ def _initial_correlators(cfg: RunConfig):
             "ghz": lambda: states.ghz_state(cfg.sites),
             "w": lambda: states.w_state(cfg.sites),
         }
-        if name not in builders:
+        if not isinstance(name, str) or name not in builders:
             raise ConfigError(f"unknown named state {name!r}")
         return extract_correlators(builders[name]())
     table = desc["correlators"]
-    if not isinstance(table, dict):
-        raise ConfigError("correlators state must map labels to values")
     values = np.zeros(4**cfg.sites)
     values[0] = 1.0
     for label, val in table.items():

@@ -18,6 +18,18 @@ A subset A of cells carries two natural "interaction parts" of the state:
 Both coincide for |A| in {2, 3} and differ from order 4 on by products of
 pair terms.  Components are stored on their own subset's Hilbert space;
 products across disjoint subsets tensor-order sites ascending.
+
+Both are computed on the Pauli coefficients x[c] = tr(rho P_c), where a
+tensor product over disjoint subsets is a product of coefficients and both
+kinds of part (beyond single cells) are supported on every site of their
+subset.  The correlated coefficients are one per-site triangular transform
+of x, and the cumulant coefficients follow the moment-cumulant recursion
+over subsets; each part's matrix is then formed once from its coefficients.
+The checks stay in matrix space and share nothing with that route:
+`reconstruct` rebuilds rho from the parts' matrices over the power set and
+`cumulant_reconstruct` over all B_N set partitions, by Kronecker products,
+and `trace_defect` traces cells out of them.  The partition sums over dense
+reduced matrices that defined the parts serve as the reference in the tests.
 """
 
 from __future__ import annotations
@@ -28,8 +40,14 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import pauli
-from .combinatorics import bit_indices, enumerate_partitions, enumerate_subsets
-from .density import CorrelatorVector, DensityMatrix, partial_trace_array
+from .combinatorics import bit_indices, enumerate_partitions, enumerate_subsets, mask_of
+from .density import (
+    CorrelatorVector,
+    DensityMatrix,
+    extract_correlators,
+    operator_matrix,
+    partial_trace_array,
+)
 
 TRACE_ZERO_TOL = 1e-12
 
@@ -65,10 +83,13 @@ def permute_sites(mat: np.ndarray, sites: list[int]) -> np.ndarray:
     return np.transpose(w, perm).reshape(2**n, 2**n)
 
 
-def embed_product(factors: Iterable[tuple[int, np.ndarray]]) -> tuple[int, np.ndarray]:
-    """Tensor product of operators on pairwise-disjoint subsets.
+def _kron_chain(
+    factors: Iterable[tuple[int, np.ndarray]],
+) -> tuple[int, list[int], np.ndarray]:
+    """Kronecker product of operators on pairwise-disjoint subsets, unpermuted.
 
-    Returns (union mask, matrix) with the union's sites ordered ascending.
+    Returns (union mask, site order, matrix), where site order k is the site
+    on qubit k (least-significant first) of the matrix.
     """
     site_order: list[int] = []
     mat = np.array([[1.0 + 0.0j]])
@@ -77,40 +98,101 @@ def embed_product(factors: Iterable[tuple[int, np.ndarray]]) -> tuple[int, np.nd
         if mask & union:
             raise ValueError("factors must live on disjoint subsets")
         union |= mask
-        # np.kron(block, mat) keeps the accumulated qubits on the low end
-        mat = np.kron(block, mat)
+        # kron(block, mat) keeps the accumulated qubits on the low end
+        d, e = len(block), len(mat)
+        mat = (block[:, None, :, None] * mat[None, :, None, :]).reshape(d * e, d * e)
         site_order = site_order + bit_indices(mask)
+    return union, site_order, mat
+
+
+def embed_product(factors: Iterable[tuple[int, np.ndarray]]) -> tuple[int, np.ndarray]:
+    """Tensor product of operators on pairwise-disjoint subsets.
+
+    Returns (union mask, matrix) with the union's sites ordered ascending.
+    """
+    union, site_order, mat = _kron_chain(factors)
     return union, permute_sites(mat, site_order)
 
 
-def reduced_matrices(rho: DensityMatrix) -> dict[int, np.ndarray]:
-    """Reduced matrix of every nonempty subset, keyed by mask."""
-    full = (1 << rho.n_sites) - 1
-    return {
-        mask: partial_trace_array(rho.data, rho.n_sites, mask)
-        for mask in enumerate_subsets(full)
-        if mask
-    }
+def _marginal(values: np.ndarray, n_sites: int, subset: int) -> np.ndarray:
+    """Pauli coefficients of the reduced state on `subset`, as a (4,)*k grid.
+
+    They are the entries of `values` whose string is supported in `subset`.
+    Axis p carries the digit of the subset's (k-1-p)-th site, so the grid is
+    the subset's own 4**k coefficient vector reshaped.
+    """
+    idx = tuple(
+        slice(None) if subset >> (n_sites - 1 - p) & 1 else 0 for p in range(n_sites)
+    )
+    return np.asarray(values).reshape((4,) * n_sites)[idx]
 
 
-def _correlated_matrix(subset: int, red: Mapping[int, np.ndarray]) -> np.ndarray:
-    cells = bit_indices(subset)
-    n = len(cells)
-    singles = {j: red[1 << j] for j in cells}
-    out = np.zeros((2**n, 2**n), dtype=complex)
-    for core in enumerate_subsets(subset):
-        m = core.bit_count()
-        if m < 2:
+def _state_grid(rho: DensityMatrix, subset: int) -> np.ndarray:
+    return _marginal(extract_correlators(rho).values, rho.n_sites, subset)
+
+
+def _support(k: int, mask: int) -> tuple:
+    """Index of the codes of a k-site grid whose support is exactly `mask`.
+
+    Sites outside the mask keep a size-1 axis, so blocks on disjoint
+    supports multiply by broadcasting.
+    """
+    return tuple(
+        slice(1, None) if mask >> (k - 1 - p) & 1 else slice(0, 1) for p in range(k)
+    )
+
+
+def _correlated_grid(grid: np.ndarray) -> np.ndarray:
+    """Correlated coefficients c = (prod_j L_j^-1) x of a coefficient grid.
+
+    L_j adds r_j^a times the digit-0 entry to digit a of site j, which is
+    the tensor factor rbar_j of the expansion; its inverse is one in-place
+    update per site.  Single-site entries come out exactly 0.
+    """
+    c = np.array(grid, dtype=float, copy=True)
+    k = c.ndim
+    for p in range(k):
+        tail = k - 1 - p
+        r = grid[(0,) * p + (slice(1, None),) + (0,) * tail].reshape((3,) + (1,) * tail)
+        head = (slice(None),) * p
+        c[head + (slice(1, None),)] -= r * c[head + (slice(0, 1),)]
+    return c
+
+
+def _cumulant_blocks(grid: np.ndarray) -> dict[int, np.ndarray]:
+    """Cumulant coefficients kappa(T) on the codes of support exactly T.
+
+    Every nonempty T of the grid's sites, by the moment-cumulant recursion
+    grouped by the block that holds the lowest site:
+
+        kappa(T) = x(T) - sum_{A contains min T, A != T} kappa(A) x(T - A)
+
+    kappa of one site is its Bloch vector.
+    """
+    k = grid.ndim
+    full = (1 << k) - 1
+    x = {t: grid[_support(k, t)] for t in enumerate_subsets(full)}
+    kappa: dict[int, np.ndarray] = {}
+    for t in enumerate_subsets(full):
+        if not t:
             continue
-        sign = -1.0 if (n - m) % 2 else 1.0
-        factors = [(core, red[core])]
-        factors += [(1 << j, singles[j]) for j in cells if not core >> j & 1]
-        out += sign * embed_product(factors)[1]
-    sign_full = -1.0 if n % 2 == 0 else 1.0  # -(-1)^n
-    out += sign_full * (n - 1) * embed_product(
-        [(1 << j, singles[j]) for j in cells]
-    )[1]
-    return out
+        low = t & -t
+        rest = t ^ low
+        out = x[t].copy()
+        for a in enumerate_subsets(rest):
+            if a != rest:
+                out -= kappa[low | a] * x[rest ^ a]
+        kappa[t] = out
+    return kappa
+
+
+def _part_matrix(block: np.ndarray, k: int) -> np.ndarray:
+    """Matrix of a k-site part from its full-support coefficients."""
+    coeffs = np.zeros((4,) * k)
+    coeffs[(slice(1, None),) * k] = block.reshape((3,) * k)
+    # a single cell's part is its reduced matrix, the only one with a trace
+    coeffs.flat[0] = 1.0 if k == 1 else 0.0
+    return operator_matrix(coeffs.ravel())
 
 
 def correlated_part(rho: DensityMatrix, subset: int) -> CorrelatedPart:
@@ -123,63 +205,40 @@ def correlated_part(rho: DensityMatrix, subset: int) -> CorrelatedPart:
         raise ValueError("correlated component needs a subset of >= 2 cells")
     if subset >> rho.n_sites:
         raise ValueError("subset references sites beyond the system")
-    red = {
-        mask: partial_trace_array(rho.data, rho.n_sites, mask)
-        for mask in enumerate_subsets(subset)
-        if mask
-    }
-    return CorrelatedPart(subset, _correlated_matrix(subset, red))
+    k = subset.bit_count()
+    c = _correlated_grid(_state_grid(rho, subset))
+    return CorrelatedPart(subset, _part_matrix(c[(slice(1, None),) * k], k))
 
 
 def correlated_parts(rho: DensityMatrix) -> dict[int, CorrelatedPart]:
     """rho^C for every subset with >= 2 cells, keyed by mask."""
-    red = reduced_matrices(rho)
-    full = (1 << rho.n_sites) - 1
+    n = rho.n_sites
+    full = (1 << n) - 1
+    c = _correlated_grid(_state_grid(rho, full))
     return {
-        mask: CorrelatedPart(mask, _correlated_matrix(mask, red))
+        mask: CorrelatedPart(mask, _part_matrix(c[_support(n, mask)], mask.bit_count()))
         for mask in enumerate_subsets(full)
         if mask.bit_count() >= 2
     }
 
 
-def _cumulant_matrix(subset: int, red: Mapping[int, np.ndarray], memo: dict) -> np.ndarray:
-    if subset in memo:
-        return memo[subset]
-    if subset.bit_count() == 1:
-        memo[subset] = red[subset]
-        return memo[subset]
-    out = np.array(red[subset], dtype=complex, copy=True)
-    for p in enumerate_partitions(subset):
-        if len(p) < 2:
-            continue
-        out -= embed_product(
-            [(b, _cumulant_matrix(b, red, memo)) for b in p.blocks]
-        )[1]
-    memo[subset] = out
-    return out
-
-
 def cumulant_part(rho: DensityMatrix, subset: int) -> CumulantPart:
-    """rho^CC of a nonempty subset, via the partition recursion."""
+    """rho^CC of a nonempty subset, via the moment-cumulant recursion."""
     if subset == 0:
         raise ValueError("cumulant component of the empty set is undefined")
     if subset >> rho.n_sites:
         raise ValueError("subset references sites beyond the system")
-    red = {
-        mask: partial_trace_array(rho.data, rho.n_sites, mask)
-        for mask in enumerate_subsets(subset)
-        if mask
-    }
-    return CumulantPart(subset, _cumulant_matrix(subset, red, {}))
+    k = subset.bit_count()
+    kappa = _cumulant_blocks(_state_grid(rho, subset))
+    return CumulantPart(subset, _part_matrix(kappa[(1 << k) - 1], k))
 
 
 def cumulant_parts(rho: DensityMatrix) -> dict[int, CumulantPart]:
     """rho^CC for every nonempty subset, keyed by mask."""
-    red = reduced_matrices(rho)
-    memo: dict[int, np.ndarray] = {}
     full = (1 << rho.n_sites) - 1
+    kappa = _cumulant_blocks(_state_grid(rho, full))
     return {
-        mask: CumulantPart(mask, _cumulant_matrix(mask, red, memo))
+        mask: CumulantPart(mask, _part_matrix(kappa[mask], mask.bit_count()))
         for mask in enumerate_subsets(full)
         if mask
     }
@@ -230,21 +289,38 @@ def reconstruct(
 def cumulant_reconstruct(
     n_sites: int, parts: Mapping[int, CumulantPart]
 ) -> DensityMatrix:
-    """Reassemble rho as the sum over all B_N partitions of cumulant products."""
+    """Reassemble rho as the sum over all B_N partitions of cumulant products.
+
+    Every term is the Kronecker product of its blocks' parts as given.  The
+    terms whose factors leave the sites in the same qubit order are summed
+    first, so each order is permuted to ascending once, not once per term.
+    """
     full = (1 << n_sites) - 1
-    out = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
+    by_order: dict[tuple[int, ...], list] = {}
     for p in enumerate_partitions(full):
-        out += embed_product([(b, parts[b].matrix) for b in p.blocks])[1]
+        order = tuple(s for b in p.blocks for s in bit_indices(b))
+        by_order.setdefault(order, []).append(p)
+    out = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
+    for order, group in by_order.items():
+        staged = _kron_chain((b, parts[b].matrix) for b in group[0].blocks)[2]
+        for p in group[1:]:
+            staged += _kron_chain((b, parts[b].matrix) for b in p.blocks)[2]
+        out += permute_sites(staged, list(order))
     return DensityMatrix(n_sites, out)
+
+
+def _connected(v: CorrelatorVector, axes: dict[int, str]) -> float:
+    """Entry of rho^C over the sites of `axes` at the string they name."""
+    code = pauli.PauliString.from_axes(v.n_sites, axes).code
+    c = _correlated_grid(_marginal(v.values, v.n_sites, mask_of(axes)))
+    return float(c[tuple(pauli.digit(code, s) for s in sorted(axes, reverse=True))])
 
 
 def connected_pair(v: CorrelatorVector, i: int, j: int, mu: str, nu: str) -> float:
     """<<s_i^mu s_j^nu>> = <s_i^mu s_j^nu> - <s_i^mu><s_j^nu>."""
     if i == j:
         raise ValueError("connected pair needs two distinct sites")
-    ci = pauli.PauliString.from_axes(v.n_sites, {i: mu}).code
-    cj = pauli.PauliString.from_axes(v.n_sites, {j: nu}).code
-    return float(v.values[ci | cj] - v.values[ci] * v.values[cj])
+    return _connected(v, {i: mu, j: nu})
 
 
 def connected_triple(
@@ -255,21 +331,8 @@ def connected_triple(
     Equals the three-point coefficient of rho^C over the three cells:
     <abc> - sum_cyc <a><<bc>> - <a><b><c>.
     """
-    i, j, k = sites
-    if len({i, j, k}) != 3:
+    if len(set(sites)) != 3 or len(sites) != 3:
         raise ValueError("connected triple needs three distinct sites")
-    c = [pauli.PauliString.from_axes(v.n_sites, {s: a}).code for s, a in zip(sites, axes)]
-    one = [float(v.values[x]) for x in c]
-    pair = {
-        (0, 1): float(v.values[c[0] | c[1]]),
-        (0, 2): float(v.values[c[0] | c[2]]),
-        (1, 2): float(v.values[c[1] | c[2]]),
-    }
-    triple = float(v.values[c[0] | c[1] | c[2]])
-    return (
-        triple
-        - one[0] * pair[(1, 2)]
-        - one[1] * pair[(0, 2)]
-        - one[2] * pair[(0, 1)]
-        + 2.0 * one[0] * one[1] * one[2]
-    )
+    if len(axes) != 3:
+        raise ValueError("connected triple needs one axis per site")
+    return _connected(v, dict(zip(sites, axes)))

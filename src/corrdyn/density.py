@@ -132,11 +132,19 @@ def extract_correlators(rho: DensityMatrix) -> CorrelatorVector:
     return CorrelatorVector(rho.n_sites, v.real)
 
 
+def operator_matrix(values: np.ndarray) -> np.ndarray:
+    """The matrix 2**-N sum_c values[c] P_c of any 4**N coefficient vector.
+
+    No state validation, so this also serves the zero-trace components.
+    """
+    n = pauli._sites_of(len(values))
+    w = pauli._apply_site_map(values, _B_BUILD) / 2**n
+    return _from_pair_digits(w, n)
+
+
 def from_correlators(v: CorrelatorVector) -> DensityMatrix:
     """Assemble rho = 2**-N sum_c v[c] P_c (inverse of extract_correlators)."""
-    n = v.n_sites
-    w = pauli._apply_site_map(v.values, _B_BUILD) / 2**n
-    return DensityMatrix(n, _from_pair_digits(w, n))
+    return DensityMatrix(v.n_sites, operator_matrix(v.values))
 
 
 def partial_trace_array(data: np.ndarray, n_sites: int, keep: int) -> np.ndarray:

@@ -1,0 +1,88 @@
+"""Matrix-space reference for the correlated and cumulant decompositions.
+
+The slow path that `corrdyn.decomposition` replaced: every part is a sum
+over subsets (rho^C) or set partitions (rho^CC) of Kronecker products of
+reduced 2**k x 2**k matrices.  The tests compare the correlator-basis route
+against it entry by entry at small N.
+"""
+
+from __future__ import annotations
+
+from typing import Mapping
+
+import numpy as np
+
+from corrdyn.combinatorics import bit_indices, enumerate_partitions, enumerate_subsets
+from corrdyn.decomposition import CorrelatedPart, CumulantPart, embed_product
+from corrdyn.density import DensityMatrix, partial_trace_array
+
+
+def reduced_matrices(rho: DensityMatrix) -> dict[int, np.ndarray]:
+    """Reduced matrix of every nonempty subset, keyed by mask."""
+    full = (1 << rho.n_sites) - 1
+    return {
+        mask: partial_trace_array(rho.data, rho.n_sites, mask)
+        for mask in enumerate_subsets(full)
+        if mask
+    }
+
+
+def _correlated_matrix(subset: int, red: Mapping[int, np.ndarray]) -> np.ndarray:
+    cells = bit_indices(subset)
+    n = len(cells)
+    singles = {j: red[1 << j] for j in cells}
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for core in enumerate_subsets(subset):
+        m = core.bit_count()
+        if m < 2:
+            continue
+        sign = -1.0 if (n - m) % 2 else 1.0
+        factors = [(core, red[core])]
+        factors += [(1 << j, singles[j]) for j in cells if not core >> j & 1]
+        out += sign * embed_product(factors)[1]
+    sign_full = -1.0 if n % 2 == 0 else 1.0  # -(-1)^n
+    out += sign_full * (n - 1) * embed_product(
+        [(1 << j, singles[j]) for j in cells]
+    )[1]
+    return out
+
+
+def _cumulant_matrix(subset: int, red: Mapping[int, np.ndarray], memo: dict) -> np.ndarray:
+    if subset in memo:
+        return memo[subset]
+    if subset.bit_count() == 1:
+        memo[subset] = red[subset]
+        return memo[subset]
+    out = np.array(red[subset], dtype=complex, copy=True)
+    for p in enumerate_partitions(subset):
+        if len(p) < 2:
+            continue
+        out -= embed_product(
+            [(b, _cumulant_matrix(b, red, memo)) for b in p.blocks]
+        )[1]
+    memo[subset] = out
+    return out
+
+
+def correlated_parts(rho: DensityMatrix) -> dict[int, CorrelatedPart]:
+    red = reduced_matrices(rho)
+    return {
+        mask: CorrelatedPart(mask, _correlated_matrix(mask, red))
+        for mask in red
+        if mask.bit_count() >= 2
+    }
+
+
+def cumulant_parts(rho: DensityMatrix) -> dict[int, CumulantPart]:
+    red = reduced_matrices(rho)
+    memo: dict[int, np.ndarray] = {}
+    return {mask: CumulantPart(mask, _cumulant_matrix(mask, red, memo)) for mask in red}
+
+
+def cumulant_reconstruct(n_sites: int, parts: Mapping[int, CumulantPart]) -> DensityMatrix:
+    """The sum over all B_N partitions of cumulant products, term by term."""
+    full = (1 << n_sites) - 1
+    out = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
+    for p in enumerate_partitions(full):
+        out += embed_product([(b, parts[b].matrix) for b in p.blocks])[1]
+    return DensityMatrix(n_sites, out)

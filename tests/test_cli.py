@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from corrdyn import cli
 
@@ -258,3 +259,31 @@ def test_bad_broadening_exits_2(tmp_path, capsys):
         assert cli.run(cfg, out) == 2, eps
         assert "spectrum.broadening" in _one_error_line(capsys)
         assert not (out / "density.csv").exists()
+
+
+_NAN, _INF = float("nan"), float("inf")
+_BAD_INPUTS = {
+    "nan field": {"fields": [[_NAN, 0.0, 0.0], [0.6, 0.0, 0.0]]},
+    "nan coupling": {"couplings": [{"i": 0, "j": 1, "tensor": [[0, 0, 0], [0, _NAN, 0], [0, 0, 1]]}]},
+    "scalar tensor row": {"couplings": [{"i": 0, "j": 1, "tensor": [1, 2, 3]}]},
+    "nan product": {"initial_state": {"product": [[_NAN, 0.0, 0.0], [0.0, 0.0, 1.0]]}},
+    "inf product": {"initial_state": {"product": [[0.0, 0.0, 1.0], [0.0, -_INF, 0.0]]}},
+    "nan correlator": {"initial_state": {"correlators": {"z0": _NAN}}},
+    "string correlator": {"initial_state": {"correlators": {"z0": "0.5"}}},
+    "inf t_max": {"time": {"t_max": _INF, "dt": 0.01}},
+    "nan t_max": {"time": {"t_max": _NAN, "dt": 0.01}},
+    "nan dt": {"time": {"t_max": 1.0, "dt": _NAN}},
+    "fractional stride": {"time": {"t_max": 1.0, "dt": 0.1, "stride": 1.5}},
+    "nan phase": {"initial_state": {"named": {"name": "cat", "phase": _NAN}}},
+    "named string": {"initial_state": {"named": "cat"}},
+    "named list name": {"initial_state": {"named": {"name": ["cat"]}}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_bad_config_values_exit_2(tmp_path, capsys, case):
+    cfg = write_config(tmp_path / "c.json", **_BAD_INPUTS[case])
+    out = tmp_path / "out"
+    assert cli.run(cfg, out) == 2
+    _one_error_line(capsys)
+    assert not out.exists() or not any(out.iterdir())

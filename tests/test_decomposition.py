@@ -163,6 +163,14 @@ def test_w_state_has_genuine_three_point_part():
     assert abs(connected_triple(v, (0, 1, 2), ("z", "z", "z"))) > 0.1
 
 
+def test_connected_triple_needs_three_sites_and_axes():
+    v = extract_correlators(states.w_state(3))
+    for sites, axes in [((0, 1, 2), ("z", "z")), ((0, 1), ("z", "z", "z")),
+                        ((0, 1, 1), ("z", "z", "z"))]:
+        with pytest.raises(ValueError):
+            connected_triple(v, sites, axes)
+
+
 def test_cat_times_down_has_no_three_point_part():
     psi = np.zeros(8, dtype=complex)
     psi[0b100] = 1.0  # sites 0,1 up, site 2 down

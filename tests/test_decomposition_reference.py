@@ -1,0 +1,155 @@
+"""The correlator-basis decomposition against the matrix-space reference."""
+
+import json
+
+import numpy as np
+import pytest
+
+import reference_decomposition as ref
+from conftest import random_mixed_state, random_pure_state
+from corrdyn import cli, decomposition, states
+from corrdyn.combinatorics import bit_indices, enumerate_subsets
+from corrdyn.decomposition import (
+    correlated_part,
+    correlated_parts,
+    cumulant_part,
+    cumulant_parts,
+    cumulant_reconstruct,
+)
+from corrdyn.density import extract_correlators
+from corrdyn.pauli import PauliString
+
+TOL = 1e-12
+
+
+def _states(n):
+    rng = np.random.default_rng(4100 + n)
+    bloch = rng.normal(size=(n, 3))
+    bloch *= 0.9 / np.linalg.norm(bloch, axis=1, keepdims=True)
+    return {
+        "mixed": random_mixed_state(rng, n),
+        "pure": random_pure_state(rng, n),
+        "product": states.bloch_product(bloch),
+        "w": states.w_state(n),
+        "ghz": states.ghz_state(n),
+        "cat": states.cat_state(n, 0.7),
+    }
+
+
+def _worst(parts, expected):
+    assert list(parts) == list(expected)
+    return max((np.max(np.abs(parts[m].matrix - expected[m].matrix)) for m in parts), default=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_parts_match_reference(n):
+    for name, rho in _states(n).items():
+        assert _worst(correlated_parts(rho), ref.correlated_parts(rho)) < TOL, name
+        assert _worst(cumulant_parts(rho), ref.cumulant_parts(rho)) < TOL, name
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_single_subset_parts_match_reference(n):
+    for name, rho in _states(n).items():
+        red = ref.reduced_matrices(rho)
+        for mask in enumerate_subsets((1 << n) - 1):
+            if not mask:
+                continue
+            expected = ref._cumulant_matrix(mask, red, {})
+            assert np.max(np.abs(cumulant_part(rho, mask).matrix - expected)) < TOL, name
+            if mask.bit_count() >= 2:
+                expected = ref._correlated_matrix(mask, red)
+                got = correlated_part(rho, mask).matrix
+                assert np.max(np.abs(got - expected)) < TOL, name
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_staged_cumulant_reconstruct_matches_per_term_sum(n):
+    for name, rho in _states(n).items():
+        parts = cumulant_parts(rho)
+        got = cumulant_reconstruct(n, parts).data
+        assert np.max(np.abs(got - ref.cumulant_reconstruct(n, parts).data)) < TOL, name
+
+
+def _decompose(tmp_path, n, state):
+    cfg = {
+        "sites": n,
+        "fields": [[0.0, 0.0, 0.0]] * n,
+        "initial_state": state,
+        "tasks": ["decompose"],
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.run(path, tmp_path / "out") == 0
+    return (tmp_path / "out" / "decomposition.txt").read_text().splitlines()
+
+
+def _report(lines):
+    return dict(ln.split("=", 1) for ln in lines if not ln.startswith("subset="))
+
+
+def test_cli_norms_match_reference(tmp_path):
+    product = [[0.3, -0.2, 0.5], [0.0, 0.7, 0.1], [-0.6, 0.0, 0.2], [0.1, 0.1, -0.8]]
+    cases = [
+        ({"named": {"name": "w"}}, states.w_state(4)),
+        ({"named": {"name": "cat", "phase": 1.3}}, states.cat_state(4, 1.3)),
+        ({"product": product}, states.bloch_product(product)),
+    ]
+    for state, rho in cases:
+        lines = _decompose(tmp_path, 4, state)
+        parts, cparts = ref.correlated_parts(rho), ref.cumulant_parts(rho)
+        rows = [ln for ln in lines if ln.startswith("subset=")]
+        assert len(rows) == 15
+        for row in rows:
+            fields = dict(tok.split("=") for tok in row.split())
+            mask = sum(1 << int(s) for s in fields["subset"].split(","))
+            corr = np.linalg.norm(parts[mask].matrix) if mask in parts else 0.0
+            assert abs(float(fields["norm_correlated"]) - corr) < TOL
+            assert abs(float(fields["norm_cumulant"]) - np.linalg.norm(cparts[mask].matrix)) < TOL
+        report = _report(lines)
+        assert float(report["reconstruction_error"]) < TOL
+        assert float(report["cumulant_reconstruction_error"]) < TOL
+
+
+def _corrupt_last_entry(fn):
+    def corrupted(grid):
+        out = fn(grid)
+        block = out[max(out)] if isinstance(out, dict) else out
+        block.flat[-1] += 1e-6  # the all-z string, support on every site
+        return out
+
+    return corrupted
+
+
+@pytest.mark.parametrize(
+    "target, key",
+    [("_correlated_grid", "reconstruction_error"),
+     ("_cumulant_blocks", "cumulant_reconstruction_error")],
+)
+def test_matrix_checks_catch_one_corrupted_coefficient(tmp_path, monkeypatch, target, key):
+    clean = _report(_decompose(tmp_path, 3, {"named": {"name": "w"}}))
+    assert float(clean[key]) < TOL
+    monkeypatch.setattr(decomposition, target, _corrupt_last_entry(getattr(decomposition, target)))
+    report = _report(_decompose(tmp_path, 3, {"named": {"name": "w"}}))
+    assert float(report[key]) > TOL
+
+
+def test_connected_correlators_are_correlated_coefficients():
+    rho = _states(4)["mixed"]
+    v = extract_correlators(rho)
+    parts = ref.correlated_parts(rho)
+    for mask, part in parts.items():
+        if mask.bit_count() not in (2, 3):
+            continue
+        sites = bit_indices(mask)
+        for labels in np.ndindex(*(3,) * len(sites)):
+            ax = tuple("xyz"[a] for a in labels)
+            # the coefficient tr(rho^C P) of the string on the part's own sites
+            local = {k: a for k, a in enumerate(ax)}
+            p = PauliString.from_axes(len(sites), local).matrix()
+            expected = np.trace(part.matrix @ p).real
+            if len(sites) == 2:
+                got = decomposition.connected_pair(v, sites[0], sites[1], *ax)
+            else:
+                got = decomposition.connected_triple(v, tuple(sites), ax)
+            assert abs(got - expected) < TOL, (sites, ax)
