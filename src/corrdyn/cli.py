@@ -142,6 +142,8 @@ def load_config(path: str | Path) -> RunConfig:
         stride = time_raw.get("stride", 1)
         if not (_finite(t_max) and _finite(dt)):
             raise ConfigError("time.t_max and time.dt must be finite numbers")
+        if t_max <= 0:
+            raise ConfigError("time.t_max must be positive")
         if dt <= 0:
             raise ConfigError("time.dt must be positive")
         if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:

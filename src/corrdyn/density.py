@@ -50,6 +50,8 @@ class CorrelatorVector:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (4**self.n_sites,):
             raise ValueError(f"expected {4 ** self.n_sites} values, got {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("correlators must be finite")
         if abs(v[0] - 1.0) > 1e-9:
             raise ValueError("slot 0 (identity expectation) must be 1")
         # every Pauli string has eigenvalues +-1; allow integrator-level slack
@@ -80,6 +82,8 @@ class DensityMatrix:
         dim = 2**self.n_sites
         if d.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix, got {d.shape}")
+        if not np.all(np.isfinite(d)):
+            raise ValueError("matrix entries must be finite")
         if np.max(np.abs(d - d.conj().T)) > HERMITICITY_TOL:
             raise ValueError("matrix is not Hermitian")
         if abs(np.trace(d).real - 1.0) > TRACE_TOL or abs(np.trace(d).imag) > TRACE_TOL:

@@ -1,8 +1,12 @@
 """Time evolution, resolvent and spectral analysis of the correlator system.
 
 Two evolution backends cross-validate each other: a fixed-step classical
-RK4 integrator, and exponential action exp(M t) x applied by scaled
-truncated-Taylor sparse matvecs.
+RK4 integrator, and exponential action exp(M h) x applied by scaled
+truncated-Taylor sparse matvecs (Al-Mohy & Higham 2011).  The Taylor
+degree and scaling depend only on hM, so they are chosen once per distinct
+interval h between recorded samples, by the 1-norm rule scipy's
+expm_multiply applies while ||hM||_1 <= 63.36; in that range the result is
+bit-identical to calling expm_multiply per sample.
 
 M is the Pauli-basis form of the commutator -i[H, .], so its eigenvalues
 are i(E_n - E_m) over all pairs of levels of H, with eigenvectors the Pauli
@@ -16,10 +20,12 @@ eigenpair_residual certifies every eigenpair the spectrum rests on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse.linalg as spla
+import scipy.sparse as sp
 
 from .density import CorrelatorVector, pauli_coefficients
 from .errors import DivergentSeriesError, PoleProximityError, SizeCapError, StepTooLargeError
@@ -68,6 +74,74 @@ def _rk4_step(m, x, dt):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+# theta_m: the largest ||A||_1 for which m Taylor terms give exp(A) to double
+# precision (Al-Mohy & Higham 2011, Table 3.1; m <= 30 from Higham & Al-Mohy
+# 2010, Table A.3).  Same values and order as scipy's expm_multiply.
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+_TAYLOR_TOL = 2.0**-53
+
+# recorded samples are refused beyond this many bytes (exit 4), and time
+# grids beyond this many steps, past which k * dt is no longer exact
+SAMPLE_BYTES_CAP = 2 * 1024**3
+STEP_CAP = 2**53
+
+
+class _TaylorPlan(NamedTuple):
+    """exp(a) x as s sub-steps of at most m_star Taylor terms each."""
+
+    a: sp.csr_matrix
+    m_star: int
+    s: int
+
+
+def _taylor_plan(m, h: float) -> _TaylorPlan:
+    """Scale M by h and pick (m_star, s) minimising m_star * s by the 1-norm.
+
+    s = ceil(||hM||_1 / theta_m), the rule scipy's expm_multiply applies while
+    ||hM||_1 <= 63.36 (condition (3.13) of Al-Mohy & Higham); above that it
+    costs more matvecs than scipy's power-norm estimates, for the same error
+    bound.  M is antisymmetric with zero trace, so no shift is needed.
+    """
+    a = m * h
+    norm = float(abs(a).sum(axis=0).max())
+    if norm == 0:
+        return _TaylorPlan(a, 0, 1)
+    m_star, s = min(
+        ((k, math.ceil(norm / theta)) for k, theta in _THETA.items()),
+        key=lambda ks: ks[0] * ks[1],
+    )
+    return _TaylorPlan(a, m_star, s)
+
+
+def _taylor_action(plan: _TaylorPlan, x: np.ndarray) -> np.ndarray:
+    """exp(a) x by the plan's truncated Taylor series (Al-Mohy & Higham, alg. 3.2).
+
+    A sub-step stops early once two consecutive terms fall below 2**-53
+    of the partial sum, in the infinity norm.
+    """
+    a, m_star, s = plan
+    f = x
+    for _ in range(s):
+        c1 = np.max(np.abs(x))
+        for j in range(m_star):
+            x = (1.0 / (s * (j + 1))) * (a @ x)
+            c2 = np.max(np.abs(x))
+            f = f + x
+            if c1 + c2 <= _TAYLOR_TOL * np.max(np.abs(f)):
+                break
+            c1 = c2
+        x = f
+    return f
+
+
 def _budget_step(norm: float, budget: float = 0.1) -> float:
     return budget / norm if norm > 0 else 1.0
 
@@ -88,48 +162,61 @@ def evolve(
     """Propagate x(t) = exp(M t) x0, recording every `stride`-th step.
 
     method "rk4" is the fixed-step integrator; "expm" applies the matrix
-    exponential action and conserves the sector norm to near machine
-    precision.  t_max is rounded to a whole number of steps.
+    exponential action from one recorded sample to the next and conserves
+    the sector norm to near machine precision.  The intervals between
+    samples take at most two lengths (stride steps, and the remainder
+    before the last sample); expm scales M and chooses its Taylor degree
+    and scaling once per length, so each sample costs only its matvecs.
+    t_max > 0 is rounded to a whole number of steps.  Raises SizeCapError
+    before allocating when the recorded samples would exceed
+    SAMPLE_BYTES_CAP bytes or the grid STEP_CAP steps.
     """
     if x0.n_sites != gen.n_sites:
         raise ValueError("state and generator site counts differ")
+    if not t_max > 0:
+        raise ValueError("t_max must be positive")
     norm = gen.infinity_norm()
     if dt is None:
         dt = _budget_step(norm)
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     if stride < 1:
         raise ValueError("stride must be >= 1")
+    if method not in ("rk4", "expm"):
+        raise ValueError(f"unknown method {method!r}")
     if dt * norm > 1.0:
         raise StepTooLargeError(f"step too large: dt*||M|| = {dt * norm:.3g} > 1")
+    if not t_max / dt <= STEP_CAP:
+        raise SizeCapError(
+            f"time grid capped at {STEP_CAP} steps, t_max/dt = {t_max / dt:.3g}"
+        )
     n_steps = max(1, int(round(t_max / dt)))
-    rec = list(range(0, n_steps + 1, stride))
+    sample_bytes = (n_steps // stride + 2) * gen.dim * 8
+    if sample_bytes > SAMPLE_BYTES_CAP:
+        raise SizeCapError(
+            f"recorded samples capped at {SAMPLE_BYTES_CAP} bytes, need {sample_bytes}"
+        )
+    # a stride past the last step records only t = 0 and the end
+    rec = np.arange(0, n_steps + 1, min(stride, n_steps))
     if rec[-1] != n_steps:
-        rec.append(n_steps)
-    times = np.array([k * dt for k in rec])
+        rec = np.append(rec, n_steps)
+    times = rec * dt
+    lengths = np.diff(rec)
 
     m = gen.matrix
+    out = np.empty((rec.size, gen.dim))
+    x = np.array(x0.values, dtype=float)
+    out[0] = x
     if method == "rk4":
-        out = np.empty((len(rec), gen.dim))
-        x = np.array(x0.values, dtype=float)
-        out[0] = x
-        nxt = 1
-        for k in range(1, n_steps + 1):
-            x = _rk4_step(m, x, dt)
-            if nxt < len(rec) and k == rec[nxt]:
-                out[nxt] = x
-                nxt += 1
-    elif method == "expm":
-        out = np.empty((len(rec), gen.dim))
-        x = np.array(x0.values, dtype=float)
-        out[0] = x
-        prev = 0
-        for row, k in enumerate(rec[1:], start=1):
-            x = spla.expm_multiply(m * ((k - prev) * dt), x)
+        for row, n in enumerate(lengths, start=1):
+            for _ in range(n):
+                x = _rk4_step(m, x, dt)
             out[row] = x
-            prev = k
     else:
-        raise ValueError(f"unknown method {method!r}")
+        plans = {int(n): _taylor_plan(m, int(n) * dt) for n in np.unique(lengths)}
+        for row, n in enumerate(lengths, start=1):
+            x = _taylor_action(plans[n], x)
+            out[row] = x
     return Trajectory(gen.n_sites, times, out)
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +274,8 @@ _BAD_INPUTS = {
     "inf t_max": {"time": {"t_max": _INF, "dt": 0.01}},
     "nan t_max": {"time": {"t_max": _NAN, "dt": 0.01}},
     "nan dt": {"time": {"t_max": 1.0, "dt": _NAN}},
+    "zero t_max": {"time": {"t_max": 0.0, "dt": 0.1}},
+    "negative t_max": {"time": {"t_max": -1.0, "dt": 0.1}},
     "fractional stride": {"time": {"t_max": 1.0, "dt": 0.1, "stride": 1.5}},
     "nan phase": {"initial_state": {"named": {"name": "cat", "phase": _NAN}}},
     "named string": {"initial_state": {"named": "cat"}},
@@ -287,3 +290,38 @@ def test_bad_config_values_exit_2(tmp_path, capsys, case):
     assert cli.run(cfg, out) == 2
     _one_error_line(capsys)
     assert not out.exists() or not any(out.iterdir())
+
+
+_LARMOR = {
+    "sites": 1,
+    "fields": [[0.0, 0.0, 1.0]],
+    "couplings": [],
+    "initial_state": {"product": [[1.0, 0.0, 0.0]]},
+    "observables": ["x0"],
+}
+
+
+@pytest.mark.parametrize(
+    "method, time",
+    [
+        # 1e15 samples of 4 slots: 32 PB of output, far past the sample cap
+        ("rk4", {"t_max": 1e12, "dt": 1e-3, "stride": 1}),
+        ("expm", {"t_max": 1e12, "dt": 1e-3, "stride": 1}),
+        # t_max/dt overflows to inf: no step count exists, though the stride
+        # keeps the samples to two
+        ("expm", {"t_max": 1e308, "dt": 1e-10, "stride": 10**30}),
+    ],
+)
+def test_oversized_time_grid_exits_4_before_allocating(tmp_path, capsys, method, time):
+    cfg = write_config(tmp_path / "c.json", **_LARMOR, method=method, time=time)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        status = cli.run(cfg, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 4
+    assert "capped" in _one_error_line(capsys)
+    assert not (out / "trajectory.csv").exists()
+    assert peak < 1 << 20

@@ -198,6 +198,31 @@ def test_density_matrix_validation():
         DensityMatrix(1, np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slot", [0, 5])
+def test_correlator_vector_rejects_non_finite(bad, slot):
+    v = np.zeros(16)
+    v[0] = 1.0
+    v[slot] = bad
+    with pytest.raises(ValueError, match="finite"):
+        CorrelatorVector(2, v)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_density_matrix_rejects_non_finite(bad, where):
+    d = np.eye(2, dtype=complex) / 2
+    d[where] = bad
+    with pytest.raises(ValueError, match="finite"):
+        DensityMatrix(1, d)
+
+
+@pytest.mark.parametrize("bad, match", [(np.nan, "finite"), (np.inf, "length")])
+def test_bloch_product_rejects_non_finite(bad, match):
+    with pytest.raises(ValueError, match=match):
+        states.bloch_product([[bad, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+
 def test_dense_site_cap():
     # the cap check fires before any shape validation
     with pytest.raises(SizeCapError):

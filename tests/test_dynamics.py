@@ -55,6 +55,14 @@ def test_step_too_large():
         evolve(gen, x0, 1.0, dt=1.0)
 
 
+@pytest.mark.parametrize("t_max", [0.0, -1.0, float("nan")])
+def test_evolve_needs_positive_t_max(t_max):
+    gen = build_generator(SpinHamiltonian(1, [[0.0, 0.0, 1.0]]))
+    for method in ("rk4", "expm"):
+        with pytest.raises(ValueError, match="t_max"):
+            evolve(gen, unit_vector(1), t_max, dt=0.1, method=method)
+
+
 def test_default_step_budget():
     gen = build_generator(SpinHamiltonian(1, [[0.0, 0.0, 3.0]]))
     assert default_step(gen) * gen.infinity_norm() <= 0.1 + 1e-15

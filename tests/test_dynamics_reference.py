@@ -1,0 +1,80 @@
+"""The planned exponential-action kernel of `evolve` against per-sample scipy."""
+
+import numpy as np
+import pytest
+
+from corrdyn import oracle, states
+from corrdyn.density import extract_correlators, from_correlators
+from corrdyn.dynamics import _taylor_plan, evolve
+from corrdyn.hamiltonian import SpinHamiltonian, random_hamiltonian
+from corrdyn.hierarchy import build_generator
+from conftest import random_mixed_state
+from reference_dynamics import evolve_expm_per_sample
+from test_generator_reference import hamiltonians
+
+# condition (3.13) of Al-Mohy & Higham: up to this ||hM||_1 scipy chooses the
+# Taylor degree and scaling from the 1-norm alone
+_ONE_NORM_RANGE = 63.36
+
+
+def product_state(n: int, rng: np.random.Generator):
+    v = rng.normal(size=(n, 3))
+    v *= 0.9 / np.linalg.norm(v, axis=1, keepdims=True)
+    return extract_correlators(states.bloch_product(v))
+
+
+# 30 steps of dt = 0.01: stride 10 divides the step count, stride 7 leaves a
+# 2-step remainder interval, stride 1 records every step and stride 50 only
+# the end point
+@pytest.mark.parametrize("stride", [10, 7, 1, 50])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_expm_is_bit_identical_to_per_sample_scipy(rng, n, stride):
+    for name, h in hamiltonians(n, rng).items():
+        gen = build_generator(h)
+        x0 = product_state(n, rng)
+        fast = evolve(gen, x0, 0.3, dt=0.01, stride=stride, method="expm")
+        ref = evolve_expm_per_sample(gen, x0, 0.3, 0.01, stride)
+        assert np.array_equal(fast.times, ref.times), name
+        assert np.array_equal(fast.values, ref.values), name
+
+
+def test_zero_generator_plans_no_taylor_terms():
+    gen = build_generator(SpinHamiltonian(2, np.zeros((2, 3))))
+    plan = _taylor_plan(gen.matrix, 0.5)
+    assert (plan.m_star, plan.s) == (0, 1)
+
+
+def test_plan_is_chosen_once_per_interval_length(rng, monkeypatch):
+    from corrdyn import dynamics
+
+    seen = []
+    real = dynamics._taylor_plan
+
+    def recording_plan(m, h):
+        seen.append(h)
+        return real(m, h)
+
+    monkeypatch.setattr(dynamics, "_taylor_plan", recording_plan)
+    gen = build_generator(random_hamiltonian(3, rng))
+    traj = evolve(gen, product_state(3, rng), 1.0, dt=0.01, stride=7, method="expm")
+    assert traj.times.size == 16  # 14 strides of 7 steps and a 2-step remainder
+    assert sorted(seen) == [2 * 0.01, 7 * 0.01]
+
+
+def test_large_step_beyond_the_one_norm_range(rng):
+    """h||M||_1 > 63.36: the 1-norm choice takes more terms than scipy's
+    power-norm estimates, within the same error bound."""
+    h = random_hamiltonian(3, rng, 0.8, 0.6)
+    gen = build_generator(h)
+    dt = 0.9 / gen.infinity_norm()
+    stride = 100
+    plan = _taylor_plan(gen.matrix, stride * dt)
+    assert float(abs(plan.a).sum(axis=0).max()) > _ONE_NORM_RANGE
+    x0 = extract_correlators(random_mixed_state(rng, 3))
+    traj = evolve(gen, x0, 5 * stride * dt, dt=dt, stride=stride, method="expm")
+    assert traj.times.size == 6
+    ref = oracle.correlator_trajectory(h, from_correlators(x0), traj.times)
+    assert np.max(np.abs(traj.values - ref.values)) <= 1e-10
+    norms = traj.sector_norms()
+    assert np.max(np.abs(norms - norms[0])) <= 1e-12
+
