@@ -92,21 +92,25 @@ def load_config(path: str | Path) -> RunConfig:
         return val
 
     sites = need("sites", int)
-    if sites < 1:
-        raise ConfigError("sites must be >= 1")
+    if isinstance(sites, bool) or sites < 1:
+        raise ConfigError("sites must be an integer >= 1")
     fields = need("fields", list)
     if len(fields) != sites or not all(map(_vector3, fields)):
         raise ConfigError("fields must be a list of one finite 3-vector per site")
     couplings = need("couplings", list, default=[], required=False)
+    pairs = set()
     for c in couplings:
         if not isinstance(c, dict) or not {"i", "j", "tensor"} <= set(c):
             raise ConfigError("each coupling needs keys i, j, tensor")
+        i, j = c["i"], c["j"]
         if not (
-            isinstance(c["i"], int)
-            and isinstance(c["j"], int)
-            and 0 <= c["i"] < c["j"] < sites
+            all(isinstance(k, int) and not isinstance(k, bool) for k in (i, j))
+            and 0 <= i < j < sites
         ):
-            raise ConfigError("coupling sites must satisfy 0 <= i < j < sites")
+            raise ConfigError("coupling sites must be integers with 0 <= i < j < sites")
+        if (i, j) in pairs:
+            raise ConfigError(f"more than one coupling on the pair ({i}, {j})")
+        pairs.add((i, j))
         t = c["tensor"]
         if not isinstance(t, list) or len(t) != 3 or not all(map(_vector3, t)):
             raise ConfigError("coupling tensor must be 3x3 of finite numbers")

@@ -15,13 +15,15 @@ G(z) = (z I - M)^{-1} are therefore built from one 2**N x 2**N
 diagonalization of H instead of a dense 4**N eigensolve or solve.  Neither
 answer is trusted on that route alone: every resolvent column is certified
 by the residual of (z I - M) G with sparse matvecs on the hierarchy M, and
-eigenpair_residual certifies every eigenpair the spectrum rests on.
+eigenpair_residual certifies the eigendecomposition the spectrum rests on
+by one sparse product on seeded random probes (Freivalds' check).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -92,6 +94,12 @@ _TAYLOR_TOL = 2.0**-53
 # grids beyond this many steps, past which k * dt is no longer exact
 SAMPLE_BYTES_CAP = 2 * 1024**3
 STEP_CAP = 2**53
+# runs are refused beyond WORK_CAP nonzero-equivalents of matvec work, each
+# matvec costing nnz(M) + MATVEC_OVERHEAD: on a 2-vCPU x86-64 guest a CSR
+# matvec took about 1 ns per nonzero and rk4/Taylor steps 8-16 us per
+# matvec at N <= 2, so the cap is about 20 minutes of stepping
+MATVEC_OVERHEAD = 10_000
+WORK_CAP = 1.2e12
 
 
 class _TaylorPlan(NamedTuple):
@@ -169,7 +177,9 @@ def evolve(
     and scaling once per length, so each sample costs only its matvecs.
     t_max > 0 is rounded to a whole number of steps.  Raises SizeCapError
     before allocating when the recorded samples would exceed
-    SAMPLE_BYTES_CAP bytes or the grid STEP_CAP steps.
+    SAMPLE_BYTES_CAP bytes or the grid STEP_CAP steps, and before stepping
+    when the matvecs (4 per rk4 step; m_star * s per expm interval, from
+    its plan) times nnz(M) + MATVEC_OVERHEAD exceed WORK_CAP.
     """
     if x0.n_sites != gen.n_sites:
         raise ValueError("state and generator site counts differ")
@@ -197,13 +207,28 @@ def evolve(
             f"recorded samples capped at {SAMPLE_BYTES_CAP} bytes, need {sample_bytes}"
         )
     # a stride past the last step records only t = 0 and the end
-    rec = np.arange(0, n_steps + 1, min(stride, n_steps))
+    step = min(stride, n_steps)
+    counts = {step: n_steps // step}  # interval length -> how many
+    if n_steps % step:
+        counts[n_steps % step] = 1
+    m = gen.matrix
+    if method == "rk4":
+        matvecs = 4 * n_steps
+    else:
+        plans = {n: _taylor_plan(m, n * dt) for n in counts}
+        matvecs = sum(k * plans[n].m_star * plans[n].s for n, k in counts.items())
+    work = matvecs * (m.nnz + MATVEC_OVERHEAD)
+    if work > WORK_CAP:
+        raise SizeCapError(
+            f"run time capped at {WORK_CAP:.3g} nonzero-equivalents of matvec work, "
+            f"need {work:.3g}"
+        )
+    rec = np.arange(0, n_steps + 1, step)
     if rec[-1] != n_steps:
         rec = np.append(rec, n_steps)
     times = rec * dt
     lengths = np.diff(rec)
 
-    m = gen.matrix
     out = np.empty((rec.size, gen.dim))
     x = np.array(x0.values, dtype=float)
     out[0] = x
@@ -213,7 +238,6 @@ def evolve(
                 x = _rk4_step(m, x, dt)
             out[row] = x
     else:
-        plans = {int(n): _taylor_plan(m, int(n) * dt) for n in np.unique(lengths)}
         for row, n in enumerate(lengths, start=1):
             x = _taylor_action(plans[n], x)
             out[row] = x
@@ -277,23 +301,26 @@ def resolvent(gen: Generator, z: complex, codes=None) -> np.ndarray:
 
 
 def eigenpair_residual(gen: Generator) -> float:
-    """max over level pairs m <= n of ||M v - i w v|| / ||v||, w = E_n - E_m.
+    """max over four seeded random probes C of ||M u - w|| / ||u||.
 
-    v holds the Pauli coefficients of V|m><n|V^dagger, built from the
-    eigensystem of H and tested against the hierarchy M by sparse matvecs,
-    one batch per m; the pairs m > n are the complex conjugates, as M is real.
-    Near zero when the spectrum of H is the spectrum of M.
+    u holds the Pauli coefficients of V C V^dagger and w those of
+    V (i Omega . C) V^dagger, Omega_mn = E_n - E_m, from the eigensystem of
+    H; C are complex Gaussian 2**N x 2**N matrices from default_rng(0), so
+    reruns give the same value.  M u = w holds for every C exactly when
+    every V|m><n|V^dagger is an eigenvector of M with eigenvalue
+    i(E_n - E_m), and a random C misses a defect with probability zero
+    (Freivalds 1977).  Near zero when the spectrum of H is the spectrum of M.
     """
     es = gen.eigensystem()
     v, e = es.vectors, es.energies
-    worst = 0.0
-    for m in range(e.size):
-        ops = v[None, :, m, None] * v[:, m:].conj().T[:, None, :]
-        coef = pauli_coefficients(ops)
-        defect = _apply_real(gen.matrix, coef) - 1j * (e[m:] - e[m]) * coef
-        ratio = np.linalg.norm(defect, axis=0) / np.linalg.norm(coef, axis=0)
-        worst = max(worst, float(ratio.max()))
-    return worst
+    parts = np.random.default_rng(0).standard_normal((2, 4, e.size, e.size))
+    c = parts[0] + 1j * parts[1]
+    omega = e[None, :] - e[:, None]
+    vh = v.conj().T
+    u = pauli_coefficients(v @ c @ vh)
+    w = pauli_coefficients(v @ (1j * omega * c) @ vh)
+    defect = _apply_real(gen.matrix, u) - w
+    return float(np.max(np.linalg.norm(defect, axis=0) / np.linalg.norm(u, axis=0)))
 
 
 @dataclass(frozen=True)
@@ -303,15 +330,23 @@ class SpectralReport:
     frequencies/multiplicities describe the positive eigenvalues of the
     Hermitian matrix i M, the level differences of H, merged within the
     degeneracy tolerance; kernel_dim counts (near-)zero eigenvalues of the
-    nonidentity sector.  density is the Lorentzian-broadened pole density
-    sampled on omega."""
+    nonidentity sector.  poles holds every eigenvalue of i M in that sector,
+    and density, computed on first access, is their Lorentzian-broadened
+    density sampled on omega."""
 
     frequencies: np.ndarray
     multiplicities: np.ndarray
     kernel_dim: int
     broadening: float
     omega: np.ndarray
-    density: np.ndarray
+    poles: np.ndarray = field(repr=False)
+
+    @cached_property
+    def density(self) -> np.ndarray:
+        density = np.zeros_like(self.omega)
+        for w in self.poles:
+            density += self.broadening / np.pi / ((self.omega - w) ** 2 + self.broadening**2)
+        return density
 
 
 def spectrum(
@@ -360,11 +395,8 @@ def spectrum(
         top = 1.2 * scale if scale > 0 else 1.0
         omega_grid = np.linspace(0.0, top, 513)
     omega_grid = np.asarray(omega_grid, dtype=float)
-    density = np.zeros_like(omega_grid)
-    for w in lam:
-        density += broadening / np.pi / ((omega_grid - w) ** 2 + broadening**2)
     return SpectralReport(
-        frequencies, multiplicities, kernel_dim, float(broadening), omega_grid, density
+        frequencies, multiplicities, kernel_dim, float(broadening), omega_grid, lam
     )
 
 

@@ -30,10 +30,8 @@ import scipy.sparse as sp
 from .combinatorics import bit_indices
 from .density import DensityMatrix, partial_trace_array
 from .hamiltonian import SpinHamiltonian, restrict
-from .oracle import EigenSystem, build_hamiltonian_matrix, eigensystem
-from .pauli import _EPS_TERMS, PauliString, support_mask
-
-_AXES = "xyz"
+from .oracle import EigenSystem, build_hamiltonian_matrix, coupling_terms, eigensystem
+from .pauli import _EPS_TERMS, sum_matrix, support_mask
 
 
 @dataclass
@@ -122,19 +120,9 @@ def build_generator(h: SpinHamiltonian) -> Generator:
 
 def _pair_operator(h: SpinHamiltonian, sites: list[int], j: int, ell: int) -> np.ndarray:
     """(1/2) V_{j ell}^{mu nu} sigma_j^mu sigma_ell^nu on the listed sites."""
-    pos = {s: k for k, s in enumerate(sites)}
     v = h.coupling(j, ell)
-    dim = 2 ** len(sites)
-    out = np.zeros((dim, dim), dtype=complex)
-    if v is None:
-        return out
-    for a in range(3):
-        for b in range(3):
-            if v[a, b]:
-                out += 0.5 * v[a, b] * PauliString.from_axes(
-                    len(sites), {pos[j]: _AXES[a], pos[ell]: _AXES[b]}
-                ).matrix()
-    return out
+    terms = [] if v is None else coupling_terms(v, sites.index(j), sites.index(ell))
+    return sum_matrix(len(sites), terms)
 
 
 def reduced_eom_residual(

@@ -35,23 +35,25 @@ def build_hamiltonian_matrix(h: SpinHamiltonian) -> np.ndarray:
         raise SizeCapError(
             f"dense Hamiltonians support at most {DENSE_SITE_CAP} sites, got {h.n_sites}"
         )
-    dim = 2**h.n_sites
-    out = np.zeros((dim, dim), dtype=complex)
-    for i in range(h.n_sites):
-        for a in range(3):
-            hv = h.fields[i, a]
-            if hv:
-                out += 0.5 * hv * pauli.PauliString.from_axes(
-                    h.n_sites, {i: "xyz"[a]}
-                ).matrix()
+    terms = [
+        (0.5 * h.fields[i, a], (a + 1) << 2 * i)
+        for i in range(h.n_sites)
+        for a in range(3)
+        if h.fields[i, a]
+    ]
     for (i, j), v in h.couplings.items():
-        for a in range(3):
-            for b in range(3):
-                if v[a, b]:
-                    out += 0.5 * v[a, b] * pauli.PauliString.from_axes(
-                        h.n_sites, {i: "xyz"[a], j: "xyz"[b]}
-                    ).matrix()
-    return out
+        terms += coupling_terms(v, i, j)
+    return pauli.sum_matrix(h.n_sites, terms)
+
+
+def coupling_terms(v: np.ndarray, i: int, j: int) -> list[tuple[float, int]]:
+    """(1/2) V^{ab} sigma_i^a sigma_j^b as (coeff, code) terms, zero entries dropped."""
+    return [
+        (0.5 * v[a, b], (a + 1) << 2 * i | (b + 1) << 2 * j)
+        for a in range(3)
+        for b in range(3)
+        if v[a, b]
+    ]
 
 
 def eigensystem(h: SpinHamiltonian) -> EigenSystem:

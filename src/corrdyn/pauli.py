@@ -117,10 +117,38 @@ class PauliString:
 
     def matrix(self) -> np.ndarray:
         """Dense 2**n x 2**n matrix, site 0 on the least-significant qubit."""
-        out = np.array([[1.0 + 0.0j]])
-        for site in range(self.n_sites - 1, -1, -1):
-            out = np.kron(out, PAULI[digit(self.code, site)])
+        return sum_matrix(self.n_sites, [(1.0, self.code)])
+
+
+# (-i)**k for k mod 4: the phase of a string with k sigma^y factors
+_PHASES = np.array([1.0, -1.0j, -1.0, 1.0j])
+
+
+def sum_matrix(n_sites: int, terms: list[tuple[complex, int]]) -> np.ndarray:
+    """Dense 2**n x 2**n matrix of sum coeff * P_code over (coeff, code) terms.
+
+    Every string is a signed permutation matrix: row r holds its one entry
+    in column r ^ x, x the bits of the sites carrying sigma^x or sigma^y,
+    with phase (-i)**(count of sigma^y) * (-1)**popcount(r & z), z the bits
+    of the sites carrying sigma^y or sigma^z.  Terms are added in the order
+    given, so the sum is the one a term-by-term accumulation of the
+    Kronecker products gives.  Site 0 is the least-significant qubit.
+    """
+    dim = 2**n_sites
+    out = np.zeros((dim, dim), dtype=complex)
+    if not terms:
         return out
+    coeffs, codes = zip(*terms)
+    d = (np.array(codes, dtype=np.int64)[:, None] >> (2 * np.arange(n_sites))) & 3
+    bits = 1 << np.arange(n_sites)
+    x = ((d == 1) | (d == 2)) @ bits
+    z = (d >= 2) @ bits
+    rows = np.arange(dim)
+    parity = np.bitwise_count(rows & z[:, None]) & 1
+    phases = _PHASES[((d == 2).sum(axis=1)[:, None] + 2 * parity) % 4]
+    for coeff, mask, phase in zip(coeffs, x, phases):
+        out[rows, rows ^ mask] += coeff * phase
+    return out
 
 
 # single-site products sigma^a sigma^b = phase * sigma^c, tabulated over digits

@@ -280,6 +280,13 @@ _BAD_INPUTS = {
     "nan phase": {"initial_state": {"named": {"name": "cat", "phase": _NAN}}},
     "named string": {"initial_state": {"named": "cat"}},
     "named list name": {"initial_state": {"named": {"name": ["cat"]}}},
+    "bool sites": {"sites": True, "fields": [[0.8, 0.0, 0.0]], "couplings": [],
+                   "observables": ["z0"]},
+    "bool coupling sites": {"couplings": [{"i": False, "j": True, "tensor": np.eye(3).tolist()}]},
+    "repeated coupling pair": {"couplings": [
+        {"i": 0, "j": 1, "tensor": np.eye(3).tolist()},
+        {"i": 0, "j": 1, "tensor": [[0, 0, 0], [0, 0, 0], [0, 0, 1.0]]},
+    ]},
 }
 
 
@@ -310,6 +317,11 @@ _LARMOR = {
         # t_max/dt overflows to inf: no step count exists, though the stride
         # keeps the samples to two
         ("expm", {"t_max": 1e308, "dt": 1e-10, "stride": 10**30}),
+        # two samples and 10**9 steps pass both caps above but would run for
+        # hours: rk4 spends 4 * 10**9 matvecs, expm about 5.6e9 over 1000
+        # intervals of length 10**6 (one such interval is admitted)
+        ("rk4", {"t_max": 1e6, "dt": 1e-3, "stride": 10**9}),
+        ("expm", {"t_max": 1e9, "dt": 1e-3, "stride": 10**9}),
     ],
 )
 def test_oversized_time_grid_exits_4_before_allocating(tmp_path, capsys, method, time):

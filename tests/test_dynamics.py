@@ -168,6 +168,7 @@ def test_spectrum_zero_generator():
 def test_broadened_density_is_lorentzian_sum(rng):
     gen = build_generator(random_hamiltonian(2, rng))
     rep = spectrum(gen, broadening=0.05)
+    assert "density" not in vars(rep)  # computed on first access only
     assert np.all(rep.density >= 0.0)
     lam = np.concatenate([-np.repeat(rep.frequencies, rep.multiplicities),
                           np.zeros(rep.kernel_dim),

@@ -4,17 +4,24 @@
 sector and `dense_resolvent` solves (z I - M) G = I over all 4**N slots.
 Both work on the hierarchy generator alone and share nothing with the
 Hamiltonian eigensystem that `corrdyn.dynamics` uses, so they are the slow
-path the fast one is checked against at small N.
+path the fast one is checked against at small N.  `pairwise_eigenpair_residual`
+tests every level pair on its own, the exhaustive form of the random-probe
+certificate `eigenpair_residual`, and the Kronecker chains of
+`reference_pauli` are the slow form of the signed-permutation builder.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from corrdyn import cli, dynamics
-from corrdyn.dynamics import eigenpair_residual, resolvent, spectrum
+from corrdyn import cli, dynamics, oracle
+from corrdyn.density import pauli_coefficients
+from corrdyn.dynamics import _apply_real, eigenpair_residual, resolvent, spectrum
 from corrdyn.errors import PoleProximityError
 from corrdyn.hamiltonian import SpinHamiltonian, random_hamiltonian
 from corrdyn.hierarchy import Generator, build_generator
+from corrdyn.pauli import PauliString
+from reference_pauli import kron_hamiltonian, kron_matrix
 
 
 def dense_eigenvalues(gen: Generator) -> np.ndarray:
@@ -24,6 +31,26 @@ def dense_eigenvalues(gen: Generator) -> np.ndarray:
 def dense_resolvent(gen: Generator, z: complex) -> np.ndarray:
     a = z * np.eye(gen.dim, dtype=complex) - gen.matrix.toarray()
     return np.linalg.solve(a, np.eye(gen.dim, dtype=complex))
+
+
+def pairwise_eigenpair_residual(gen: Generator) -> float:
+    """max over level pairs m <= n of ||M v - i w v|| / ||v||, w = E_n - E_m.
+
+    v holds the Pauli coefficients of V|m><n|V^dagger, built from the
+    eigensystem of H and tested against the hierarchy M by sparse matvecs,
+    one batch per m; the pairs m > n are the complex conjugates, as M is real.
+    Near zero when the spectrum of H is the spectrum of M.
+    """
+    es = gen.eigensystem()
+    v, e = es.vectors, es.energies
+    worst = 0.0
+    for m in range(e.size):
+        ops = v[None, :, m, None] * v[:, m:].conj().T[:, None, :]
+        coef = pauli_coefficients(ops)
+        defect = _apply_real(gen.matrix, coef) - 1j * (e[m:] - e[m]) * coef
+        ratio = np.linalg.norm(defect, axis=0) / np.linalg.norm(coef, axis=0)
+        worst = max(worst, float(ratio.max()))
+    return worst
 
 
 def heisenberg_chain(n: int) -> SpinHamiltonian:
@@ -79,10 +106,24 @@ def test_resolvent_matches_dense_solve(rng, n):
 
 
 def test_eigenpair_residual_is_machine_level(rng):
-    for n in (1, 3, 5):
+    for n in (1, 2, 3, 4, 5):
         for name, h in hamiltonians(n, rng).items():
             gen = build_generator(h)
-            assert eigenpair_residual(gen) < 1e-12 * max(1.0, gen.infinity_norm()), name
+            bound = 1e-12 * max(1.0, gen.infinity_norm())
+            assert eigenpair_residual(gen) < bound, name
+            assert pairwise_eigenpair_residual(gen) < bound, name
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_probe_tracks_the_pair_sweep_on_a_small_defect(rng, n):
+    h = random_hamiltonian(n, rng, 0.8, 0.6)
+    gen = build_generator(h)
+    for eps in (1e-6, 1e-9):
+        for i, j in ((1, 2), (3, gen.dim - 1), (gen.dim // 2, gen.dim // 3 + 1)):
+            d = sp.csr_matrix(([eps, -eps], ([i, j], [j, i])), shape=(gen.dim,) * 2)
+            bad = Generator(n, (gen.matrix + d).tocsr(), h)
+            ratio = eigenpair_residual(bad) / pairwise_eigenpair_residual(bad)
+            assert 0.25 <= ratio <= 4.0, (eps, i, j, ratio)
 
 
 def test_certificates_reject_a_flipped_entry(rng):
@@ -116,3 +157,32 @@ def test_validate_fails_on_a_flipped_entry(tmp_path, monkeypatch):
     assert float(bad["max_abs_deviation"]) < 1e-12
     assert float(bad["eigenpair_residual"]) > 1e-3
     assert bad["status"] == "fail"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_hamiltonian_builder_matches_kronecker_sum(rng, n):
+    for name, h in hamiltonians(n, rng).items():
+        assert np.array_equal(oracle.build_hamiltonian_matrix(h), kron_hamiltonian(h)), name
+
+
+def test_pauli_matrix_matches_kronecker_chain():
+    for n in (1, 2, 3):
+        for code in range(4**n):
+            assert np.array_equal(PauliString(n, code).matrix(), kron_matrix(n, code)), code
+
+
+def test_density_file_matches_the_eager_loop(tmp_path):
+    """density.csv holds the bytes of the loop spectrum() ran on every call."""
+    from test_cli import write_config
+
+    cfg = write_config(tmp_path / "c.json", tasks=["spectrum"], spectrum={"broadening": 0.05})
+    assert cli.run(cfg, tmp_path / "out") == 0
+    gen = build_generator(cli._build_hamiltonian(cli.load_config(cfg)))
+    lam = dynamics._generator_eigenvalues(gen)
+    omega = np.linspace(0.0, 1.2 * float(np.max(np.abs(lam))), 513)
+    density = np.zeros_like(omega)
+    for w in lam:
+        density += 0.05 / np.pi / ((omega - w) ** 2 + 0.05**2)
+    lines = ["omega,density"] + [f"{cli._fmt(w)},{cli._fmt(d)}" for w, d in zip(omega, density)]
+    want = ("\n".join(lines) + "\n").encode()
+    assert (tmp_path / "out" / "density.csv").read_bytes() == want
