@@ -1,7 +1,8 @@
 """Batch front end: parse a JSON run configuration, execute tasks, emit CSV.
 
 Exit codes: 0 success, 2 config/parse failure, 3 numeric failure (pole
-proximity, step too large, divergent series), 4 dense size cap exceeded.
+proximity, step too large, divergent series, numbers beyond the double
+range), 4 size cap exceeded.
 Every error path prints a single line starting with "error:".  Outputs are
 deterministic: floats carry 17 significant digits and no wall-clock or RNG
 state enters any file.
@@ -27,7 +28,13 @@ def _cap_threads() -> None:
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    """17 significant digits; a non-finite value never reaches a file."""
+    x = float(x)
+    if not math.isfinite(x):
+        from .errors import NumericError
+
+        raise NumericError(f"non-finite value {x} in the output")
+    return format(x, ".17g")
 
 
 def _finite(x) -> bool:
@@ -288,13 +295,15 @@ def _task_spectrum(cfg, gen, out_dir: Path) -> None:
 
     eps = cfg.spectrum_options.get("broadening")
     rep = spectrum(gen, broadening=None if eps is None else float(eps))
+    # the broadened pole density is only emitted when a width was requested;
+    # it is computed before any file is written, since it can fail
+    density = None if eps is None else rep.density
     rows = (
         [_fmt(w), str(int(m))] for w, m in zip(rep.frequencies, rep.multiplicities)
     )
     _write_csv(out_dir / "spectrum.csv", ["omega", "multiplicity"], rows)
-    if eps is not None:
-        # broadened pole density is only emitted when a width was requested
-        rows = ([_fmt(w), _fmt(d)] for w, d in zip(rep.omega, rep.density))
+    if density is not None:
+        rows = ([_fmt(w), _fmt(d)] for w, d in zip(rep.omega, density))
         _write_csv(out_dir / "density.csv", ["omega", "density"], rows)
 
 
@@ -378,7 +387,9 @@ def _task_validate(cfg, ham, gen, x0, out_dir: Path) -> None:
     traj = evolve(
         gen, x0, cfg.time.t_max, cfg.time.dt, stride=cfg.time.stride, method="expm"
     )
-    ref = oracle.correlator_trajectory(ham, from_correlators(x0), traj.times)
+    ref = oracle.correlator_trajectory(
+        ham, from_correlators(x0), traj.times, gen.eigensystem()
+    )
     deviation = float(np.max(np.abs(traj.values - ref.values)))
     norms = traj.sector_norms()
     rep = spectrum(gen)
@@ -397,43 +408,57 @@ def _task_validate(cfg, ham, gen, x0, out_dir: Path) -> None:
     (out_dir / "validate.txt").write_text("\n".join(lines) + "\n")
 
 
+def _execute(config_path, out_dir, tasks) -> None:
+    from .errors import ConfigError
+
+    cfg = load_config(config_path)
+    if tasks is not None:
+        cfg = RunConfig(**{**cfg.__dict__, "tasks": list(tasks)})
+    if cfg.time is None and set(cfg.tasks) & {"evolve", "validate"}:
+        raise ConfigError("missing config key 'time'")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+
+    for lb in cfg.observables:
+        parse_observable(lb, cfg.sites)
+    ham = _build_hamiltonian(cfg)
+    x0 = _initial_correlators(cfg)
+
+    gen = None
+    if set(cfg.tasks) & {"evolve", "spectrum", "resolvent", "validate"}:
+        from .hierarchy import build_generator
+
+        gen = build_generator(ham)
+    # deterministic task order regardless of config order
+    for task in _TASKS:
+        if task not in cfg.tasks:
+            continue
+        if task == "evolve":
+            _task_evolve(cfg, gen, x0, out)
+        elif task == "spectrum":
+            _task_spectrum(cfg, gen, out)
+        elif task == "resolvent":
+            _task_resolvent(cfg, gen, out)
+        elif task == "decompose":
+            _task_decompose(cfg, x0, out)
+        elif task == "validate":
+            _task_validate(cfg, ham, gen, x0, out)
+
+
 def run(config_path: str | Path, out_dir: str | Path = ".", tasks=None) -> int:
-    """Execute a config; returns the exit status without raising."""
+    """Execute a config; returns the exit status without raising.
+
+    numpy floating-point overflow and invalid operations raise during the
+    run, so numbers that leave the double range end in exit 3, not in a
+    warning and an output of infinities or of the zeros they collapse to.
+    """
+    import numpy as np
+
     from .errors import ConfigError, NumericError, SizeCapError
 
     try:
-        cfg = load_config(config_path)
-        if tasks is not None:
-            cfg = RunConfig(**{**cfg.__dict__, "tasks": list(tasks)})
-        if cfg.time is None and set(cfg.tasks) & {"evolve", "validate"}:
-            raise ConfigError("missing config key 'time'")
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-
-        for lb in cfg.observables:
-            parse_observable(lb, cfg.sites)
-        ham = _build_hamiltonian(cfg)
-        x0 = _initial_correlators(cfg)
-
-        gen = None
-        if set(cfg.tasks) & {"evolve", "spectrum", "resolvent", "validate"}:
-            from .hierarchy import build_generator
-
-            gen = build_generator(ham)
-        # deterministic task order regardless of config order
-        for task in _TASKS:
-            if task not in cfg.tasks:
-                continue
-            if task == "evolve":
-                _task_evolve(cfg, gen, x0, out)
-            elif task == "spectrum":
-                _task_spectrum(cfg, gen, out)
-            elif task == "resolvent":
-                _task_resolvent(cfg, gen, out)
-            elif task == "decompose":
-                _task_decompose(cfg, x0, out)
-            elif task == "validate":
-                _task_validate(cfg, ham, gen, x0, out)
+        with np.errstate(over="raise", invalid="raise"):
+            _execute(config_path, out_dir, tasks)
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -443,6 +468,9 @@ def run(config_path: str | Path, out_dir: str | Path = ".", tasks=None) -> int:
         return 4
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except FloatingPointError as exc:
+        print(f"error: numbers beyond double range: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

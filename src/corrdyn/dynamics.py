@@ -6,7 +6,11 @@ truncated-Taylor sparse matvecs (Al-Mohy & Higham 2011).  The Taylor
 degree and scaling depend only on hM, so they are chosen once per distinct
 interval h between recorded samples, by the 1-norm rule scipy's
 expm_multiply applies while ||hM||_1 <= 63.36; in that range the result is
-bit-identical to calling expm_multiply per sample.
+bit-identical to calling expm_multiply per sample.  That identity is why
+expm multiplies by the assembled CSR M, while RK4 applies M through
+Generator.apply: the Kronecker sum of the generators of the two halves of
+the sites plus their sparse interaction, the same M summed in another
+order.  The backends therefore also check that split against the CSR M.
 
 M is the Pauli-basis form of the commutator -i[H, .], so its eigenvalues
 are i(E_n - E_m) over all pairs of levels of H, with eigenvectors the Pauli
@@ -30,7 +34,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .density import CorrelatorVector, pauli_coefficients
-from .errors import DivergentSeriesError, PoleProximityError, SizeCapError, StepTooLargeError
+from .errors import (
+    DivergentSeriesError,
+    NumericError,
+    PoleProximityError,
+    SizeCapError,
+    StepTooLargeError,
+)
 from .hierarchy import Generator
 from .pauli import Observable, PauliString
 
@@ -68,11 +78,11 @@ class Trajectory:
         return np.linalg.norm(self.values[:, 1:], axis=1)
 
 
-def _rk4_step(m, x, dt):
-    k1 = m @ x
-    k2 = m @ (x + 0.5 * dt * k1)
-    k3 = m @ (x + 0.5 * dt * k2)
-    k4 = m @ (x + dt * k3)
+def _rk4_step(apply, x, dt):
+    k1 = apply(x)
+    k2 = apply(x + 0.5 * dt * k1)
+    k3 = apply(x + 0.5 * dt * k2)
+    k4 = apply(x + dt * k3)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -169,8 +179,9 @@ def evolve(
 ) -> Trajectory:
     """Propagate x(t) = exp(M t) x0, recording every `stride`-th step.
 
-    method "rk4" is the fixed-step integrator; "expm" applies the matrix
-    exponential action from one recorded sample to the next and conserves
+    method "rk4" is the fixed-step integrator, with M applied by
+    gen.apply; "expm" applies the matrix exponential action from one
+    recorded sample to the next with products on the CSR M, and conserves
     the sector norm to near machine precision.  The intervals between
     samples take at most two lengths (stride steps, and the remainder
     before the last sample); expm scales M and chooses its Taylor degree
@@ -235,7 +246,7 @@ def evolve(
     if method == "rk4":
         for row, n in enumerate(lengths, start=1):
             for _ in range(n):
-                x = _rk4_step(m, x, dt)
+                x = _rk4_step(gen.apply, x, dt)
             out[row] = x
     else:
         for row, n in enumerate(lengths, start=1):
@@ -294,7 +305,8 @@ def resolvent(gen: Generator, z: complex, codes=None) -> np.ndarray:
     residual = float(np.max(np.abs(z * g - _apply_real(gen.matrix, g) - unit)))
     if residual > 1e-10:
         raise PoleProximityError(
-            f"resolvent residual {residual:.2e} too large; nearest pole {1j * nearest}",
+            f"resolvent residual {residual:.2e} exceeds 1e-10 at z = {z}: "
+            "too little precision left to certify G(z)",
             nearest_pole=1j * nearest,
         )
     return g[np.ix_(rows, where)]
@@ -343,9 +355,19 @@ class SpectralReport:
 
     @cached_property
     def density(self) -> np.ndarray:
+        """Raises NumericError when a squared distance or width overflows."""
         density = np.zeros_like(self.omega)
-        for w in self.poles:
-            density += self.broadening / np.pi / ((self.omega - w) ** 2 + self.broadening**2)
+        try:
+            with np.errstate(over="raise"):
+                for w in self.poles:
+                    density += self.broadening / np.pi / (
+                        (self.omega - w) ** 2 + self.broadening**2
+                    )
+        except FloatingPointError as exc:
+            raise NumericError(
+                f"broadened density overflows: poles up to "
+                f"{np.max(np.abs(self.poles)):.3g}, width {self.broadening:.3g}"
+            ) from exc
         return density
 
 

@@ -18,11 +18,21 @@ build_generator applies (a), (b) and (c) as digit masks over all 4**N codes
 at once; each term reaches its column by a constant code shift.  The
 row-by-row reading of the rules is kept in the test suite as the reference
 the build must match bit for bit.
+
+Split the sites into a low half A and a high half B.  A field or a coupling
+inside one half changes only that half's digits, by an entry that depends
+only on that half's digits, so M = kron(I, M_A) + kron(M_B, I) + V exactly:
+M_A and M_B are the generators of the uncoupled halves, and V holds the
+entries of the A-B couplings, the ones whose row and column codes differ in
+both halves.  Generator.apply computes M x from that split as two small
+dense products and a sparse product with about half of M's nonzeros, which
+is faster than the product on the whole CSR M.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,19 +44,76 @@ from .oracle import EigenSystem, build_hamiltonian_matrix, coupling_terms, eigen
 from .pauli import _EPS_TERMS, sum_matrix, support_mask
 
 
+class HalfSplit(NamedTuple):
+    """M = kron(I, m_a) + kron(m_b, I) + v over the low and high half of the sites."""
+
+    m_a: np.ndarray
+    m_b: np.ndarray
+    v: sp.csr_matrix
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        xm = x.reshape(len(self.m_b), len(self.m_a))
+        y = self.m_b @ xm
+        y += xm @ self.m_a.T
+        y = y.ravel()
+        y += self.v @ x
+        return y
+
+
+def half_split(matrix: sp.csr_matrix, n_sites: int) -> HalfSplit:
+    """Read the two halves' generators and the interaction off the CSR M.
+
+    A holds the low n_sites // 2 sites (the low digits of a code), B the
+    rest.  An entry goes to v when its row and column codes differ in both
+    halves; m_a = M[:d_A, :d_A] and m_b = M[::d_A, ::d_A] are the blocks in
+    which the other half is the identity.  The split is verified entry by
+    entry; a matrix that does not have this structure (it was not built
+    from a Hamiltonian) is left whole in v, with zero m_a and m_b.
+    """
+    dim = matrix.shape[0]
+    half = n_sites // 2
+    d_a = 4**half
+    low, shift = d_a - 1, 2 * half
+    rows = np.repeat(np.arange(dim, dtype=np.int32), np.diff(matrix.indptr))
+    cols, data = matrix.indices, matrix.data
+    diff = rows ^ cols
+    in_a = np.flatnonzero(diff <= low)  # both index sets hold the diagonal
+    in_b = np.flatnonzero(diff & low == 0)
+    cross = np.flatnonzero((diff > low) & (diff & low != 0))
+    m_a = matrix[:d_a, :d_a].toarray()
+    m_b = matrix[::d_a, ::d_a].toarray()
+    # every intra-half entry must be its block's entry, and every nonzero
+    # block entry must appear once per value of the other half's digits
+    exact = (
+        not data[diff == 0].any()
+        and np.array_equal(data[in_a], m_a[rows[in_a] & low, cols[in_a] & low])
+        and np.array_equal(data[in_b], m_b[rows[in_b] >> shift, cols[in_b] >> shift])
+        and np.count_nonzero(data[in_a]) == len(m_b) * np.count_nonzero(m_a)
+        and np.count_nonzero(data[in_b]) == d_a * np.count_nonzero(m_b)
+    )
+    if not exact:
+        return HalfSplit(np.zeros_like(m_a), np.zeros_like(m_b), matrix)
+    indptr = np.searchsorted(cross, matrix.indptr).astype(matrix.indptr.dtype)
+    v = sp.csr_matrix((data[cross], cols[cross], indptr), shape=matrix.shape)
+    return HalfSplit(m_a, m_b, v)
+
+
 @dataclass
 class Generator:
     """Sparse generator matrix over the 4**N correlator slots.
 
     It keeps the Hamiltonian it was built from: M is the Pauli-basis form of
     -i[H, .], so its spectral data come from the eigensystem of H, which is
-    computed once on first use and cached.
+    computed once on first use and cached.  The split of M into its two
+    halves' Kronecker sum and their interaction, which apply uses, is read
+    off the matrix on the first apply and cached the same way.
     """
 
     n_sites: int
     matrix: sp.csr_matrix
     hamiltonian: SpinHamiltonian = field(repr=False)
     _eigensystem: EigenSystem | None = field(default=None, repr=False, compare=False)
+    _split: HalfSplit | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -56,6 +123,15 @@ class Generator:
         if self._eigensystem is None:
             self._eigensystem = eigensystem(self.hamiltonian)
         return self._eigensystem
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """M x for a real vector x, through the cached half split of M.
+
+        Equal to matrix @ x up to rounding (the sums run in another order).
+        """
+        if self._split is None:
+            self._split = half_split(self.matrix, self.n_sites)
+        return self._split.apply(x)
 
     def infinity_norm(self) -> float:
         if self.matrix.nnz == 0:

@@ -12,9 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pauli
-from .density import DENSE_SITE_CAP, DensityMatrix, extract_correlators
+from .density import DENSE_SITE_CAP, DensityMatrix, pauli_coefficients
 from .errors import SizeCapError
 from .hamiltonian import SpinHamiltonian
+
+
+# matrix entries per batched Pauli transform in correlator_trajectory
+_BATCH_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -67,11 +71,18 @@ def energy_differences(es: EigenSystem) -> np.ndarray:
     return np.sort(diffs[diffs > 0.0])
 
 
-def evolve_exact(h: SpinHamiltonian, rho0: DensityMatrix, times) -> list[DensityMatrix]:
-    """rho(t) = U(t) rho0 U(t)^dagger at each requested time."""
+def evolve_exact(
+    h: SpinHamiltonian, rho0: DensityMatrix, times, es: EigenSystem | None = None
+) -> list[DensityMatrix]:
+    """rho(t) = U(t) rho0 U(t)^dagger at each requested time.
+
+    es is the eigensystem of h when the caller already has it (a generator
+    caches one); otherwise h is diagonalized here.
+    """
     if rho0.n_sites != h.n_sites:
         raise ValueError("state and Hamiltonian site counts differ")
-    es = eigensystem(h)
+    if es is None:
+        es = eigensystem(h)
     basis0 = es.vectors.conj().T @ rho0.data @ es.vectors
     out = []
     for t in np.asarray(times, dtype=float):
@@ -81,14 +92,27 @@ def evolve_exact(h: SpinHamiltonian, rho0: DensityMatrix, times) -> list[Density
     return out
 
 
-def correlator_trajectory(h: SpinHamiltonian, rho0: DensityMatrix, times):
+def correlator_trajectory(
+    h: SpinHamiltonian, rho0: DensityMatrix, times, es: EigenSystem | None = None
+):
     """Exact correlator supervector along the trajectory.
 
     Returns a dynamics.Trajectory; reference output for the hierarchy
-    integrators.
+    integrators.  The samples are evolved and their correlators read off
+    by one Pauli transform per batch of about _BATCH_ENTRIES matrix
+    entries, which bounds the memory held at once; es as in evolve_exact.
     """
     from .dynamics import Trajectory
 
     times = np.asarray(times, dtype=float)
-    rows = [extract_correlators(r).values for r in evolve_exact(h, rho0, times)]
-    return Trajectory(h.n_sites, times, np.array(rows))
+    if es is None:
+        es = eigensystem(h)
+    values = np.empty((times.size, 4**h.n_sites))
+    step = max(1, _BATCH_ENTRIES // 4**h.n_sites)
+    for k in range(0, times.size, step):
+        rhos = evolve_exact(h, rho0, times[k : k + step], es)
+        coef = pauli_coefficients(np.array([r.data for r in rhos]))
+        if np.max(np.abs(coef.imag)) > 1e-10:
+            raise ValueError("evolved state is not Hermitian enough for real correlators")
+        values[k : k + step] = coef.real.T
+    return Trajectory(h.n_sites, times, values)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .density import DENSE_SITE_CAP, DensityMatrix
@@ -52,7 +54,7 @@ def bloch_product(vectors) -> DensityMatrix:
     for v in reversed(vectors):
         if v.shape != (3,):
             raise ValueError("each Bloch vector must have 3 components")
-        if np.linalg.norm(v) > 1.0 + 1e-12:
+        if math.hypot(*v) > 1.0 + 1e-12:  # no overflow for huge entries
             raise ValueError("Bloch vectors must have length <= 1")
         site = 0.5 * np.array(
             [[1.0 + v[2], v[0] - 1j * v[1]], [v[0] + 1j * v[1], 1.0 - v[2]]]

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -337,3 +338,28 @@ def test_oversized_time_grid_exits_4_before_allocating(tmp_path, capsys, method,
     assert "capped" in _one_error_line(capsys)
     assert not (out / "trajectory.csv").exists()
     assert peak < 1 << 20
+
+
+_HUGE_FIELDS = {"fields": [[1e300, 0.0, 0.0], [0.0, 0.0, 1e300]]}
+
+
+@pytest.mark.parametrize(
+    "task, options, message",
+    [
+        # the level differences reach 2e300; squared against the grid they
+        # overflow, which left a density of zeros at every omega but 0
+        ("spectrum", {"spectrum": {"broadening": 0.5}}, "density overflows"),
+        # the eigenbasis resolvent cannot be certified at this scale, and the
+        # cause is the residual, not a pole
+        ("resolvent", {"resolvent": {"z": [[0.3, 0.2]]}}, "resolvent residual"),
+    ],
+)
+def test_huge_fields_exit_3_without_output(tmp_path, capsys, task, options, message):
+    cfg = write_config(tmp_path / "c.json", **_HUGE_FIELDS, tasks=[task], **options)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(cfg, out) == 3
+    line = _one_error_line(capsys)
+    assert message in line and "nearest pole" not in line
+    assert not out.exists() or not any(out.iterdir())

@@ -79,6 +79,8 @@ def test_evolve_matches_oracle(rng):
 
 
 def test_backends_agree(rng):
+    # rk4 applies M through its half split, expm through the assembled CSR M,
+    # so this also checks the split against M
     h = random_hamiltonian(4, rng, 0.6, 0.4)
     gen = build_generator(h)
     rho0 = random_mixed_state(rng, 4)
