@@ -128,12 +128,17 @@ def _from_pair_digits(vec: np.ndarray, n: int) -> np.ndarray:
     return w.reshape(2**n, 2**n)
 
 
+def real_coefficients(mats: np.ndarray) -> np.ndarray:
+    """pauli_coefficients of a stack of Hermitian matrices, as real numbers."""
+    coef = pauli_coefficients(mats)
+    if np.max(np.abs(coef.imag)) > 1e-10:
+        raise ValueError("matrix is not Hermitian enough for real correlators")
+    return coef.real
+
+
 def extract_correlators(rho: DensityMatrix) -> CorrelatorVector:
     """Read off v[c] = tr(rho P_c) for every string code c."""
-    v = pauli_coefficients(rho.data[None])[:, 0]
-    if np.max(np.abs(v.imag)) > 1e-10:
-        raise ValueError("matrix is not Hermitian enough for real correlators")
-    return CorrelatorVector(rho.n_sites, v.real)
+    return CorrelatorVector(rho.n_sites, real_coefficients(rho.data[None])[:, 0])
 
 
 def operator_matrix(values: np.ndarray) -> np.ndarray:

@@ -24,9 +24,11 @@ inside one half changes only that half's digits, by an entry that depends
 only on that half's digits, so M = kron(I, M_A) + kron(M_B, I) + V exactly:
 M_A and M_B are the generators of the uncoupled halves, and V holds the
 entries of the A-B couplings, the ones whose row and column codes differ in
-both halves.  Generator.apply computes M x from that split as two small
-dense products and a sparse product with about half of M's nonzeros, which
-is faster than the product on the whole CSR M.
+both halves.  From SPLIT_MIN_SITES sites on, Generator.apply computes M x
+from that split as two small dense products and a sparse product with
+about half of M's nonzeros, which is faster than the product on the whole
+CSR M; below, the fixed cost of three products outweighs the few nonzeros
+and apply takes the CSR product.
 """
 
 from __future__ import annotations
@@ -42,6 +44,13 @@ from .density import DensityMatrix, partial_trace_array
 from .hamiltonian import SpinHamiltonian, restrict
 from .oracle import EigenSystem, build_hamiltonian_matrix, coupling_terms, eigensystem
 from .pauli import _EPS_TERMS, sum_matrix, support_mask
+
+
+# Generator.apply uses the half split from this many sites on.  With one
+# BLAS thread on x86-64 a product took 44/228 us through the split against
+# 60/330 us on the CSR M at 5/6 sites, but 10/17 us against 6/13 us at 3/4
+# sites, where the split's three products cost more than M's nonzeros.
+SPLIT_MIN_SITES = 5
 
 
 class HalfSplit(NamedTuple):
@@ -105,8 +114,9 @@ class Generator:
     It keeps the Hamiltonian it was built from: M is the Pauli-basis form of
     -i[H, .], so its spectral data come from the eigensystem of H, which is
     computed once on first use and cached.  The split of M into its two
-    halves' Kronecker sum and their interaction, which apply uses, is read
-    off the matrix on the first apply and cached the same way.
+    halves' Kronecker sum and their interaction, which apply uses from
+    SPLIT_MIN_SITES sites on, is read off the matrix on the first such
+    apply and cached the same way.
     """
 
     n_sites: int
@@ -125,10 +135,14 @@ class Generator:
         return self._eigensystem
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """M x for a real vector x, through the cached half split of M.
+        """M x for a real vector x.
 
-        Equal to matrix @ x up to rounding (the sums run in another order).
+        From SPLIT_MIN_SITES sites on through the cached half split of M,
+        equal to matrix @ x up to rounding (the sums run in another order);
+        below, matrix @ x itself.
         """
+        if self.n_sites < SPLIT_MIN_SITES:
+            return self.matrix @ x
         if self._split is None:
             self._split = half_split(self.matrix, self.n_sites)
         return self._split.apply(x)

@@ -348,7 +348,7 @@ _HUGE_FIELDS = {"fields": [[1e300, 0.0, 0.0], [0.0, 0.0, 1e300]]}
     [
         # the level differences reach 2e300; squared against the grid they
         # overflow, which left a density of zeros at every omega but 0
-        ("spectrum", {"spectrum": {"broadening": 0.5}}, "density overflows"),
+        ("spectrum", {"spectrum": {"broadening": 0.5}}, "beyond double range"),
         # the eigenbasis resolvent cannot be certified at this scale, and the
         # cause is the residual, not a pole
         ("resolvent", {"resolvent": {"z": [[0.3, 0.2]]}}, "resolvent residual"),

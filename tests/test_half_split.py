@@ -1,8 +1,9 @@
 """The half split M = kron(I, M_A) + kron(M_B, I) + V that rk4 applies.
 
-The split is checked entry by entry against the assembled CSR M, `apply`
-against the CSR product, and rk4 through `apply` against the RK4 loop on
-the CSR M kept in `reference_dynamics`.
+The split is checked entry by entry against the assembled CSR M, its
+product and `Generator.apply` (the split from SPLIT_MIN_SITES sites on,
+the CSR product below) against the CSR product, and rk4 through `apply`
+against the RK4 loop on the CSR M kept in `reference_dynamics`.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 import scipy.sparse as sp
 
 from corrdyn.dynamics import evolve
-from corrdyn.hierarchy import Generator, build_generator, half_split
+from corrdyn.hierarchy import SPLIT_MIN_SITES, Generator, build_generator, half_split
 from reference_dynamics import evolve_rk4_csr
 from test_dynamics_reference import product_state
 from test_spectral_reference import hamiltonians
@@ -28,9 +29,9 @@ def kronecker_sum(split) -> sp.csr_matrix:
     return out
 
 
-def assert_relative_match(gen: Generator, x: np.ndarray) -> None:
-    scale = np.max(abs(gen.matrix) @ np.abs(x), initial=0.0)
-    assert np.max(np.abs(gen.apply(x) - gen.matrix @ x)) <= 1e-14 * scale
+def assert_relative_match(m: sp.csr_matrix, y: np.ndarray, x: np.ndarray) -> None:
+    scale = np.max(abs(m) @ np.abs(x), initial=0.0)
+    assert np.max(np.abs(y - m @ x)) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
@@ -63,11 +64,14 @@ def test_split_of_one_site_has_an_empty_low_half(rng):
 def test_apply_matches_the_csr_product(rng, n):
     for name, h in hamiltonians(n, rng).items():
         gen = build_generator(h)
+        split = half_split(gen.matrix, n)
         for x in rng.normal(size=(3, gen.dim)):
-            assert_relative_match(gen, x)
+            assert_relative_match(gen.matrix, split.apply(x), x)
+            assert_relative_match(gen.matrix, gen.apply(x), x)
+        assert (gen._split is None) == (n < SPLIT_MIN_SITES), name
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_a_matrix_without_the_split_structure_is_applied_whole(rng, n):
     h = hamiltonians(n, rng)["dense"]
     m = build_generator(h).matrix.tolil()
@@ -76,9 +80,11 @@ def test_a_matrix_without_the_split_structure_is_applied_whole(rng, n):
     r = m.shape[0] - d_a + 1
     m[r, r + 1] += 0.25
     gen = Generator(n, m.tocsr(), h)
+    split = half_split(gen.matrix, n)
+    assert split.v is gen.matrix and not split.m_a.any() and not split.m_b.any()
     x = rng.normal(size=gen.dim)
-    assert_relative_match(gen, x)
-    assert gen._split.v is gen.matrix and not gen._split.m_a.any()
+    assert_relative_match(gen.matrix, split.apply(x), x)
+    assert_relative_match(gen.matrix, gen.apply(x), x)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -90,12 +96,16 @@ def test_rk4_matches_the_csr_loop(rng, n):
         ref = evolve_rk4_csr(gen, x0, 0.3, 0.01, stride=7)
         assert np.array_equal(fast.times, ref.times), name
         assert np.max(np.abs(fast.values - ref.values)) <= 1e-12, name
+        if n < SPLIT_MIN_SITES:  # apply is the CSR product itself
+            assert np.array_equal(fast.values, ref.values) and gen._split is None, name
 
 
 def test_expm_evolution_leaves_the_split_unbuilt(rng):
-    gen = build_generator(hamiltonians(4, rng)["dense"])
-    x0 = product_state(4, rng)
+    n = SPLIT_MIN_SITES
+    gen = build_generator(hamiltonians(n, rng)["dense"])
+    x0 = product_state(n, rng)
     evolve(gen, x0, 0.2, dt=0.01, stride=5, method="expm")
     assert gen._split is None
     evolve(gen, x0, 0.2, dt=0.01, stride=5, method="rk4")
     assert gen._split is not None
+
