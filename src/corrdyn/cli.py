@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 config/parse failure, 3 numeric failure (pole
 proximity, step too large, divergent series, numbers beyond the double
-range), 4 size cap exceeded.
+range), 4 size cap exceeded (checked before anything 4**N-sized is
+allocated).
 Every error path prints a single line starting with "error:".  Outputs are
 deterministic: floats carry 17 significant digits and no wall-clock or RNG
 state enters any file.
@@ -409,7 +410,9 @@ def _task_validate(cfg, ham, gen, x0, out_dir: Path) -> None:
 
 
 def _execute(config_path, out_dir, tasks) -> None:
+    from .decomposition import admit_decompose
     from .errors import ConfigError
+    from .hierarchy import admit_generator, build_generator
 
     cfg = load_config(config_path)
     if tasks is not None:
@@ -422,13 +425,15 @@ def _execute(config_path, out_dir, tasks) -> None:
     for lb in cfg.observables:
         parse_observable(lb, cfg.sites)
     ham = _build_hamiltonian(cfg)
+    # size caps before anything 4**N-sized is allocated
+    needs_generator = bool(set(cfg.tasks) - {"decompose"})  # the others all use M
+    if needs_generator:
+        admit_generator(ham)
+    if "decompose" in cfg.tasks:
+        admit_decompose(cfg.sites)
     x0 = _initial_correlators(cfg)
 
-    gen = None
-    if set(cfg.tasks) & {"evolve", "spectrum", "resolvent", "validate"}:
-        from .hierarchy import build_generator
-
-        gen = build_generator(ham)
+    gen = build_generator(ham) if needs_generator else None
     # deterministic task order regardless of config order
     for task in _TASKS:
         if task not in cfg.tasks:

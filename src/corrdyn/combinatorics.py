@@ -7,6 +7,7 @@ sites, far beyond anything the dense machinery downstream can handle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -114,3 +115,15 @@ def enumerate_partitions(mask: int) -> Iterator[Partition]:
         for j in range(k + 1, n):
             a[j] = 0
             m[j] = mk
+
+
+def bell_number(n: int) -> int:
+    """B_n, the number of partitions of an n-element set.
+
+    From B_{m+1} = sum_k C(m, k) B_k: the block holding the last element
+    leaves some k of the other m elements to be partitioned.
+    """
+    b = [1]
+    for m in range(n):
+        b.append(sum(math.comb(m, k) * b[k] for k in range(m + 1)))
+    return b[n]

@@ -40,7 +40,13 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import pauli
-from .combinatorics import bit_indices, enumerate_partitions, enumerate_subsets, mask_of
+from .combinatorics import (
+    bell_number,
+    bit_indices,
+    enumerate_partitions,
+    enumerate_subsets,
+    mask_of,
+)
 from .density import (
     CorrelatorVector,
     DensityMatrix,
@@ -48,8 +54,15 @@ from .density import (
     operator_matrix,
     partial_trace_array,
 )
+from .errors import SizeCapError
 
 TRACE_ZERO_TOL = 1e-12
+
+# admit_decompose refuses a state of N sites when B_N * 4**N exceeds this:
+# cumulant_reconstruct sums B_N partitions of 4**N-entry matrices, and a
+# 9-site W state (5.5e9) took 62 s on an x86-64 guest, so the cap is about
+# 20 minutes and admits N <= 9 (10 sites need 1.2e11)
+DECOMPOSE_WORK_CAP = 1e11
 
 
 @dataclass(frozen=True)
@@ -193,6 +206,21 @@ def _part_matrix(block: np.ndarray, k: int) -> np.ndarray:
     # a single cell's part is its reduced matrix, the only one with a trace
     coeffs.flat[0] = 1.0 if k == 1 else 0.0
     return operator_matrix(coeffs.ravel())
+
+
+def admit_decompose(n_sites: int) -> None:
+    """Raise SizeCapError when B_N * 4**N exceeds DECOMPOSE_WORK_CAP.
+
+    B_N * 4**N grows with N, so it is evaluated only up to the first N past
+    the cap, however many sites are asked for.
+    """
+    for n in range(1, n_sites + 1):
+        work = bell_number(n) * 4**n
+        if work > DECOMPOSE_WORK_CAP:
+            raise SizeCapError(
+                f"decomposition of {n_sites} sites capped at {DECOMPOSE_WORK_CAP:.3g} "
+                f"partition-entries (B_N * 4**N): {n} sites need {work:.3g}"
+            )
 
 
 def correlated_part(rho: DensityMatrix, subset: int) -> CorrelatedPart:

@@ -12,7 +12,9 @@ Generator.apply: from five sites on, the Kronecker sum of the generators of
 the two halves of the sites plus their sparse interaction, the same M
 summed in another order (below, the CSR product, which is faster there).
 From five sites on the backends therefore also check that split against
-the CSR M.
+the CSR M.  The scaled hM shares M's index arrays, and its 1-norm, like
+||M||_inf, is summed from the arrays in scipy's order rather than from a
+second matrix abs(hM), so a plan copies only M's values.
 
 M is the Pauli-basis form of the commutator -i[H, .], so its eigenvalues
 are i(E_n - E_m) over all pairs of levels of H, with eigenvectors the Pauli
@@ -108,12 +110,28 @@ MATVEC_OVERHEAD = 10_000
 WORK_CAP = 1.2e12
 
 
+# _one_norm reads this many entries of a matrix at a time
+_NORM_SLICE = 1 << 16
+
+
 class _TaylorPlan(NamedTuple):
     """exp(a) x as s sub-steps of at most m_star Taylor terms each."""
 
     a: sp.csr_matrix
     m_star: int
     s: int
+
+
+def _one_norm(a: sp.csr_matrix) -> float:
+    """max_c sum_r |a_rc|, each column summed in entry order as scipy sums abs(a).
+
+    The entries are taken _NORM_SLICE at a time, so no copy of a is made.
+    """
+    sums = np.zeros(a.shape[1])
+    for lo in range(0, a.nnz, _NORM_SLICE):
+        hi = lo + _NORM_SLICE
+        np.add.at(sums, a.indices[lo:hi], np.abs(a.data[lo:hi]))
+    return float(sums.max())
 
 
 def _taylor_plan(m, h: float) -> _TaylorPlan:
@@ -123,9 +141,10 @@ def _taylor_plan(m, h: float) -> _TaylorPlan:
     ||hM||_1 <= 63.36 (condition (3.13) of Al-Mohy & Higham); above that it
     costs more matvecs than scipy's power-norm estimates, for the same error
     bound.  M is antisymmetric with zero trace, so no shift is needed.
+    The scaled matrix shares M's index arrays; only its values are new.
     """
-    a = m * h
-    norm = float(abs(a).sum(axis=0).max())
+    a = sp.csr_matrix((m.data * h, m.indices, m.indptr), shape=m.shape)
+    norm = _one_norm(a)
     if norm == 0:
         return _TaylorPlan(a, 0, 1)
     m_star, s = min(

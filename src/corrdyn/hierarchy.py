@@ -17,7 +17,14 @@ The rules depend only on the base-4 digits of the row code, so
 build_generator applies (a), (b) and (c) as digit masks over all 4**N codes
 at once; each term reaches its column by a constant code shift.  The
 row-by-row reading of the rules is kept in the test suite as the reference
-the build must match bit for bit.
+the build must match bit for bit.  Every nonzero field component or
+coupling entry adds 4**N / 2 entries, so the size of M is known before it
+is built (generator_nnz, admit_generator), and the rows are built in
+chunks of ROW_CHUNK codes that share their top digits: a rule that tests
+only low digits selects the same low codes in every chunk, and one that
+tests a top digit selects a whole chunk or none of it.  Codes and indices
+are int32 throughout, so scipy's COO-to-CSR conversion copies none of
+them, and only one chunk's temporaries exist next to the finished CSR.
 
 Split the sites into a low half A and a high half B.  A field or a coupling
 inside one half changes only that half's digits, by an entry that depends
@@ -41,6 +48,7 @@ import scipy.sparse as sp
 
 from .combinatorics import bit_indices
 from .density import DensityMatrix, partial_trace_array
+from .errors import SizeCapError
 from .hamiltonian import SpinHamiltonian, restrict
 from .oracle import EigenSystem, build_hamiltonian_matrix, coupling_terms, eigensystem
 from .pauli import _EPS_TERMS, sum_matrix, support_mask
@@ -51,6 +59,14 @@ from .pauli import _EPS_TERMS, sum_matrix, support_mask
 # 60/330 us on the CSR M at 5/6 sites, but 10/17 us against 6/13 us at 3/4
 # sites, where the split's three products cost more than M's nonzeros.
 SPLIT_MIN_SITES = 5
+
+# build_generator fills M in chunks of at most this many rows, so that only
+# one chunk's COO and CSR temporaries exist next to the CSR M: at 7 sites the
+# traced build peak is 34 MB for a 21 MB M (82 MB in one piece)
+ROW_CHUNK = 4**6
+
+# admit_generator refuses an M of more than this many bytes (exit 4)
+GENERATOR_BYTES_CAP = 2 * 1024**3
 
 
 class HalfSplit(NamedTuple):
@@ -148,9 +164,12 @@ class Generator:
         return self._split.apply(x)
 
     def infinity_norm(self) -> float:
-        if self.matrix.nnz == 0:
+        """max_r sum_c |M_rc|, summed as scipy sums the rows of abs(M)."""
+        m = self.matrix
+        if m.nnz == 0:
             return 0.0
-        return float(abs(self.matrix).sum(axis=1).max())
+        rows = np.flatnonzero(np.diff(m.indptr))
+        return float(np.add.reduceat(np.abs(m.data), m.indptr[rows]).max())
 
 
 def antisymmetry_defect(gen: Generator) -> float:
@@ -159,39 +178,84 @@ def antisymmetry_defect(gen: Generator) -> float:
     return float(np.max(np.abs(d.data))) if d.nnz else 0.0
 
 
+def generator_nnz(h: SpinHamiltonian) -> int:
+    """Nonzeros of M in closed form, without building it.
+
+    A nonzero field component h_i^a enters rule (a) twice (the two axes
+    mu != a), each time on the 4**(N-1) rows with digit mu at i.  A nonzero
+    coupling entry enters (b) and (c) from both of its sites, eight times in
+    all, each on 4**(N-2) rows.  Either way one term adds 4**N / 2 entries.
+    """
+    terms = np.count_nonzero(h.fields)
+    terms += sum(np.count_nonzero(v) for v in h.couplings.values())
+    return terms * 4**h.n_sites // 2
+
+
+def generator_bytes(h: SpinHamiltonian) -> int:
+    """Bytes of the CSR M: float64 data, int32 column indices and row pointers."""
+    return 12 * generator_nnz(h) + 4 * (4**h.n_sites + 1)
+
+
+def admit_generator(h: SpinHamiltonian) -> None:
+    """Raise SizeCapError when M would take more than GENERATOR_BYTES_CAP bytes."""
+    need = generator_bytes(h)
+    if need > GENERATOR_BYTES_CAP:
+        raise SizeCapError(
+            f"generator capped at {GENERATOR_BYTES_CAP} bytes, need {need}"
+        )
+
+
 def build_generator(h: SpinHamiltonian) -> Generator:
     """Assemble M by applying rules (a)-(c) to all 4**N row codes at once.
 
     Each rule picks its rows by digit masks on the row code and reaches its
     column by one constant code shift, so every (site, axis, partner,
     epsilon term) adds a whole block of entries; a zero coefficient adds none.
+    The rows are filled in chunks of ROW_CHUNK, split on the top digits: a
+    rule selects the same low codes in every chunk whose top digits it
+    accepts.  Each chunk goes through scipy's COO-to-CSR conversion and is
+    copied into the CSR arrays, allocated once from generator_nnz.
     """
     n = h.n_sites
     dim = 4**n
-    codes = np.arange(dim, dtype=np.int64)
-    # is_digit[i][d]: rows whose digit at site i equals d
-    is_digit = [[(codes >> (2 * i)) & 3 == d for d in range(4)] for i in range(n)]
-    blocks: list[tuple[int, np.ndarray, float]] = []  # (column shift, rows, coeff)
+    low = min(n, (ROW_CHUNK.bit_length() - 1) // 2)  # sites inside a chunk
+    step = 4**low
+    codes = np.arange(step, dtype=np.int32)
+    # digit[i][d] = (low codes, chunk-index mask, value): the rows whose digit
+    # at site i is d are those low codes in the chunks k with k & mask == value
+    everywhere = np.ones(step, dtype=bool)
+    digit = [
+        [((codes >> 2 * i) & 3 == d, 0, 0) for d in range(4)]
+        if i < low
+        else [(everywhere, 3 << 2 * (i - low), d << 2 * (i - low)) for d in range(4)]
+        for i in range(n)
+    ]
+    # (column shift, low codes, coeff, chunk-index mask, value)
+    blocks: list[tuple[int, np.ndarray, float, int, int]] = []
 
-    def add(sel: np.ndarray, shift: int, coeff: float) -> None:
+    def add(sel: tuple, shift: int, coeff: float) -> None:
         if coeff:
-            blocks.append((shift, sel, coeff))
+            blocks.append((shift, sel[0], coeff, sel[1], sel[2]))
+
+    def both(a: tuple, b: tuple) -> tuple:
+        """The rows that pass the digit tests a and b."""
+        return codes[a[0] & b[0]], a[1] | b[1], a[2] | b[2]
 
     for i in range(n):
         for mu in (1, 2, 3):
-            on = is_digit[i][mu]
+            on = digit[i][mu]
             terms = _EPS_TERMS[mu]
-            sel = np.flatnonzero(on)  # (a) field: mu -> nu at i
+            sel = (codes[on[0]], on[1], on[2])  # (a) field: mu -> nu at i
             for alpha, nu, s in terms:
                 add(sel, (nu - mu) << 2 * i, s * h.fields[i, alpha - 1])
             for j in h.partners(i):
                 v = h.coupling(i, j)
                 for muj in (1, 2, 3):  # (b) intra-subset: j leaves the support
-                    sel = np.flatnonzero(on & is_digit[j][muj])
+                    sel = both(on, digit[j][muj])
                     for alpha, nu, s in terms:
                         shift = ((nu - mu) << 2 * i) - (muj << 2 * j)
                         add(sel, shift, s * v[alpha - 1, muj - 1])
-                sel = np.flatnonzero(on & is_digit[j][0])  # (c) growth: j joins as lam
+                sel = both(on, digit[j][0])  # (c) growth: j joins as lam
                 for alpha, nu, s in terms:
                     for lam in (1, 2, 3):
                         shift = ((nu - mu) << 2 * i) + (lam << 2 * j)
@@ -200,11 +264,36 @@ def build_generator(h: SpinHamiltonian) -> Generator:
     # blocks in ascending shift list each row's columns in ascending order,
     # so the CSR conversion finds them canonical and skips its per-row sort
     blocks.sort(key=lambda b: b[0])
-    sizes = [b[1].size for b in blocks]
-    rows = np.concatenate([np.empty(0, dtype=np.int64)] + [b[1] for b in blocks])
-    cols = rows + np.repeat(np.array([b[0] for b in blocks], dtype=np.int64), sizes)
-    vals = np.repeat(np.array([b[2] for b in blocks], dtype=float), sizes)
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+
+    def chunk(k: int) -> sp.csr_matrix:
+        """Rows k * step ... (k + 1) * step - 1 of M."""
+        part = [b for b in blocks if k & b[3] == b[4]]
+        sizes = [b[1].size for b in part]
+        rows = np.concatenate([np.empty(0, dtype=np.int32)] + [b[1] for b in part])
+        shifts = np.array([b[0] + k * step for b in part], dtype=np.int32)
+        cols = np.repeat(shifts, sizes)
+        cols += rows
+        vals = np.repeat(np.array([b[2] for b in part], dtype=float), sizes)
+        return sp.coo_matrix((vals, (rows, cols)), shape=(step, dim)).tocsr()
+
+    if step == dim:
+        return Generator(n, chunk(0), h)
+    nnz = generator_nnz(h)
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    indices = np.empty(nnz, dtype=np.int32)
+    data = np.empty(nnz)
+    end = 0
+    for k in range(dim // step):
+        part = chunk(k)
+        start, end = end, end + part.nnz
+        indices[start:end] = part.indices
+        data[start:end] = part.data
+        ends = indptr[k * step + 1 : (k + 1) * step + 1]
+        ends[:] = part.indptr[1:]
+        ends += start
+        del part  # before the next chunk is built
+    assert end == nnz, "chunks disagree with generator_nnz"
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
     return Generator(n, matrix, h)
 
 

@@ -340,6 +340,57 @@ def test_oversized_time_grid_exits_4_before_allocating(tmp_path, capsys, method,
     assert peak < 1 << 20
 
 
+def _dense_sites(n: int) -> dict:
+    """n sites with every field component and coupling entry nonzero."""
+    tensor = [[0.3, 0.2, 0.1], [0.2, 0.5, 0.4], [0.1, 0.4, 0.6]]
+    return {
+        "sites": n,
+        "fields": [[0.3, 0.2, 0.1]] * n,
+        "couplings": [
+            {"i": i, "j": j, "tensor": tensor} for i in range(n) for j in range(i + 1, n)
+        ],
+        "initial_state": {"named": {"name": "w"}},
+    }
+
+
+def test_generator_and_decompose_admission_thresholds(tmp_path):
+    from corrdyn.decomposition import admit_decompose
+    from corrdyn.errors import SizeCapError
+    from corrdyn.hierarchy import GENERATOR_BYTES_CAP, admit_generator, generator_bytes
+
+    hams = []
+    for n in (9, 10):
+        path = write_config(tmp_path / f"{n}.json", **_dense_sites(n))
+        hams.append(cli._build_hamiltonian(cli.load_config(path)))
+    nine, ten = hams
+    # 12 bytes per nonzero and 4 per row pointer
+    assert generator_bytes(nine) == 12 * 351 * 4**9 // 2 + 4 * (4**9 + 1)  # 0.55 GB
+    assert generator_bytes(ten) > 2.7e9 > GENERATOR_BYTES_CAP
+    admit_generator(nine)
+    with pytest.raises(SizeCapError):
+        admit_generator(ten)
+    for n in range(1, 10):
+        admit_decompose(n)
+    with pytest.raises(SizeCapError):
+        admit_decompose(10)
+
+
+@pytest.mark.parametrize("task", ["evolve", "decompose"])
+def test_ten_dense_sites_exit_4_before_allocating(tmp_path, capsys, task):
+    cfg = write_config(tmp_path / "c.json", **_dense_sites(10), tasks=[task])
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        status = cli.run(cfg, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 4
+    assert "capped" in _one_error_line(capsys)
+    assert not out.exists() or not any(out.iterdir())
+    assert peak < 1 << 20
+
+
 _HUGE_FIELDS = {"fields": [[1e300, 0.0, 0.0], [0.0, 0.0, 1e300]]}
 
 

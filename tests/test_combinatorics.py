@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from corrdyn.combinatorics import (
     Partition,
+    bell_number,
     bit_indices,
     enumerate_partitions,
     enumerate_subsets,
@@ -61,6 +62,11 @@ def test_partition_counts(n, count):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_partition_count_matches_bell_triangle(n):
     assert len(list(enumerate_partitions((1 << n) - 1))) == bell_triangle(n)
+
+
+def test_bell_number_matches_bell_triangle():
+    assert [bell_number(n) for n in range(1, 13)] == [bell_triangle(n) for n in range(1, 13)]
+    assert bell_number(9) == 21147
 
 
 def test_partition_of_empty_set_is_an_error():

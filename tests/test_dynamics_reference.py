@@ -5,12 +5,12 @@ import pytest
 
 from corrdyn import oracle, states
 from corrdyn.density import extract_correlators, from_correlators
-from corrdyn.dynamics import _taylor_plan, evolve
+from corrdyn.dynamics import _one_norm, _taylor_plan, evolve
 from corrdyn.hamiltonian import SpinHamiltonian, random_hamiltonian
 from corrdyn.hierarchy import build_generator
 from conftest import random_mixed_state
 from reference_dynamics import evolve_expm_per_sample
-from test_generator_reference import hamiltonians
+from test_generator_reference import assert_same_csr, hamiltonians
 
 # condition (3.13) of Al-Mohy & Higham: up to this ||hM||_1 scipy chooses the
 # Taylor degree and scaling from the 1-norm alone
@@ -78,3 +78,27 @@ def test_large_step_beyond_the_one_norm_range(rng):
     norms = traj.sector_norms()
     assert np.max(np.abs(norms - norms[0])) <= 1e-12
 
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_norms_equal_scipy_expressions(rng, n):
+    """Both norms are read off M's arrays, with scipy's arithmetic."""
+    for name, h in hamiltonians(n, rng).items():
+        gen = build_generator(h)
+        m = gen.matrix
+        assert gen.infinity_norm() == float(abs(m).sum(axis=1).max()), name
+        for step in (1e-3, 0.37, 5.0):
+            plan = _taylor_plan(m, step)
+            assert_same_csr(plan.a, m * step)
+            assert np.shares_memory(plan.a.indptr, m.indptr)
+            assert m.nnz == 0 or np.shares_memory(plan.a.indices, m.indices)
+            assert _one_norm(plan.a) == float(abs(m * step).sum(axis=0).max()), name
+
+
+def test_expm_leaves_the_generator_arrays_unchanged(rng):
+    gen = build_generator(random_hamiltonian(5, rng))
+    m = gen.matrix
+    before = [a.copy() for a in (m.indptr, m.indices, m.data)]
+    evolve(gen, product_state(5, rng), 0.3, dt=0.01, stride=7, method="expm")
+    after = (gen.matrix.indptr, gen.matrix.indices, gen.matrix.data)
+    assert all(np.array_equal(x, y) for x, y in zip(before, after))

@@ -1,10 +1,13 @@
 """The vectorised generator build against the row-by-row reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from corrdyn import hierarchy
 from corrdyn.hamiltonian import SpinHamiltonian, random_hamiltonian
-from corrdyn.hierarchy import build_generator
+from corrdyn.hierarchy import build_generator, generator_bytes, generator_nnz
 from reference_generator import build_generator_rowwise
 
 
@@ -44,3 +47,35 @@ def test_build_generator_is_bit_identical_to_rowwise(rng, n):
         if name == "zero":
             assert fast.matrix.nnz == 0
 
+
+
+# chunks of 4 and 16 rows split every build from 2 and 3 sites on into
+# 4**(N-1) and 4**(N-2) chunks, so the top-digit rules meet every case
+@pytest.mark.parametrize("rows", [4, 16])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_row_chunks_are_bit_identical_to_rowwise(rng, monkeypatch, n, rows):
+    monkeypatch.setattr(hierarchy, "ROW_CHUNK", rows)
+    for name, h in hamiltonians(n, rng).items():
+        assert_same_csr(build_generator(h).matrix, build_generator_rowwise(h).matrix)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_generator_nnz_is_the_built_nnz(rng, n):
+    for name, h in hamiltonians(n, rng).items():
+        m = build_generator(h).matrix
+        assert generator_nnz(h) == m.nnz, name
+        assert generator_bytes(h) == m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+
+
+def test_seven_site_build_peak_is_at_most_twice_the_csr(rng):
+    h = random_hamiltonian(7, rng, 0.8, 0.6)
+    assert generator_nnz(h) == 1_720_320
+    build_generator(random_hamiltonian(2, rng))  # first-call allocations
+    tracemalloc.start()
+    try:
+        m = build_generator(h).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.nnz == 1_720_320
+    assert peak <= 2 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
