@@ -61,8 +61,8 @@ from .pauli import _EPS_TERMS, sum_matrix, support_mask
 SPLIT_MIN_SITES = 5
 
 # build_generator fills M in chunks of at most this many rows, so that only
-# one chunk's COO and CSR temporaries exist next to the CSR M: at 7 sites the
-# traced build peak is 34 MB for a 21 MB M (82 MB in one piece)
+# one chunk's temporaries exist next to the CSR M: at 7 sites the traced
+# build peak is 29 MB for a 21 MB M (82 MB in one piece)
 ROW_CHUNK = 4**6
 
 # admit_generator refuses an M of more than this many bytes (exit 4)
@@ -164,12 +164,19 @@ class Generator:
         return self._split.apply(x)
 
     def infinity_norm(self) -> float:
-        """max_r sum_c |M_rc|, summed as scipy sums the rows of abs(M)."""
+        """max_r sum_c |M_rc|, summed as scipy sums the rows of abs(M).
+
+        The rows are read ROW_CHUNK at a time, so no copy of M is made.
+        """
         m = self.matrix
-        if m.nnz == 0:
-            return 0.0
-        rows = np.flatnonzero(np.diff(m.indptr))
-        return float(np.add.reduceat(np.abs(m.data), m.indptr[rows]).max())
+        best = 0.0
+        for r in range(0, m.shape[0], ROW_CHUNK):
+            ptr = m.indptr[r : r + ROW_CHUNK + 1]
+            starts = ptr[:-1][np.diff(ptr) > 0] - ptr[0]  # the nonempty rows
+            if starts.size:
+                sums = np.add.reduceat(np.abs(m.data[ptr[0] : ptr[-1]]), starts)
+                best = max(best, float(sums.max()))
+        return best
 
 
 def antisymmetry_defect(gen: Generator) -> float:
@@ -265,33 +272,39 @@ def build_generator(h: SpinHamiltonian) -> Generator:
     # so the CSR conversion finds them canonical and skips its per-row sort
     blocks.sort(key=lambda b: b[0])
 
-    def chunk(k: int) -> sp.csr_matrix:
-        """Rows k * step ... (k + 1) * step - 1 of M."""
-        part = [b for b in blocks if k & b[3] == b[4]]
+    def chunk(k: int, part: list, cols: np.ndarray, vals: np.ndarray) -> sp.csr_matrix:
+        """Rows k * step ... (k + 1) * step - 1 of M, from the blocks in part.
+
+        The COO columns and values are written into cols and vals, which
+        hold exactly the chunk's entries.
+        """
         sizes = [b[1].size for b in part]
         rows = np.concatenate([np.empty(0, dtype=np.int32)] + [b[1] for b in part])
         shifts = np.array([b[0] + k * step for b in part], dtype=np.int32)
-        cols = np.repeat(shifts, sizes)
-        cols += rows
-        vals = np.repeat(np.array([b[2] for b in part], dtype=float), sizes)
+        np.add(rows, np.repeat(shifts, sizes), out=cols)
+        vals[:] = np.repeat(np.array([b[2] for b in part], dtype=float), sizes)
         return sp.coo_matrix((vals, (rows, cols)), shape=(step, dim)).tocsr()
 
-    if step == dim:
-        return Generator(n, chunk(0), h)
     nnz = generator_nnz(h)
-    indptr = np.zeros(dim + 1, dtype=np.int32)
     indices = np.empty(nnz, dtype=np.int32)
     data = np.empty(nnz)
+    if step == dim:
+        return Generator(n, chunk(0, blocks, indices, data), h)
+    # each chunk's COO goes into the slices of indices and data that its CSR
+    # entries then overwrite, so a chunk holds only its rows and the CSR
+    # conversion's output next to M
+    indptr = np.zeros(dim + 1, dtype=np.int32)
     end = 0
     for k in range(dim // step):
-        part = chunk(k)
-        start, end = end, end + part.nnz
-        indices[start:end] = part.indices
-        data[start:end] = part.data
+        part = [b for b in blocks if k & b[3] == b[4]]
+        start, end = end, end + sum(b[1].size for b in part)
+        csr = chunk(k, part, indices[start:end], data[start:end])
+        indices[start:end] = csr.indices
+        data[start:end] = csr.data
         ends = indptr[k * step + 1 : (k + 1) * step + 1]
-        ends[:] = part.indptr[1:]
+        ends[:] = csr.indptr[1:]
         ends += start
-        del part  # before the next chunk is built
+        del csr  # before the next chunk is built
     assert end == nnz, "chunks disagree with generator_nnz"
     matrix = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
     return Generator(n, matrix, h)
