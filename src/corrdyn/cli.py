@@ -14,26 +14,31 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
+import numpy as np
 
-def _cap_threads() -> None:
-    # honored only if set before numpy loads its BLAS; main() runs this first
-    n = os.environ.get("CORRDYN_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, n)
+# layer functions are looked up on their modules at call time, so one that a
+# test replaces there (hierarchy.build_generator, say) is the one the CLI runs
+from . import decomposition, dynamics, hierarchy, oracle, states
+from .combinatorics import bit_indices
+from .density import (
+    CorrelatorVector,
+    extract_correlators,
+    from_correlators,
+    partial_trace_array,
+)
+from .errors import ConfigError, NumericError, SizeCapError
+from .hamiltonian import SpinHamiltonian
+from .pauli import Observable, parse_label
 
 
 def _fmt(x: float) -> str:
     """17 significant digits; a non-finite value never reaches a file."""
     x = float(x)
     if not math.isfinite(x):
-        from .errors import NumericError
-
         raise NumericError(f"non-finite value {x} in the output")
     return format(x, ".17g")
 
@@ -67,19 +72,19 @@ class RunConfig:
     couplings: list
     initial_state: dict
     time: TimeGrid | None
-    observables: list[str]
+    observables: list[tuple[str, Observable]]  # in the config's order
     tasks: list[str]
     method: str = "rk4"
     spectrum_options: dict = dc_field(default_factory=dict)
     resolvent_options: dict = dc_field(default_factory=dict)
 
 
-_TASKS = ("evolve", "spectrum", "resolvent", "decompose", "validate")
+def load_config(path: str | Path, tasks=None) -> RunConfig:
+    """Read and check a config; `tasks`, when given, replace the listed ones.
 
-
-def load_config(path: str | Path) -> RunConfig:
-    from .errors import ConfigError
-
+    The time block is required when the listed or the given tasks include
+    one in _TIMED.
+    """
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -141,10 +146,11 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("correlators state must map labels to values")
     if not all(map(_finite, table.values())):
         raise ConfigError("initial correlators must be finite numbers")
-    tasks = need("tasks", list)
-    if not tasks or any(t not in _TASKS for t in tasks):
-        raise ConfigError(f"tasks must be a nonempty subset of {_TASKS}")
-    time_raw = need("time", dict, required="evolve" in tasks or "validate" in tasks)
+    listed = need("tasks", list)
+    if not listed or any(not isinstance(t, str) or t not in _TASKS for t in listed):
+        raise ConfigError(f"tasks must be a nonempty subset of {tuple(_TASKS)}")
+    tasks = list(listed if tasks is None else tasks)
+    time_raw = need("time", dict, required=any(t in _TIMED for t in listed + tasks))
     grid = None
     if time_raw is not None:
         try:
@@ -182,8 +188,8 @@ def load_config(path: str | Path) -> RunConfig:
         couplings=couplings,
         initial_state=state,
         time=grid,
-        observables=[str(o) for o in observables],
-        tasks=[str(t) for t in tasks],
+        observables=[(str(o), parse_observable(str(o), sites)) for o in observables],
+        tasks=tasks,
         method=method,
         spectrum_options=spectrum_options,
         resolvent_options=resolvent_options,
@@ -192,9 +198,6 @@ def load_config(path: str | Path) -> RunConfig:
 
 def parse_observable(label: str, n_sites: int):
     """Observable for a label under the Pauli-string grammar (ladder allowed)."""
-    from .errors import ConfigError
-    from .pauli import parse_label
-
     if not label.split():
         raise ConfigError("observable labels must be nonempty")
     try:
@@ -204,10 +207,6 @@ def parse_observable(label: str, n_sites: int):
 
 
 def _build_hamiltonian(cfg: RunConfig):
-    import numpy as np
-
-    from .hamiltonian import SpinHamiltonian
-
     couplings = {
         (c["i"], c["j"]): np.array(c["tensor"], dtype=float) for c in cfg.couplings
     }
@@ -215,12 +214,6 @@ def _build_hamiltonian(cfg: RunConfig):
 
 
 def _initial_correlators(cfg: RunConfig):
-    import numpy as np
-
-    from . import states
-    from .density import CorrelatorVector, extract_correlators
-    from .errors import ConfigError
-
     desc = cfg.initial_state
     if "product" in desc:
         vecs = desc["product"]
@@ -266,17 +259,14 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _task_evolve(cfg, gen, x0, out_dir: Path) -> None:
-    from .dynamics import evolve
-
-    traj = evolve(
+def _task_evolve(cfg, ham, gen, x0, out_dir: Path) -> None:
+    traj = dynamics.evolve(
         gen, x0, cfg.time.t_max, cfg.time.dt, stride=cfg.time.stride, method=cfg.method
     )
-    labels = cfg.observables or ["z0"]
-    observables = [parse_observable(lb, cfg.sites) for lb in labels]
+    observables = cfg.observables or [("z0", parse_observable("z0", cfg.sites))]
     header = ["t"]
     columns = []
-    for lb, obs in zip(labels, observables):
+    for lb, obs in observables:
         series = traj.expectation(obs)
         if all(w.imag == 0 for w, _ in obs.terms):
             header.append(lb)
@@ -291,11 +281,9 @@ def _task_evolve(cfg, gen, x0, out_dir: Path) -> None:
     _write_csv(out_dir / "trajectory.csv", header, rows)
 
 
-def _task_spectrum(cfg, gen, out_dir: Path) -> None:
-    from .dynamics import spectrum
-
+def _task_spectrum(cfg, ham, gen, x0, out_dir: Path) -> None:
     eps = cfg.spectrum_options.get("broadening")
-    rep = spectrum(gen, broadening=None if eps is None else float(eps))
+    rep = dynamics.spectrum(gen, broadening=None if eps is None else float(eps))
     # the broadened pole density is only emitted when a width was requested;
     # it is computed before any file is written, since it can fail
     density = None if eps is None else rep.density
@@ -308,24 +296,20 @@ def _task_spectrum(cfg, gen, out_dir: Path) -> None:
         _write_csv(out_dir / "density.csv", ["omega", "density"], rows)
 
 
-def _task_resolvent(cfg, gen, out_dir: Path) -> None:
-    from .dynamics import resolvent
-    from .errors import ConfigError
-
+def _task_resolvent(cfg, ham, gen, x0, out_dir: Path) -> None:
     zs = cfg.resolvent_options.get("z")
     if not zs:
         raise ConfigError("resolvent task needs resolvent.z = [[re, im], ...]")
-    labels = cfg.observables
-    if not labels:
+    if not cfg.observables:
         raise ConfigError("resolvent task needs observables to select entries")
-    observables = [parse_observable(lb, cfg.sites) for lb in labels]
-    if any(not o.is_single_string for o in observables):
+    if any(not o.is_single_string for _, o in cfg.observables):
         raise ConfigError("resolvent entries need Cartesian observable labels")
-    codes = [o.code for o in observables]
+    labels = [lb for lb, _ in cfg.observables]
+    codes = [o.code for _, o in cfg.observables]
     rows = []
     for pair in zs:
         z = complex(float(pair[0]), float(pair[1]))
-        g = resolvent(gen, z, codes)
+        g = dynamics.resolvent(gen, z, codes)
         for r, lr in enumerate(labels):
             for c, lc in enumerate(labels):
                 rows.append(
@@ -339,22 +323,10 @@ def _task_resolvent(cfg, gen, out_dir: Path) -> None:
     )
 
 
-def _task_decompose(cfg, x0, out_dir: Path) -> None:
-    import numpy as np
-
-    from .combinatorics import bit_indices
-    from .decomposition import (
-        correlated_parts,
-        cumulant_parts,
-        cumulant_reconstruct,
-        reconstruct,
-        trace_defect,
-    )
-    from .density import from_correlators, partial_trace_array
-
+def _task_decompose(cfg, ham, gen, x0, out_dir: Path) -> None:
     rho = from_correlators(x0)
-    parts = correlated_parts(rho)
-    cparts = cumulant_parts(rho)
+    parts = decomposition.correlated_parts(rho)
+    cparts = decomposition.cumulant_parts(rho)
     singles = {
         i: partial_trace_array(rho.data, cfg.sites, 1 << i) for i in range(cfg.sites)
     }
@@ -368,24 +340,19 @@ def _task_decompose(cfg, x0, out_dir: Path) -> None:
             f"subset={sites} norm_correlated={cnorm} "
             f"norm_cumulant={_fmt(np.linalg.norm(cparts[mask].matrix))}"
         )
-    defect = max((trace_defect(p) for p in parts.values()), default=0.0)
-    recon = np.max(np.abs(reconstruct(cfg.sites, singles, parts).data - rho.data))
-    crecon = np.max(np.abs(cumulant_reconstruct(cfg.sites, cparts).data - rho.data))
+    defect = max((decomposition.trace_defect(p) for p in parts.values()), default=0.0)
+    recon = decomposition.reconstruct(cfg.sites, singles, parts)
+    crecon = decomposition.cumulant_reconstruct(cfg.sites, cparts)
     lines.append(f"max_single_cell_trace={_fmt(defect)}")
-    lines.append(f"reconstruction_error={_fmt(recon)}")
-    lines.append(f"cumulant_reconstruction_error={_fmt(crecon)}")
+    lines.append(f"reconstruction_error={_fmt(np.max(np.abs(recon.data - rho.data)))}")
+    lines.append(
+        f"cumulant_reconstruction_error={_fmt(np.max(np.abs(crecon.data - rho.data)))}"
+    )
     (out_dir / "decomposition.txt").write_text("\n".join(lines) + "\n")
 
 
 def _task_validate(cfg, ham, gen, x0, out_dir: Path) -> None:
-    import numpy as np
-
-    from . import oracle
-    from .density import from_correlators
-    from .dynamics import eigenpair_residual, evolve, spectrum
-    from .hierarchy import antisymmetry_defect
-
-    traj = evolve(
+    traj = dynamics.evolve(
         gen, x0, cfg.time.t_max, cfg.time.dt, stride=cfg.time.stride, method="expm"
     )
     ref = oracle.correlator_trajectory(
@@ -393,12 +360,12 @@ def _task_validate(cfg, ham, gen, x0, out_dir: Path) -> None:
     )
     deviation = float(np.max(np.abs(traj.values - ref.values)))
     norms = traj.sector_norms()
-    rep = spectrum(gen)
-    pair_err = eigenpair_residual(gen)
+    rep = dynamics.spectrum(gen)
+    pair_err = dynamics.eigenpair_residual(gen)
     ok = deviation < 1e-6 and pair_err <= 1e-10 * max(1.0, gen.infinity_norm())
     lines = [
         f"sites={cfg.sites}",
-        f"antisymmetry_defect={_fmt(antisymmetry_defect(gen))}",
+        f"antisymmetry_defect={_fmt(hierarchy.antisymmetry_defect(gen))}",
         f"max_abs_deviation={_fmt(deviation)}",
         f"norm_drift={_fmt(float(np.max(np.abs(norms - norms[0]))))}",
         f"frequency_count={int(rep.multiplicities.sum())}",
@@ -409,58 +376,47 @@ def _task_validate(cfg, ham, gen, x0, out_dir: Path) -> None:
     (out_dir / "validate.txt").write_text("\n".join(lines) + "\n")
 
 
-def _execute(config_path, out_dir, tasks) -> None:
-    from .decomposition import admit_decompose
-    from .errors import ConfigError
-    from .hierarchy import admit_generator, build_generator
+# every task, in the order it runs whatever the config's order
+_TASKS = {
+    "evolve": _task_evolve,
+    "spectrum": _task_spectrum,
+    "resolvent": _task_resolvent,
+    "decompose": _task_decompose,
+    "validate": _task_validate,
+}
+# the tasks that step along the config's time grid
+_TIMED = ("evolve", "validate")
 
-    cfg = load_config(config_path)
-    if tasks is not None:
-        cfg = RunConfig(**{**cfg.__dict__, "tasks": list(tasks)})
-    if cfg.time is None and set(cfg.tasks) & {"evolve", "validate"}:
-        raise ConfigError("missing config key 'time'")
+
+def _execute(config_path, out_dir, tasks) -> None:
+    cfg = load_config(config_path, tasks)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    for lb in cfg.observables:
-        parse_observable(lb, cfg.sites)
     ham = _build_hamiltonian(cfg)
     # size caps before anything 4**N-sized is allocated
     needs_generator = bool(set(cfg.tasks) - {"decompose"})  # the others all use M
     if needs_generator:
-        admit_generator(ham)
+        expm = "validate" in cfg.tasks or ("evolve" in cfg.tasks and cfg.method == "expm")
+        hierarchy.admit_generator(ham, expm=expm)
     if "decompose" in cfg.tasks:
-        admit_decompose(cfg.sites)
+        decomposition.admit_decompose(cfg.sites)
     x0 = _initial_correlators(cfg)
 
-    gen = build_generator(ham) if needs_generator else None
-    # deterministic task order regardless of config order
-    for task in _TASKS:
-        if task not in cfg.tasks:
-            continue
-        if task == "evolve":
-            _task_evolve(cfg, gen, x0, out)
-        elif task == "spectrum":
-            _task_spectrum(cfg, gen, out)
-        elif task == "resolvent":
-            _task_resolvent(cfg, gen, out)
-        elif task == "decompose":
-            _task_decompose(cfg, x0, out)
-        elif task == "validate":
-            _task_validate(cfg, ham, gen, x0, out)
+    gen = hierarchy.build_generator(ham) if needs_generator else None
+    for name, task in _TASKS.items():
+        if name in cfg.tasks:
+            task(cfg, ham, gen, x0, out)
 
 
 def run(config_path: str | Path, out_dir: str | Path = ".", tasks=None) -> int:
     """Execute a config; returns the exit status without raising.
 
-    numpy floating-point overflow and invalid operations raise during the
-    run, so numbers that leave the double range end in exit 3, not in a
-    warning and an output of infinities or of the zeros they collapse to.
+    `tasks`, when given, replace the config's task list.  numpy
+    floating-point overflow and invalid operations raise during the run, so
+    numbers that leave the double range end in exit 3, not in a warning and
+    an output of infinities or of the zeros they collapse to.
     """
-    import numpy as np
-
-    from .errors import ConfigError, NumericError, SizeCapError
-
     try:
         with np.errstate(over="raise", invalid="raise"):
             _execute(config_path, out_dir, tasks)
@@ -483,7 +439,6 @@ def run(config_path: str | Path, out_dir: str | Path = ".", tasks=None) -> int:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     parser = argparse.ArgumentParser(
         prog="corrdyn",
         description="Correlator-hierarchy dynamics of coupled spin-1/2 systems",
@@ -498,8 +453,8 @@ def main(argv=None) -> int:
         p.add_argument("config")
         p.add_argument("--out-dir", default=".")
     args = parser.parse_args(argv)
-    forced = {"run": None, "validate": ["validate"], "spectrum": ["spectrum"]}
-    return run(args.config, args.out_dir, tasks=forced[args.command])
+    tasks = None if args.command == "run" else [args.command]
+    return run(args.config, args.out_dir, tasks=tasks)
 
 
 if __name__ == "__main__":

@@ -38,12 +38,13 @@ class SpinHamiltonian:
                 raise ValueError("coupling tensors must be 3x3")
             clean[(i, j)] = v
         object.__setattr__(self, "couplings", clean)
-        partners: list[tuple[int, ...]] = []
-        for i in range(self.n_sites):
-            partners.append(
-                tuple(j for j in range(self.n_sites) if j != i and self.coupling(i, j) is not None)
-            )
-        object.__setattr__(self, "_partners", tuple(partners))
+        # one pass over the sorted pairs leaves every partner list ascending:
+        # the pairs (i, s) with i < s all sort before the pairs (s, j)
+        partners: list[list[int]] = [[] for _ in range(self.n_sites)]
+        for i, j in sorted(clean):
+            partners[i].append(j)
+            partners[j].append(i)
+        object.__setattr__(self, "_partners", tuple(map(tuple, partners)))
 
     def coupling(self, i: int, j: int) -> np.ndarray | None:
         """V_ij with the transpose access rule; None if the pair is uncoupled."""

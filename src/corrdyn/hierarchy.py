@@ -65,7 +65,8 @@ SPLIT_MIN_SITES = 5
 # build peak is 29 MB for a 21 MB M (82 MB in one piece)
 ROW_CHUNK = 4**6
 
-# admit_generator refuses an M of more than this many bytes (exit 4)
+# admit_generator refuses an M, with its expm plans when an expm run asks,
+# of more than this many bytes (exit 4)
 GENERATOR_BYTES_CAP = 2 * 1024**3
 
 
@@ -195,7 +196,8 @@ def generator_nnz(h: SpinHamiltonian) -> int:
     """
     terms = np.count_nonzero(h.fields)
     terms += sum(np.count_nonzero(v) for v in h.couplings.values())
-    return terms * 4**h.n_sites // 2
+    # a Python int: numpy's int64 overflows on 4**N from N = 32 on
+    return int(terms) * 4**h.n_sites // 2
 
 
 def generator_bytes(h: SpinHamiltonian) -> int:
@@ -203,12 +205,20 @@ def generator_bytes(h: SpinHamiltonian) -> int:
     return 12 * generator_nnz(h) + 4 * (4**h.n_sites + 1)
 
 
-def admit_generator(h: SpinHamiltonian) -> None:
-    """Raise SizeCapError when M would take more than GENERATOR_BYTES_CAP bytes."""
-    need = generator_bytes(h)
+def admit_generator(h: SpinHamiltonian, expm: bool = False) -> None:
+    """Raise SizeCapError when M would take more than GENERATOR_BYTES_CAP bytes.
+
+    With expm, the count adds 16 bytes per nonzero: an expm evolution holds
+    up to two Taylor plans next to M, each a scaled copy of M's values.
+    """
+    need = generator_bytes(h) + (16 * generator_nnz(h) if expm else 0)
     if need > GENERATOR_BYTES_CAP:
+        # Python refuses to print an int of more than 4300 digits (from about
+        # 7,100 sites on), so a need past 64 bits is shown as a power of two
+        bits = need.bit_length()
+        shown = need if bits <= 64 else f"at least 2**{bits - 1}"
         raise SizeCapError(
-            f"generator capped at {GENERATOR_BYTES_CAP} bytes, need {need}"
+            f"generator capped at {GENERATOR_BYTES_CAP} bytes, need {shown}"
         )
 
 

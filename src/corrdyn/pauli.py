@@ -27,9 +27,6 @@ PAULI = (
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
 
-CARTESIAN_AXES = "xyz"
-LADDER_AXES = "+-z"
-
 _AXIS_TO_DIGIT = {"x": 1, "y": 2, "z": 3}
 _DIGIT_TO_AXIS = "ixyz"
 

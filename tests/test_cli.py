@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -222,11 +223,29 @@ def test_console_entry_point(tmp_path):
     assert (tmp_path / "out" / "spectrum.csv").exists()
 
 
-def test_validate_subcommand_overrides_tasks(tmp_path):
+@pytest.mark.parametrize("command", ["validate", "spectrum"])
+def test_subcommand_overrides_tasks(tmp_path, command):
     cfg = write_config(tmp_path / "c.json", tasks=["evolve"])
-    assert cli.main(["validate", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
-    assert (tmp_path / "out" / "validate.txt").exists()
+    assert cli.main([command, str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    output = {"validate": "validate.txt", "spectrum": "spectrum.csv"}[command]
+    assert (tmp_path / "out" / output).exists()
     assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
+# the time block is required when the forced task or a listed one steps in time
+@pytest.mark.parametrize(
+    "command, listed", [("validate", ["spectrum"]), ("spectrum", ["evolve"])],
+    ids=["validate", "spectrum"],
+)
+def test_subcommand_without_time_block_exits_2(tmp_path, capsys, command, listed):
+    cfg = write_config(tmp_path / "c.json", tasks=listed)
+    raw = json.loads(cfg.read_text())
+    del raw["time"]
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main([command, str(cfg), "--out-dir", str(out)]) == 2
+    assert _one_error_line(capsys) == "error: missing config key 'time'"
+    assert not out.exists()
 
 
 def test_seventeen_digit_floats(tmp_path):
@@ -389,6 +408,47 @@ def test_ten_dense_sites_exit_4_before_allocating(tmp_path, capsys, task):
     assert "capped" in _one_error_line(capsys)
     assert not out.exists() or not any(out.iterdir())
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("task", ["evolve", "decompose"])
+def test_many_sites_exit_4_in_linear_time(tmp_path, capsys, task):
+    n = 20_000
+    cfg = write_config(
+        tmp_path / "c.json", sites=n, fields=[[0.0, 0.0, 1.0]] * n, couplings=[],
+        initial_state={"named": {"name": "ghz"}}, tasks=[task],
+    )
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    status = cli.run(cfg, out)
+    elapsed = time.perf_counter() - start
+    assert status == 4
+    assert "capped" in _one_error_line(capsys)
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize(
+    "tasks, method, status",
+    [(["evolve"], "expm", 4), (["validate"], "rk4", 4),
+     (["evolve"], "rk4", 0), (["spectrum"], "expm", 0)],
+    ids=["evolve-expm", "validate", "evolve-rk4", "spectrum"],
+)
+def test_expm_plans_count_towards_generator_admission(
+    tmp_path, capsys, monkeypatch, tasks, method, status
+):
+    from corrdyn import hierarchy
+
+    cfg = write_config(tmp_path / "c.json", tasks=tasks, method=method)
+    h = cli._build_hamiltonian(cli.load_config(cfg))
+    # room for M, not for M and the scaled values of two Taylor plans
+    cap = hierarchy.generator_bytes(h) + 8 * hierarchy.generator_nnz(h)
+    monkeypatch.setattr(hierarchy, "GENERATOR_BYTES_CAP", cap)
+    out = tmp_path / "out"
+    assert cli.run(cfg, out) == status
+    if status:
+        assert "capped" in _one_error_line(capsys)
+        assert not any(out.iterdir())
+    else:
+        assert any(out.iterdir())
 
 
 _HUGE_FIELDS = {"fields": [[1e300, 0.0, 0.0], [0.0, 0.0, 1e300]]}

@@ -85,7 +85,7 @@ def configs(draw):
             "stride": draw(st.integers(1, 5)),
         },
         "observables": draw(st.lists(st.sampled_from(LABELS), max_size=3)),
-        "tasks": draw(st.lists(st.sampled_from(cli._TASKS), min_size=1, unique=True)),
+        "tasks": draw(st.lists(st.sampled_from(list(cli._TASKS)), min_size=1, unique=True)),
         "method": draw(st.sampled_from(["rk4", "expm"])),
         "spectrum": {"broadening": draw(st.one_of(st.none(), st.floats(0.01, 2.0)))},
         "resolvent": {"z": draw(st.lists(_vec(numbers, 2), min_size=1, max_size=2))},

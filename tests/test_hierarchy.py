@@ -37,6 +37,17 @@ def dense_superoperator(h: SpinHamiltonian) -> np.ndarray:
     return np.einsum("pnm,cmn->cp", mats, comm).real / 2**n
 
 
+def test_partner_lists_are_the_coupled_sites_ascending(rng):
+    for n in (1, 2, 5, 9):
+        for _ in range(4):
+            h = random_hamiltonian(n, rng, pair_density=0.5)
+            for i in range(n):
+                expected = tuple(
+                    j for j in range(n) if j != i and h.coupling(i, j) is not None
+                )
+                assert h.partners(i) == expected, (n, i)
+
+
 def test_free_static_spins_have_zero_generator():
     h = SpinHamiltonian(2, np.zeros((2, 3)))
     gen = build_generator(h)
