@@ -25,6 +25,7 @@ import numpy as np
 from . import decomposition, dynamics, hierarchy, oracle, states
 from .combinatorics import bit_indices
 from .density import (
+    DENSE_SITE_CAP,
     CorrelatorVector,
     extract_correlators,
     from_correlators,
@@ -182,6 +183,11 @@ def load_config(path: str | Path, tasks=None) -> RunConfig:
         and all(isinstance(p, list) and len(p) == 2 and all(map(_finite, p)) for p in zs)
     ):
         raise ConfigError("resolvent.z must be a list of [re, im] pairs of finite numbers")
+    # every task builds the 4**N initial state, which density caps at
+    # DENSE_SITE_CAP sites; refusing here keeps a longer config from reaching
+    # the label parser, whose ladder tokens expand 2**k-fold, or any 4**N array
+    if sites > DENSE_SITE_CAP:
+        raise SizeCapError(f"sites capped at {DENSE_SITE_CAP}, got {sites}")
     return RunConfig(
         sites=sites,
         fields=fields,
@@ -401,6 +407,8 @@ def _execute(config_path, out_dir, tasks) -> None:
         hierarchy.admit_generator(ham, expm=expm)
     if "decompose" in cfg.tasks:
         decomposition.admit_decompose(cfg.sites)
+    if {"spectrum", "resolvent", "validate"} & set(cfg.tasks):
+        dynamics.admit_dense(cfg.sites)
     x0 = _initial_correlators(cfg)
 
     gen = hierarchy.build_generator(ham) if needs_generator else None

@@ -209,18 +209,13 @@ def _part_matrix(block: np.ndarray, k: int) -> np.ndarray:
 
 
 def admit_decompose(n_sites: int) -> None:
-    """Raise SizeCapError when B_N * 4**N exceeds DECOMPOSE_WORK_CAP.
-
-    B_N * 4**N grows with N, so it is evaluated only up to the first N past
-    the cap, however many sites are asked for.
-    """
-    for n in range(1, n_sites + 1):
-        work = bell_number(n) * 4**n
-        if work > DECOMPOSE_WORK_CAP:
-            raise SizeCapError(
-                f"decomposition of {n_sites} sites capped at {DECOMPOSE_WORK_CAP:.3g} "
-                f"partition-entries (B_N * 4**N): {n} sites need {work:.3g}"
-            )
+    """Raise SizeCapError when B_N * 4**N exceeds DECOMPOSE_WORK_CAP."""
+    work = bell_number(n_sites) * 4**n_sites
+    if work > DECOMPOSE_WORK_CAP:
+        raise SizeCapError(
+            f"decomposition of {n_sites} sites capped at {DECOMPOSE_WORK_CAP:.3g} "
+            f"partition-entries (B_N * 4**N), need {work:.3g}"
+        )
 
 
 def correlated_part(rho: DensityMatrix, subset: int) -> CorrelatedPart:

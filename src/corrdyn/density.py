@@ -264,9 +264,8 @@ def check_pure_two_qubit(v: CorrelatorVector) -> PureTwoQubitResiduals:
     site0 = float(np.max(np.abs(a - t @ b)))
     site1 = float(np.max(np.abs(b - t.T @ a)))
     eps = np.zeros((3, 3, 3))
-    for perm, s in (((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
-                    ((0, 2, 1), -1.0), ((2, 1, 0), -1.0), ((1, 0, 2), -1.0)):
-        eps[perm] = s
+    for i, j, k in np.ndindex(3, 3, 3):
+        eps[i, j, k] = pauli._eps_digits(i + 1, j + 1, k + 1)
     quad = 0.5 * np.einsum("mal,nbg,ab,lg->mn", eps, eps, t, t)
     tensor = float(np.max(np.abs(t - np.outer(a, b) + quad)))
     return PureTwoQubitResiduals(float(norm), site0, site1, tensor)

@@ -286,6 +286,17 @@ def _apply_real(m, x: np.ndarray) -> np.ndarray:
     return (m @ np.ascontiguousarray(x).view(float)).view(complex)
 
 
+def admit_dense(n_sites: int) -> None:
+    """Raise SizeCapError when the 4**n_sites slots exceed DENSE_DIM_CAP.
+
+    The spectrum and the resolvent work on dense 4**N-slot arrays.
+    """
+    if 4**n_sites > DENSE_DIM_CAP:
+        raise SizeCapError(
+            f"spectral tasks capped at dimension {DENSE_DIM_CAP}, need {4**n_sites}"
+        )
+
+
 def resolvent(gen: Generator, z: complex, codes=None) -> np.ndarray:
     """G(z) = (z I - M)^{-1} restricted to the slots `codes` (all if None).
 
@@ -297,8 +308,7 @@ def resolvent(gen: Generator, z: complex, codes=None) -> np.ndarray:
     1e-10, checked with sparse matvecs on M.  Raises PoleProximityError at
     or near any pole i*lambda of the generator, or when that check fails.
     """
-    if gen.dim > DENSE_DIM_CAP:
-        raise SizeCapError(f"dense resolvent capped at dimension {DENSE_DIM_CAP}")
+    admit_dense(gen.n_sites)
     lam = np.concatenate(([0.0], _generator_eigenvalues(gen)))
     dist = np.abs(z - 1j * lam)
     nearest = lam[np.argmin(dist)]
@@ -392,8 +402,7 @@ def spectrum(
     detected distinct frequencies, kept deliberately coarser than the
     typical pole separation.
     """
-    if gen.dim > DENSE_DIM_CAP:
-        raise SizeCapError(f"spectrum capped at dimension {DENSE_DIM_CAP}")
+    admit_dense(gen.n_sites)
     lam = _generator_eigenvalues(gen)
     scale = float(np.max(np.abs(lam))) if lam.size else 0.0
     tol = merge_tol * max(scale, 1e-300)

@@ -29,13 +29,15 @@ them, and only one chunk's temporaries exist next to the finished CSR.
 Split the sites into a low half A and a high half B.  A field or a coupling
 inside one half changes only that half's digits, by an entry that depends
 only on that half's digits, so M = kron(I, M_A) + kron(M_B, I) + V exactly:
-M_A and M_B are the generators of the uncoupled halves, and V holds the
-entries of the A-B couplings, the ones whose row and column codes differ in
-both halves.  From SPLIT_MIN_SITES sites on, Generator.apply computes M x
+M_A and M_B are the generators of H restricted to each half, and V is the
+generator of the A-B couplings alone, whose entries change the digits of
+both halves.  half_split builds the three from H's terms, and Generator
+caches them.  From SPLIT_MIN_SITES sites on, Generator.apply computes M x
 from that split as two small dense products and a sparse product with
 about half of M's nonzeros, which is faster than the product on the whole
-CSR M; below, the fixed cost of three products outweighs the few nonzeros
-and apply takes the CSR product.
+CSR M, so rk4 reads the CSR M only for ||M||_inf and nnz; below, the fixed
+cost of three products outweighs the few nonzeros and apply takes the CSR
+product.
 """
 
 from __future__ import annotations
@@ -86,41 +88,21 @@ class HalfSplit(NamedTuple):
         return y
 
 
-def half_split(matrix: sp.csr_matrix, n_sites: int) -> HalfSplit:
-    """Read the two halves' generators and the interaction off the CSR M.
+def half_split(h: SpinHamiltonian) -> HalfSplit:
+    """The two halves' generators and their interaction, built from H's terms.
 
     A holds the low n_sites // 2 sites (the low digits of a code), B the
-    rest.  An entry goes to v when its row and column codes differ in both
-    halves; m_a = M[:d_A, :d_A] and m_b = M[::d_A, ::d_A] are the blocks in
-    which the other half is the identity.  The split is verified entry by
-    entry; a matrix that does not have this structure (it was not built
-    from a Hamiltonian) is left whole in v, with zero m_a and m_b.
+    rest.  M is additive over the terms of H, so m_a and m_b are the dense
+    generators of H restricted to A and to B, and v is the CSR generator of
+    the A-B couplings alone, over all the sites.
     """
-    dim = matrix.shape[0]
-    half = n_sites // 2
-    d_a = 4**half
-    low, shift = d_a - 1, 2 * half
-    rows = np.repeat(np.arange(dim, dtype=np.int32), np.diff(matrix.indptr))
-    cols, data = matrix.indices, matrix.data
-    diff = rows ^ cols
-    in_a = np.flatnonzero(diff <= low)  # both index sets hold the diagonal
-    in_b = np.flatnonzero(diff & low == 0)
-    cross = np.flatnonzero((diff > low) & (diff & low != 0))
-    m_a = matrix[:d_a, :d_a].toarray()
-    m_b = matrix[::d_a, ::d_a].toarray()
-    # every intra-half entry must be its block's entry, and every nonzero
-    # block entry must appear once per value of the other half's digits
-    exact = (
-        not data[diff == 0].any()
-        and np.array_equal(data[in_a], m_a[rows[in_a] & low, cols[in_a] & low])
-        and np.array_equal(data[in_b], m_b[rows[in_b] >> shift, cols[in_b] >> shift])
-        and np.count_nonzero(data[in_a]) == len(m_b) * np.count_nonzero(m_a)
-        and np.count_nonzero(data[in_b]) == d_a * np.count_nonzero(m_b)
-    )
-    if not exact:
-        return HalfSplit(np.zeros_like(m_a), np.zeros_like(m_b), matrix)
-    indptr = np.searchsorted(cross, matrix.indptr).astype(matrix.indptr.dtype)
-    v = sp.csr_matrix((data[cross], cols[cross], indptr), shape=matrix.shape)
+    n = h.n_sites
+    half = n // 2
+    low = (1 << half) - 1
+    m_a = build_generator(restrict(h, low)).matrix.toarray()
+    m_b = build_generator(restrict(h, low ^ ((1 << n) - 1))).matrix.toarray()
+    cross = {(i, j): v for (i, j), v in h.couplings.items() if i < half <= j}
+    v = build_generator(SpinHamiltonian(n, np.zeros((n, 3)), cross)).matrix
     return HalfSplit(m_a, m_b, v)
 
 
@@ -132,8 +114,8 @@ class Generator:
     -i[H, .], so its spectral data come from the eigensystem of H, which is
     computed once on first use and cached.  The split of M into its two
     halves' Kronecker sum and their interaction, which apply uses from
-    SPLIT_MIN_SITES sites on, is read off the matrix on the first such
-    apply and cached the same way.
+    SPLIT_MIN_SITES sites on, is built from the Hamiltonian's terms on the
+    first such apply and cached the same way.
     """
 
     n_sites: int
@@ -154,14 +136,14 @@ class Generator:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """M x for a real vector x.
 
-        From SPLIT_MIN_SITES sites on through the cached half split of M,
-        equal to matrix @ x up to rounding (the sums run in another order);
-        below, matrix @ x itself.
+        From SPLIT_MIN_SITES sites on through the half split of M, built
+        from the Hamiltonian and cached, equal to matrix @ x up to rounding
+        (the sums run in another order); below, matrix @ x itself.
         """
         if self.n_sites < SPLIT_MIN_SITES:
             return self.matrix @ x
         if self._split is None:
-            self._split = half_split(self.matrix, self.n_sites)
+            self._split = half_split(self.hamiltonian)
         return self._split.apply(x)
 
     def infinity_norm(self) -> float:
@@ -213,13 +195,7 @@ def admit_generator(h: SpinHamiltonian, expm: bool = False) -> None:
     """
     need = generator_bytes(h) + (16 * generator_nnz(h) if expm else 0)
     if need > GENERATOR_BYTES_CAP:
-        # Python refuses to print an int of more than 4300 digits (from about
-        # 7,100 sites on), so a need past 64 bits is shown as a power of two
-        bits = need.bit_length()
-        shown = need if bits <= 64 else f"at least 2**{bits - 1}"
-        raise SizeCapError(
-            f"generator capped at {GENERATOR_BYTES_CAP} bytes, need {shown}"
-        )
+        raise SizeCapError(f"generator capped at {GENERATOR_BYTES_CAP} bytes, need {need}")
 
 
 def build_generator(h: SpinHamiltonian) -> Generator:

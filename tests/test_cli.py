@@ -394,10 +394,8 @@ def test_generator_and_decompose_admission_thresholds(tmp_path):
         admit_decompose(10)
 
 
-@pytest.mark.parametrize("task", ["evolve", "decompose"])
-def test_ten_dense_sites_exit_4_before_allocating(tmp_path, capsys, task):
-    cfg = write_config(tmp_path / "c.json", **_dense_sites(10), tasks=[task])
-    out = tmp_path / "out"
+def _refused_in_small_memory(capsys, cfg, out) -> None:
+    """cfg exits 4 with one error line, no output file and a small heap peak."""
     tracemalloc.start()
     try:
         status = cli.run(cfg, out)
@@ -408,6 +406,12 @@ def test_ten_dense_sites_exit_4_before_allocating(tmp_path, capsys, task):
     assert "capped" in _one_error_line(capsys)
     assert not out.exists() or not any(out.iterdir())
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("task", ["evolve", "decompose"])
+def test_ten_dense_sites_exit_4_before_allocating(tmp_path, capsys, task):
+    cfg = write_config(tmp_path / "c.json", **_dense_sites(10), tasks=[task])
+    _refused_in_small_memory(capsys, cfg, tmp_path / "out")
 
 
 @pytest.mark.parametrize("task", ["evolve", "decompose"])
@@ -424,6 +428,33 @@ def test_many_sites_exit_4_in_linear_time(tmp_path, capsys, task):
     assert status == 4
     assert "capped" in _one_error_line(capsys)
     assert elapsed < 2.0
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # the label's 18 ladder tokens would expand into 2**18 Cartesian terms
+        {"sites": 18, "fields": [[0.0, 0.0, 1.0]] * 18, "couplings": [],
+         "observables": [" ".join(f"+{i}" for i in range(18))], "tasks": ["decompose"]},
+        # the generator is small, but the initial state needs 4**13 slots
+        {"sites": 13, "fields": [[0.0, 0.0, 0.0]] * 13, "couplings": [],
+         "initial_state": {"named": {"name": "ghz"}}, "observables": []},
+    ],
+    ids=["ladder-label", "ghz-13"],
+)
+def test_more_sites_than_the_dense_cap_exit_4_at_load(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path / "c.json", **overrides)
+    _refused_in_small_memory(capsys, cfg, tmp_path / "out")
+
+
+@pytest.mark.parametrize("task", ["spectrum", "resolvent", "validate"])
+def test_spectral_tasks_past_the_dense_cap_exit_4_before_the_build(
+    tmp_path, capsys, task
+):
+    cfg = write_config(
+        tmp_path / "c.json", **_dense_sites(8), tasks=[task], resolvent={"z": [[0.5, 0.5]]}
+    )
+    _refused_in_small_memory(capsys, cfg, tmp_path / "out")
 
 
 @pytest.mark.parametrize(

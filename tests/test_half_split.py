@@ -1,9 +1,10 @@
 """The half split M = kron(I, M_A) + kron(M_B, I) + V that rk4 applies.
 
-The split is checked entry by entry against the assembled CSR M, its
-product and `Generator.apply` (the split from SPLIT_MIN_SITES sites on,
-the CSR product below) against the CSR product, and rk4 through `apply`
-against the RK4 loop on the CSR M kept in `reference_dynamics`.
+The split, built from the Hamiltonian's terms, is checked entry by entry
+against the assembled CSR M, its product and `Generator.apply` (the split
+from SPLIT_MIN_SITES sites on, the CSR product below) against the CSR
+product, and rk4 through `apply` against the RK4 loop on the CSR M kept in
+`reference_dynamics`.
 """
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 import scipy.sparse as sp
 
 from corrdyn.dynamics import evolve
-from corrdyn.hierarchy import SPLIT_MIN_SITES, Generator, build_generator, half_split
+from corrdyn.hamiltonian import SpinHamiltonian
+from corrdyn.hierarchy import SPLIT_MIN_SITES, build_generator, half_split
 from reference_dynamics import evolve_rk4_csr
 from test_dynamics_reference import product_state
 from test_spectral_reference import hamiltonians
@@ -34,12 +36,27 @@ def assert_relative_match(m: sp.csr_matrix, y: np.ndarray, x: np.ndarray) -> Non
     assert np.max(np.abs(y - m @ x)) <= 1e-14 * scale
 
 
+def split_hamiltonians(n: int, rng) -> dict[str, SpinHamiltonian]:
+    """The reference set, plus one H whose couplings all cross the halves
+    and one with no coupling across them."""
+    hams = hamiltonians(n, rng)
+    dense = hams["dense"]
+    half = n // 2
+    for name, crossing in (("all_cross", True), ("none_cross", False)):
+        couplings = {
+            (i, j): v for (i, j), v in dense.couplings.items()
+            if (i < half <= j) == crossing
+        }
+        hams[name] = SpinHamiltonian(n, dense.fields, couplings)
+    return hams
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_split_reassembles_m_bit_for_bit(rng, n):
     d_a = 4 ** (n // 2)
-    for name, h in hamiltonians(n, rng).items():
+    for name, h in split_hamiltonians(n, rng).items():
         m = build_generator(h).matrix
-        split = half_split(m, n)
+        split = half_split(h)
         assert split.m_a.shape == (d_a, d_a) and split.m_b.shape == (4**n // d_a,) * 2
         assert np.array_equal(split.m_a, m[:d_a, :d_a].toarray()), name
         assert np.array_equal(split.m_b, m[::d_a, ::d_a].toarray()), name
@@ -53,8 +70,9 @@ def test_split_reassembles_m_bit_for_bit(rng, n):
 
 
 def test_split_of_one_site_has_an_empty_low_half(rng):
-    m = build_generator(hamiltonians(1, rng)["dense"]).matrix
-    split = half_split(m, 1)
+    h = hamiltonians(1, rng)["dense"]
+    m = build_generator(h).matrix
+    split = half_split(h)
     assert split.m_a.shape == (1, 1) and not split.m_a.any()
     assert split.v.nnz == 0
     assert np.array_equal(split.m_b, m.toarray())
@@ -64,27 +82,11 @@ def test_split_of_one_site_has_an_empty_low_half(rng):
 def test_apply_matches_the_csr_product(rng, n):
     for name, h in hamiltonians(n, rng).items():
         gen = build_generator(h)
-        split = half_split(gen.matrix, n)
+        split = half_split(h)
         for x in rng.normal(size=(3, gen.dim)):
             assert_relative_match(gen.matrix, split.apply(x), x)
             assert_relative_match(gen.matrix, gen.apply(x), x)
         assert (gen._split is None) == (n < SPLIT_MIN_SITES), name
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_a_matrix_without_the_split_structure_is_applied_whole(rng, n):
-    h = hamiltonians(n, rng)["dense"]
-    m = build_generator(h).matrix.tolil()
-    d_a = 4 ** (n // 2)
-    # an intra-A entry in a block where the B digits are not all identity
-    r = m.shape[0] - d_a + 1
-    m[r, r + 1] += 0.25
-    gen = Generator(n, m.tocsr(), h)
-    split = half_split(gen.matrix, n)
-    assert split.v is gen.matrix and not split.m_a.any() and not split.m_b.any()
-    x = rng.normal(size=gen.dim)
-    assert_relative_match(gen.matrix, split.apply(x), x)
-    assert_relative_match(gen.matrix, gen.apply(x), x)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
