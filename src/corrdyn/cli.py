@@ -408,7 +408,7 @@ def _execute(config_path, out_dir, tasks) -> None:
     if "decompose" in cfg.tasks:
         decomposition.admit_decompose(cfg.sites)
     if {"spectrum", "resolvent", "validate"} & set(cfg.tasks):
-        dynamics.admit_dense(cfg.sites)
+        hierarchy.admit_dense(cfg.sites)
     x0 = _initial_correlators(cfg)
 
     gen = hierarchy.build_generator(ham) if needs_generator else None

@@ -39,10 +39,8 @@ import scipy.sparse as sp
 
 from .density import CorrelatorVector, pauli_coefficients
 from .errors import DivergentSeriesError, PoleProximityError, SizeCapError, StepTooLargeError
-from .hierarchy import Generator
+from .hierarchy import Generator, admit_dense
 from .pauli import Observable, PauliString
-
-DENSE_DIM_CAP = 4**6
 
 
 @dataclass(frozen=True)
@@ -286,17 +284,6 @@ def _apply_real(m, x: np.ndarray) -> np.ndarray:
     return (m @ np.ascontiguousarray(x).view(float)).view(complex)
 
 
-def admit_dense(n_sites: int) -> None:
-    """Raise SizeCapError when the 4**n_sites slots exceed DENSE_DIM_CAP.
-
-    The spectrum and the resolvent work on dense 4**N-slot arrays.
-    """
-    if 4**n_sites > DENSE_DIM_CAP:
-        raise SizeCapError(
-            f"spectral tasks capped at dimension {DENSE_DIM_CAP}, need {4**n_sites}"
-        )
-
-
 def resolvent(gen: Generator, z: complex, codes=None) -> np.ndarray:
     """G(z) = (z I - M)^{-1} restricted to the slots `codes` (all if None).
 
@@ -400,8 +387,10 @@ def spectrum(
     Frequencies closer than merge_tol * ||M|| are reported once with their
     multiplicity.  The default broadening is 10x the mean spacing of the
     detected distinct frequencies, kept deliberately coarser than the
-    typical pole separation.
+    typical pole separation; a given broadening must be a finite number > 0.
     """
+    if broadening is not None and not (math.isfinite(broadening) and broadening > 0):
+        raise ValueError("broadening must be a finite number > 0")
     admit_dense(gen.n_sites)
     lam = _generator_eigenvalues(gen)
     scale = float(np.max(np.abs(lam))) if lam.size else 0.0

@@ -26,18 +26,20 @@ tests a top digit selects a whole chunk or none of it.  Codes and indices
 are int32 throughout, so scipy's COO-to-CSR conversion copies none of
 them, and only one chunk's temporaries exist next to the finished CSR.
 
-Split the sites into a low half A and a high half B.  A field or a coupling
-inside one half changes only that half's digits, by an entry that depends
-only on that half's digits, so M = kron(I, M_A) + kron(M_B, I) + V exactly:
-M_A and M_B are the generators of H restricted to each half, and V is the
-generator of the A-B couplings alone, whose entries change the digits of
-both halves.  half_split builds the three from H's terms, and Generator
-caches them.  From SPLIT_MIN_SITES sites on, Generator.apply computes M x
-from that split as two small dense products and a sparse product with
-about half of M's nonzeros, which is faster than the product on the whole
-CSR M, so rk4 reads the CSR M only for ||M||_inf and nnz; below, the fixed
-cost of three products outweighs the few nonzeros and apply takes the CSR
-product.
+Split the sites into system 1 and the rest, system 2.  A field or a
+coupling inside one system changes only that system's digits, by an entry
+that depends only on them, so M is the Kronecker sum of M_1 and M_2, the
+generators of H restricted to each system, plus V, the generator of the
+cross-system couplings alone.  _bipartition builds the three from H's
+terms.  half_split takes the low N // 2 sites as system 1, so that
+M = kron(I, M_1) + kron(M_2, I) + V, and Generator caches it: from
+SPLIT_MIN_SITES sites on, apply computes M x from it as two small dense
+products and a sparse one with about half of M's nonzeros, faster than the
+CSR product, so rk4 reads the CSR M only for ||M||_inf and nnz.  The
+coupled-system sector blocks come from the same split for any system 1:
+X1 and X2 are the nonidentity slots of M_1 and M_2, the mixed sector's
+diagonal is their Kronecker sum and its interaction blocks are slices of
+V, so the X1 <-> X2 blocks are zero by construction.
 """
 
 from __future__ import annotations
@@ -71,6 +73,10 @@ ROW_CHUNK = 4**6
 # of more than this many bytes (exit 4)
 GENERATOR_BYTES_CAP = 2 * 1024**3
 
+# admit_dense refuses work on dense arrays over more than this many
+# correlator slots (exit 4): the spectrum, the resolvent and the sector blocks
+DENSE_DIM_CAP = 4**6
+
 
 class HalfSplit(NamedTuple):
     """M = kron(I, m_a) + kron(m_b, I) + v over the low and high half of the sites."""
@@ -88,22 +94,20 @@ class HalfSplit(NamedTuple):
         return y
 
 
-def half_split(h: SpinHamiltonian) -> HalfSplit:
-    """The two halves' generators and their interaction, built from H's terms.
-
-    A holds the low n_sites // 2 sites (the low digits of a code), B the
-    rest.  M is additive over the terms of H, so m_a and m_b are the dense
-    generators of H restricted to A and to B, and v is the CSR generator of
-    the A-B couplings alone, over all the sites.
-    """
+def _bipartition(h: SpinHamiltonian, system1: int) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
+    """Dense M_1 and M_2 of H restricted to the sites in system1 and to the
+    rest, and the CSR V of the couplings between the two, in H's labels."""
     n = h.n_sites
-    half = n // 2
-    low = (1 << half) - 1
-    m_a = build_generator(restrict(h, low)).matrix.toarray()
-    m_b = build_generator(restrict(h, low ^ ((1 << n) - 1))).matrix.toarray()
-    cross = {(i, j): v for (i, j), v in h.couplings.items() if i < half <= j}
+    m_1 = build_generator(restrict(h, system1)).matrix.toarray()
+    m_2 = build_generator(restrict(h, system1 ^ ((1 << n) - 1))).matrix.toarray()
+    cross = {(i, j): v for (i, j), v in h.couplings.items() if (system1 >> i ^ system1 >> j) & 1}
     v = build_generator(SpinHamiltonian(n, np.zeros((n, 3)), cross)).matrix
-    return HalfSplit(m_a, m_b, v)
+    return m_1, m_2, v
+
+
+def half_split(h: SpinHamiltonian) -> HalfSplit:
+    """_bipartition with system 1 = the low n_sites // 2 sites (A, the low digits)."""
+    return HalfSplit(*_bipartition(h, (1 << h.n_sites // 2) - 1))
 
 
 @dataclass
@@ -379,10 +383,19 @@ class CoupledSplit:
         return np.array(self.x1_codes + self.y_codes + self.x2_codes)
 
 
+def admit_dense(n_sites: int) -> None:
+    """Raise SizeCapError when the 4**n_sites slots exceed DENSE_DIM_CAP."""
+    if 4**n_sites > DENSE_DIM_CAP:
+        raise SizeCapError(
+            f"spectral tasks capped at dimension {DENSE_DIM_CAP}, need {4**n_sites}"
+        )
+
+
 def split_sectors(n_sites: int, system1: int) -> CoupledSplit:
     full = (1 << n_sites) - 1
     if system1 == 0 or system1 & ~full or system1 == full:
         raise ValueError("system1 must be a nonempty proper subset of the sites")
+    admit_dense(n_sites)
     x1 = []
     x2 = []
     for code in range(1, 4**n_sites):
@@ -399,9 +412,6 @@ def split_sectors(n_sites: int, system1: int) -> CoupledSplit:
     return split
 
 
-_SECTORS = ("1", "m", "2")
-
-
 @dataclass(frozen=True)
 class BlockStructure:
     """Dense sector blocks of a generator in the (X1, Y, X2) layout."""
@@ -412,61 +422,42 @@ class BlockStructure:
     def block(self, row: str, col: str) -> np.ndarray:
         return self.blocks[(row, col)]
 
-    def reassemble(self) -> np.ndarray:
-        """Dense generator (full 4**N layout) rebuilt from the blocks."""
-        d1, dm, d2 = self.split.dims
-        perm = np.concatenate(([0], self.split.order))
-        dense = np.zeros((len(perm), len(perm)))
-        offs = {"1": 1, "m": 1 + d1, "2": 1 + d1 + dm}
-        sizes = {"1": d1, "m": dm, "2": d2}
-        for (r, c), b in self.blocks.items():
-            dense[offs[r] : offs[r] + sizes[r], offs[c] : offs[c] + sizes[c]] = b
-        out = np.zeros_like(dense)
-        out[np.ix_(perm, perm)] = dense
-        return out
-
-
-def block_structure(gen: Generator, split: CoupledSplit) -> BlockStructure:
-    """Partition M into the 3x3 sector layout, checking the empty corners.
-
-    Pairwise interactions only create or annihilate mixed correlators, so the
-    direct X1 <-> X2 blocks must vanish identically.
-    """
-    if split.n_sites != gen.n_sites:
-        raise ValueError("split and generator site counts differ")
-    order = split.order
-    dense = gen.matrix[order][:, order].toarray()
-    d1, dm, d2 = split.dims
-    sl = {"1": slice(0, d1), "m": slice(d1, d1 + dm), "2": slice(d1 + dm, d1 + dm + d2)}
-    blocks = {}
-    for r in _SECTORS:
-        for c in _SECTORS:
-            blocks[(r, c)] = dense[sl[r], sl[c]]
-    for corner in (("1", "2"), ("2", "1")):
-        if blocks[corner].size and np.max(np.abs(blocks[corner])) > 1e-12:
-            raise ValueError("Hamiltonian violates pairwise sector structure")
-    return BlockStructure(split, blocks)
-
 
 def decompose_blocks(
     gen: Generator, split: CoupledSplit
 ) -> tuple[dict[str, np.ndarray], dict[tuple[str, str], np.ndarray]]:
     """Split M into uncoupled sector blocks and the interaction remainder.
 
-    The uncoupled diagonal is (M1, kron(M1, I) + kron(I, M2), M2); whatever
-    the cross-system couplings add on top of it is returned as the
-    interaction blocks (1,m), (m,1), (m,m), (m,2), (2,m).
+    From _bipartition of the generator's Hamiltonian: the uncoupled diagonal
+    is (M1, kron(M1, I) + kron(I, M2), M2), M_1 and M_2 without the identity
+    slot, and the interaction blocks (1,m), (m,1), (m,m), (m,2), (2,m) are
+    V's entries between the sectors' codes.
     """
-    bs = block_structure(gen, split)
-    m1 = bs.block("1", "1")
-    m2 = bs.block("2", "2")
-    mixed0 = np.kron(m1, np.eye(len(m2))) + np.kron(np.eye(len(m1)), m2)
-    diag = {"1": m1, "m": mixed0, "2": m2}
+    if split.n_sites != gen.n_sites:
+        raise ValueError("split and generator site counts differ")
+    m_1, m_2, v = _bipartition(gen.hamiltonian, split.system1)
+    m1, m2 = m_1[1:, 1:], m_2[1:, 1:]
+    mixed0 = np.kron(m1, np.eye(len(m2)))
+    mixed0 += np.kron(np.eye(len(m1)), m2)
+    codes = {"1": split.x1_codes, "m": split.y_codes, "2": split.x2_codes}
     inter = {
-        ("1", "m"): bs.block("1", "m"),
-        ("m", "1"): bs.block("m", "1"),
-        ("m", "m"): bs.block("m", "m") - mixed0,
-        ("m", "2"): bs.block("m", "2"),
-        ("2", "m"): bs.block("2", "m"),
+        (r, c): v[np.array(codes[r])][:, np.array(codes[c])].toarray()
+        for r, c in (("1", "m"), ("m", "1"), ("m", "m"), ("m", "2"), ("2", "m"))
     }
-    return diag, inter
+    return {"1": m1, "m": mixed0, "2": m2}, inter
+
+
+def block_structure(gen: Generator, split: CoupledSplit) -> BlockStructure:
+    """M in the 3x3 sector layout: decompose_blocks' diagonal plus its interaction.
+
+    Pairwise interactions only create or annihilate mixed correlators, so
+    the direct X1 <-> X2 blocks are zero.
+    """
+    diag, inter = decompose_blocks(gen, split)
+    d1, _, d2 = split.dims
+    blocks = dict(inter)
+    blocks["1", "1"], blocks["2", "2"] = diag["1"], diag["2"]
+    blocks["m", "m"] = diag["m"]  # diag is not returned, so add in place
+    blocks["m", "m"] += inter["m", "m"]
+    blocks["1", "2"], blocks["2", "1"] = np.zeros((d1, d2)), np.zeros((d2, d1))
+    return BlockStructure(split, blocks)

@@ -6,6 +6,14 @@ stated in `corrdyn.hierarchy`, and appends every nonzero entry.  It is the
 slow path the vectorised `corrdyn.hierarchy.build_generator` is checked
 against bit for bit.  `single_site_row` writes the three single-site rows
 straight from the one-spin equation of motion.
+
+`sector_blocks_dense` cuts the coupled-system sector blocks out of a dense
+copy of M reordered into (X1, Y, X2) sector order, and
+`decompose_blocks_dense` subtracts the uncoupled Kronecker sum from them.
+They are the slow path that `corrdyn.hierarchy.block_structure` and
+`decompose_blocks`, which build the blocks from the Hamiltonian's terms,
+must match bit for bit.  `reassemble` puts the blocks back into the 4**N
+layout of M.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from corrdyn.hamiltonian import SpinHamiltonian
-from corrdyn.hierarchy import Generator
+from corrdyn.hierarchy import BlockStructure, CoupledSplit, Generator
 from corrdyn.pauli import _EPS_TERMS, digit, with_digit
 
 _AXES = "xyz"
@@ -104,4 +112,45 @@ def single_site_row(h: SpinHamiltonian, i: int) -> dict[str, list[tuple[float, i
                         code = with_digit(with_digit(0, i, nu), ell, lam)
                         entries[code] = entries.get(code, 0.0) + coeff
         out[_AXES[mu - 1]] = [(c, code) for code, c in sorted(entries.items()) if c]
+    return out
+
+
+_SECTORS = ("1", "m", "2")
+
+
+def sector_blocks_dense(gen: Generator, split: CoupledSplit) -> dict[tuple[str, str], np.ndarray]:
+    """The 3x3 sector blocks of M, sliced from its dense (X1, Y, X2) reordering."""
+    order = split.order
+    dense = gen.matrix[order][:, order].toarray()
+    d1, dm, d2 = split.dims
+    sl = {"1": slice(0, d1), "m": slice(d1, d1 + dm), "2": slice(d1 + dm, d1 + dm + d2)}
+    return {(r, c): dense[sl[r], sl[c]] for r in _SECTORS for c in _SECTORS}
+
+
+def decompose_blocks_dense(
+    gen: Generator, split: CoupledSplit
+) -> tuple[dict[str, np.ndarray], dict[tuple[str, str], np.ndarray]]:
+    """The uncoupled diagonal and the remainder of sector_blocks_dense."""
+    blocks = sector_blocks_dense(gen, split)
+    m1 = blocks["1", "1"]
+    m2 = blocks["2", "2"]
+    mixed0 = np.kron(m1, np.eye(len(m2))) + np.kron(np.eye(len(m1)), m2)
+    inter = {
+        key: blocks[key] for key in (("1", "m"), ("m", "1"), ("m", "2"), ("2", "m"))
+    }
+    inter["m", "m"] = blocks["m", "m"] - mixed0
+    return {"1": m1, "m": mixed0, "2": m2}, inter
+
+
+def reassemble(bs: BlockStructure) -> np.ndarray:
+    """Dense generator (full 4**N layout) rebuilt from the blocks."""
+    d1, dm, d2 = bs.split.dims
+    perm = np.concatenate(([0], bs.split.order))
+    dense = np.zeros((len(perm), len(perm)))
+    offs = {"1": 1, "m": 1 + d1, "2": 1 + d1 + dm}
+    sizes = {"1": d1, "m": dm, "2": d2}
+    for (r, c), b in bs.blocks.items():
+        dense[offs[r] : offs[r] + sizes[r], offs[c] : offs[c] + sizes[c]] = b
+    out = np.zeros_like(dense)
+    out[np.ix_(perm, perm)] = dense
     return out

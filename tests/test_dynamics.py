@@ -181,6 +181,13 @@ def test_broadened_density_is_lorentzian_sum(rng):
     assert np.max(np.abs(manual - rep.density)) < 1e-9
 
 
+@pytest.mark.parametrize("broadening", [-0.5, 0.0, float("inf"), float("nan")])
+def test_spectrum_refuses_a_broadening_that_is_not_finite_and_positive(rng, broadening):
+    gen = build_generator(random_hamiltonian(2, rng))
+    with pytest.raises(ValueError, match="broadening"):
+        spectrum(gen, broadening=broadening)
+
+
 def test_size_caps(rng):
     h = SpinHamiltonian(7, np.zeros((7, 3)))
     gen = build_generator(h)
@@ -253,6 +260,22 @@ def test_dyson_divergence_error(rng):
     diag, inter = decompose_blocks(gen, split)
     with pytest.raises(DivergentSeriesError, match="divergent"):
         dyson_series(diag, inter, 0.05 + 0.0j, 4)
+
+
+def test_dyson_negative_order_raises(rng):
+    gen = build_generator(random_hamiltonian(3, rng))
+    diag, inter = decompose_blocks(gen, split_sectors(3, 0b001))
+    with pytest.raises(ValueError, match="order"):
+        dyson_series(diag, inter, 1.0 + 0.5j, -1)
+
+
+def test_dyson_at_a_pole_of_the_uncoupled_blocks_raises(rng):
+    # z = 0 is a pole of every sector block: each system's levels give the
+    # zero eigenvalues E_n - E_n
+    gen = build_generator(random_hamiltonian(3, rng))
+    diag, inter = decompose_blocks(gen, split_sectors(3, 0b001))
+    with pytest.raises(PoleProximityError, match="uncoupled resolvent"):
+        dyson_series(diag, inter, 0.0 + 0.0j, 4)
 
 
 def test_trajectory_expectation_ladder(rng):

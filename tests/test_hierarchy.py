@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from corrdyn import oracle
 from corrdyn.density import extract_correlators
+from corrdyn.errors import SizeCapError
 from corrdyn.hamiltonian import SpinHamiltonian, random_hamiltonian, restrict, transverse_pair
 from corrdyn.hierarchy import (
     antisymmetry_defect,
@@ -14,7 +17,12 @@ from corrdyn.hierarchy import (
 )
 from corrdyn.pauli import PauliString
 from conftest import random_mixed_state
-from reference_generator import single_site_row
+from reference_generator import (
+    decompose_blocks_dense,
+    reassemble,
+    sector_blocks_dense,
+    single_site_row,
+)
 
 EPS = np.zeros((3, 3, 3))
 for _p, _s in (((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
@@ -191,7 +199,64 @@ def test_block_round_trip(rng):
     gen = build_generator(h)
     split = split_sectors(3, 0b001)
     bs = block_structure(gen, split)
-    assert np.max(np.abs(bs.reassemble() - gen.matrix.toarray())) < 1e-15
+    assert np.max(np.abs(reassemble(bs) - gen.matrix.toarray())) < 1e-15
+
+
+# every nonempty proper system-1 mask, contiguous or not, at 2..5 sites
+PROPER_MASKS = [(n, mask) for n in range(2, 6) for mask in range(1, (1 << n) - 1)]
+
+
+@pytest.mark.parametrize(
+    "n, system1", PROPER_MASKS, ids=[f"{n}-{m:0{n}b}" for n, m in PROPER_MASKS]
+)
+def test_sector_blocks_match_the_dense_reorder(rng, n, system1):
+    dense = random_hamiltonian(n, rng)
+    uncoupled = {
+        (i, j): v for (i, j), v in dense.couplings.items()
+        if (system1 >> i & 1) == (system1 >> j & 1)
+    }
+    hams = {
+        "dense": dense,
+        "half_density": random_hamiltonian(n, rng, pair_density=0.5),
+        "no_cross_coupling": SpinHamiltonian(n, dense.fields, uncoupled),
+    }
+    split = split_sectors(n, system1)
+    for name, h in hams.items():
+        gen = build_generator(h)
+        ref = sector_blocks_dense(gen, split)
+        bs = block_structure(gen, split)
+        assert bs.blocks.keys() == ref.keys(), name
+        for key, block in ref.items():
+            assert np.array_equal(bs.block(*key), block), (name, key)
+        assert not bs.block("1", "2").any() and not bs.block("2", "1").any(), name
+        diag, inter = decompose_blocks(gen, split)
+        ref_diag, ref_inter = decompose_blocks_dense(gen, split)
+        assert diag.keys() == ref_diag.keys() and inter.keys() == ref_inter.keys(), name
+        for key in ref_diag:
+            assert np.array_equal(diag[key], ref_diag[key]), (name, key)
+        for key in ref_inter:
+            assert np.array_equal(inter[key], ref_inter[key]), (name, key)
+
+
+def test_split_of_another_site_count_is_refused(rng):
+    gen = build_generator(random_hamiltonian(3, rng))
+    split = split_sectors(4, 0b0011)
+    with pytest.raises(ValueError, match="site counts differ"):
+        decompose_blocks(gen, split)
+    with pytest.raises(ValueError, match="site counts differ"):
+        block_structure(gen, split)
+
+
+def test_sector_split_past_the_dense_cap_is_refused_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError):
+            split_sectors(7, 0b111)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert split_sectors(6, 0b111).dims == (63, 63 * 63, 63)
 
 
 def test_intra_system_couplings_leave_interaction_blocks_empty(rng):
