@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 config/parse failure, 3 numeric failure (pole
 proximity, step too large, divergent series, numbers beyond the double
 range), 4 size cap exceeded (checked before anything 4**N-sized is
-allocated).
+allocated).  Every config error, and every size cap but evolve's work cap
+(which needs expm's Taylor plans), is found before the first task runs.
 Every error path prints a single line starting with "error:".  Outputs are
 deterministic: floats carry 17 significant digits and no wall-clock or RNG
 state enters any file.
@@ -15,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -67,24 +68,31 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
+class InitialState:
+    kind: str  # "product", "correlators" or a named state: "cat", "ghz", "w"
+    bloch: tuple = ()  # product: one Bloch 3-vector per site
+    phase: float = 0.0  # cat
+    correlators: tuple = ()  # (Cartesian code, value) pairs
+
+
+@dataclass(frozen=True)
 class RunConfig:
     sites: int
-    fields: list
-    couplings: list
-    initial_state: dict
+    hamiltonian: SpinHamiltonian
+    initial_state: InitialState  # checked at load, built after the size caps
     time: TimeGrid | None
     observables: list[tuple[str, Observable]]  # in the config's order
     tasks: list[str]
-    method: str = "rk4"
-    spectrum_options: dict = dc_field(default_factory=dict)
-    resolvent_options: dict = dc_field(default_factory=dict)
+    method: str
+    broadening: float | None
+    zs: list[complex]
 
 
 def load_config(path: str | Path, tasks=None) -> RunConfig:
-    """Read and check a config; `tasks`, when given, replace the listed ones.
+    """Read, check and convert a config; `tasks`, when given, replace the listed ones.
 
-    The time block is required when the listed or the given tasks include
-    one in _TIMED.
+    The time block is required when the tasks listed or given include one in
+    _TIMED, and resolvent.z and Cartesian observables when they include resolvent.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -133,20 +141,6 @@ def load_config(path: str | Path, tasks=None) -> RunConfig:
         raise ConfigError(
             "initial_state must have exactly one of: product, named, correlators"
         )
-    if "product" in state and not (
-        isinstance(state["product"], list) and all(map(_vector3, state["product"]))
-    ):
-        raise ConfigError("product state needs a list of finite Bloch 3-vectors")
-    named = state.get("named", {})
-    if not isinstance(named, dict):
-        raise ConfigError("named state must be an object with a name")
-    if not _finite(named.get("phase", 0.0)):
-        raise ConfigError("named state phase must be a finite number")
-    table = state.get("correlators", {})
-    if not isinstance(table, dict):
-        raise ConfigError("correlators state must map labels to values")
-    if not all(map(_finite, table.values())):
-        raise ConfigError("initial correlators must be finite numbers")
     listed = need("tasks", list)
     if not listed or any(not isinstance(t, str) or t not in _TASKS for t in listed):
         raise ConfigError(f"tasks must be a nonempty subset of {tuple(_TASKS)}")
@@ -168,16 +162,14 @@ def load_config(path: str | Path, tasks=None) -> RunConfig:
         if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:
             raise ConfigError("time.stride must be an integer >= 1")
         grid = TimeGrid(float(t_max), float(dt), stride)
-    observables = need("observables", list, default=[], required=False)
+    labels = need("observables", list, default=[], required=False)
     method = need("method", str, default="rk4", required=False)
     if method not in ("rk4", "expm"):
         raise ConfigError("method must be 'rk4' or 'expm'")
-    spectrum_options = need("spectrum", dict, default={}, required=False)
-    eps = spectrum_options.get("broadening")
+    eps = need("spectrum", dict, default={}, required=False).get("broadening")
     if eps is not None and not (_finite(eps) and eps > 0):
         raise ConfigError("spectrum.broadening must be a finite number > 0")
-    resolvent_options = need("resolvent", dict, default={}, required=False)
-    zs = resolvent_options.get("z")
+    zs = need("resolvent", dict, default={}, required=False).get("z")
     if zs is not None and not (
         isinstance(zs, list)
         and all(isinstance(p, list) and len(p) == 2 and all(map(_finite, p)) for p in zs)
@@ -188,17 +180,50 @@ def load_config(path: str | Path, tasks=None) -> RunConfig:
     # the label parser, whose ladder tokens expand 2**k-fold, or any 4**N array
     if sites > DENSE_SITE_CAP:
         raise SizeCapError(f"sites capped at {DENSE_SITE_CAP}, got {sites}")
+    observables = [(str(o), parse_observable(str(o), sites)) for o in labels]
+    if "product" in state:
+        vecs = state["product"]
+        if not (isinstance(vecs, list) and len(vecs) == sites and all(map(_vector3, vecs))):
+            raise ConfigError("product state needs one finite Bloch 3-vector per site")
+        init = InitialState("product", bloch=tuple(tuple(map(float, v)) for v in vecs))
+    elif "named" in state:
+        named = state["named"]
+        if not isinstance(named, dict):
+            raise ConfigError("named state must be an object with a name")
+        name, phase = named.get("name"), named.get("phase", 0.0)
+        if name not in ("cat", "ghz", "w"):
+            raise ConfigError(f"unknown named state {name!r}")
+        if not _finite(phase):
+            raise ConfigError("named state phase must be a finite number")
+        init = InitialState(name, phase=float(phase))
+    else:
+        table = state["correlators"]
+        if not isinstance(table, dict):
+            raise ConfigError("correlators state must map labels to values")
+        if not all(map(_finite, table.values())):
+            raise ConfigError("initial correlators must be finite numbers")
+        entries = [(lb, parse_observable(lb, sites), float(v)) for lb, v in table.items()]
+        for label, obs, _ in entries:
+            if not obs.is_single_string:
+                raise ConfigError(f"initial correlators need Cartesian labels, got {label!r}")
+        pairs = tuple((obs.code, v) for _, obs, v in entries)
+        init = InitialState("correlators", correlators=pairs)
+    if "resolvent" in tasks:
+        if not zs:
+            raise ConfigError("resolvent task needs resolvent.z = [[re, im], ...]")
+        if not observables or any(not o.is_single_string for _, o in observables):
+            raise ConfigError("resolvent task needs Cartesian observables to select entries")
+    tensors = {(c["i"], c["j"]): np.array(c["tensor"], dtype=float) for c in couplings}
     return RunConfig(
         sites=sites,
-        fields=fields,
-        couplings=couplings,
-        initial_state=state,
+        hamiltonian=SpinHamiltonian(sites, np.array(fields, dtype=float), tensors),
+        initial_state=init,
         time=grid,
-        observables=[(str(o), parse_observable(str(o), sites)) for o in observables],
+        observables=observables,
         tasks=tasks,
         method=method,
-        spectrum_options=spectrum_options,
-        resolvent_options=resolvent_options,
+        broadening=None if eps is None else float(eps),
+        zs=[complex(float(re), float(im)) for re, im in zs or []],
     )
 
 
@@ -212,50 +237,27 @@ def parse_observable(label: str, n_sites: int):
         raise ConfigError(f"bad observable {label!r}: {exc}") from exc
 
 
-def _build_hamiltonian(cfg: RunConfig):
-    couplings = {
-        (c["i"], c["j"]): np.array(c["tensor"], dtype=float) for c in cfg.couplings
-    }
-    return SpinHamiltonian(cfg.sites, np.array(cfg.fields, dtype=float), couplings)
-
-
 def _initial_correlators(cfg: RunConfig):
-    desc = cfg.initial_state
-    if "product" in desc:
-        vecs = desc["product"]
-        if len(vecs) != cfg.sites:
-            raise ConfigError("product state needs one Bloch vector per site")
+    init, n = cfg.initial_state, cfg.sites
+    if init.kind == "correlators":
+        values = np.zeros(4**n)
+        values[0] = 1.0
+        for code, val in init.correlators:
+            values[code] = val
         try:
-            rho = states.bloch_product(vecs)
+            return CorrelatorVector(n, values)
+        except ValueError as exc:
+            raise ConfigError(f"bad initial correlators: {exc}") from exc
+    if init.kind == "product":
+        try:
+            rho = states.bloch_product(init.bloch)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        return extract_correlators(rho)
-    if "named" in desc:
-        named = desc["named"]
-        name = named.get("name")
-        phase = float(named.get("phase", 0.0))
-        builders = {
-            "cat": lambda: states.cat_state(cfg.sites, phase),
-            "ghz": lambda: states.ghz_state(cfg.sites),
-            "w": lambda: states.w_state(cfg.sites),
-        }
-        if not isinstance(name, str) or name not in builders:
-            raise ConfigError(f"unknown named state {name!r}")
-        return extract_correlators(builders[name]())
-    table = desc["correlators"]
-    values = np.zeros(4**cfg.sites)
-    values[0] = 1.0
-    for label, val in table.items():
-        obs = parse_observable(label, cfg.sites)
-        if not obs.is_single_string:
-            raise ConfigError(
-                f"initial correlators must use Cartesian labels, got {label!r}"
-            )
-        values[obs.code] = float(val)
-    try:
-        return CorrelatorVector(cfg.sites, values)
-    except ValueError as exc:
-        raise ConfigError(f"bad initial correlators: {exc}") from exc
+    elif init.kind == "cat":
+        rho = states.cat_state(n, init.phase)
+    else:
+        rho = states.ghz_state(n) if init.kind == "ghz" else states.w_state(n)
+    return extract_correlators(rho)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -265,7 +267,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _task_evolve(cfg, ham, gen, x0, out_dir: Path) -> None:
+def _task_evolve(cfg, gen, x0, out_dir: Path) -> None:
     traj = dynamics.evolve(
         gen, x0, cfg.time.t_max, cfg.time.dt, stride=cfg.time.stride, method=cfg.method
     )
@@ -287,12 +289,11 @@ def _task_evolve(cfg, ham, gen, x0, out_dir: Path) -> None:
     _write_csv(out_dir / "trajectory.csv", header, rows)
 
 
-def _task_spectrum(cfg, ham, gen, x0, out_dir: Path) -> None:
-    eps = cfg.spectrum_options.get("broadening")
-    rep = dynamics.spectrum(gen, broadening=None if eps is None else float(eps))
+def _task_spectrum(cfg, gen, x0, out_dir: Path) -> None:
+    rep = dynamics.spectrum(gen, broadening=cfg.broadening)
     # the broadened pole density is only emitted when a width was requested;
     # it is computed before any file is written, since it can fail
-    density = None if eps is None else rep.density
+    density = None if cfg.broadening is None else rep.density
     rows = (
         [_fmt(w), str(int(m))] for w, m in zip(rep.frequencies, rep.multiplicities)
     )
@@ -302,19 +303,11 @@ def _task_spectrum(cfg, ham, gen, x0, out_dir: Path) -> None:
         _write_csv(out_dir / "density.csv", ["omega", "density"], rows)
 
 
-def _task_resolvent(cfg, ham, gen, x0, out_dir: Path) -> None:
-    zs = cfg.resolvent_options.get("z")
-    if not zs:
-        raise ConfigError("resolvent task needs resolvent.z = [[re, im], ...]")
-    if not cfg.observables:
-        raise ConfigError("resolvent task needs observables to select entries")
-    if any(not o.is_single_string for _, o in cfg.observables):
-        raise ConfigError("resolvent entries need Cartesian observable labels")
+def _task_resolvent(cfg, gen, x0, out_dir: Path) -> None:
     labels = [lb for lb, _ in cfg.observables]
     codes = [o.code for _, o in cfg.observables]
     rows = []
-    for pair in zs:
-        z = complex(float(pair[0]), float(pair[1]))
+    for z in cfg.zs:
         g = dynamics.resolvent(gen, z, codes)
         for r, lr in enumerate(labels):
             for c, lc in enumerate(labels):
@@ -329,7 +322,7 @@ def _task_resolvent(cfg, ham, gen, x0, out_dir: Path) -> None:
     )
 
 
-def _task_decompose(cfg, ham, gen, x0, out_dir: Path) -> None:
+def _task_decompose(cfg, gen, x0, out_dir: Path) -> None:
     rho = from_correlators(x0)
     parts = decomposition.correlated_parts(rho)
     cparts = decomposition.cumulant_parts(rho)
@@ -357,12 +350,12 @@ def _task_decompose(cfg, ham, gen, x0, out_dir: Path) -> None:
     (out_dir / "decomposition.txt").write_text("\n".join(lines) + "\n")
 
 
-def _task_validate(cfg, ham, gen, x0, out_dir: Path) -> None:
+def _task_validate(cfg, gen, x0, out_dir: Path) -> None:
     traj = dynamics.evolve(
         gen, x0, cfg.time.t_max, cfg.time.dt, stride=cfg.time.stride, method="expm"
     )
     ref = oracle.correlator_trajectory(
-        ham, from_correlators(x0), traj.times, gen.eigensystem()
+        cfg.hamiltonian, from_correlators(x0), traj.times, gen.eigensystem()
     )
     deviation = float(np.max(np.abs(traj.values - ref.values)))
     norms = traj.sector_norms()
@@ -399,22 +392,23 @@ def _execute(config_path, out_dir, tasks) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    ham = _build_hamiltonian(cfg)
-    # size caps before anything 4**N-sized is allocated
+    # size caps before anything 4**N-sized is allocated or any task runs
     needs_generator = bool(set(cfg.tasks) - {"decompose"})  # the others all use M
     if needs_generator:
         expm = "validate" in cfg.tasks or ("evolve" in cfg.tasks and cfg.method == "expm")
-        hierarchy.admit_generator(ham, expm=expm)
+        hierarchy.admit_generator(cfg.hamiltonian, expm=expm)
     if "decompose" in cfg.tasks:
         decomposition.admit_decompose(cfg.sites)
     if {"spectrum", "resolvent", "validate"} & set(cfg.tasks):
         hierarchy.admit_dense(cfg.sites)
+    if set(_TIMED) & set(cfg.tasks):
+        dynamics.admit_grid(cfg.sites, cfg.time.t_max, cfg.time.dt, cfg.time.stride)
     x0 = _initial_correlators(cfg)
 
-    gen = hierarchy.build_generator(ham) if needs_generator else None
+    gen = hierarchy.build_generator(cfg.hamiltonian) if needs_generator else None
     for name, task in _TASKS.items():
         if name in cfg.tasks:
-            task(cfg, ham, gen, x0, out)
+            task(cfg, gen, x0, out)
 
 
 def run(config_path: str | Path, out_dir: str | Path = ".", tasks=None) -> int:

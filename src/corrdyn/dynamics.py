@@ -29,6 +29,7 @@ by one sparse product on seeded random probes (Freivalds' check).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -182,6 +183,21 @@ def default_step(gen: Generator, budget: float = 0.1) -> float:
     return _budget_step(gen.infinity_norm(), budget)
 
 
+def admit_grid(n_sites: int, t_max: float, dt: float, stride: int) -> int:
+    """round(t_max / dt) steps, at least 1; SizeCapError past STEP_CAP or SAMPLE_BYTES_CAP."""
+    if not t_max / dt <= STEP_CAP:
+        raise SizeCapError(
+            f"time grid capped at {STEP_CAP} steps, t_max/dt = {t_max / dt:.3g}"
+        )
+    n_steps = max(1, int(round(t_max / dt)))
+    sample_bytes = (n_steps // stride + 2) * 4**n_sites * 8
+    if sample_bytes > SAMPLE_BYTES_CAP:
+        raise SizeCapError(
+            f"recorded samples capped at {SAMPLE_BYTES_CAP} bytes, need {sample_bytes}"
+        )
+    return n_steps
+
+
 def evolve(
     gen: Generator,
     x0: CorrelatorVector,
@@ -200,8 +216,7 @@ def evolve(
     before the last sample); expm scales M and chooses its Taylor degree
     and scaling once per length, so each sample costs only its matvecs.
     t_max > 0 is rounded to a whole number of steps.  Raises SizeCapError
-    before allocating when the recorded samples would exceed
-    SAMPLE_BYTES_CAP bytes or the grid STEP_CAP steps, and before stepping
+    before allocating when admit_grid refuses the grid, and before stepping
     when the matvecs (4 per rk4 step; m_star * s per expm interval, from
     its plan) times nnz(M) + MATVEC_OVERHEAD exceed WORK_CAP.
     """
@@ -220,16 +235,7 @@ def evolve(
         raise ValueError(f"unknown method {method!r}")
     if dt * norm > 1.0:
         raise StepTooLargeError(f"step too large: dt*||M|| = {dt * norm:.3g} > 1")
-    if not t_max / dt <= STEP_CAP:
-        raise SizeCapError(
-            f"time grid capped at {STEP_CAP} steps, t_max/dt = {t_max / dt:.3g}"
-        )
-    n_steps = max(1, int(round(t_max / dt)))
-    sample_bytes = (n_steps // stride + 2) * gen.dim * 8
-    if sample_bytes > SAMPLE_BYTES_CAP:
-        raise SizeCapError(
-            f"recorded samples capped at {SAMPLE_BYTES_CAP} bytes, need {sample_bytes}"
-        )
+    n_steps = admit_grid(gen.n_sites, t_max, dt, stride)
     # a stride past the last step records only t = 0 and the end
     step = min(stride, n_steps)
     counts = {step: n_steps // step}  # interval length -> how many
@@ -293,8 +299,11 @@ def resolvent(gen: Generator, z: complex, codes=None) -> np.ndarray:
     eigensystem of H; the identity slot gives the decoupled pole 1/z at
     (0, 0).  Each computed column must satisfy (z I - M) G[:, b] = e_b to
     1e-10, checked with sparse matvecs on M.  Raises PoleProximityError at
-    or near any pole i*lambda of the generator, or when that check fails.
+    or near any pole i*lambda of the generator, or when that check fails,
+    and ValueError for a z that is not finite.
     """
+    if not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
     admit_dense(gen.n_sites)
     lam = np.concatenate(([0.0], _generator_eigenvalues(gen)))
     dist = np.abs(z - 1j * lam)
@@ -315,7 +324,7 @@ def resolvent(gen: Generator, z: complex, codes=None) -> np.ndarray:
     unit = np.zeros(g.shape)
     unit[cols, np.arange(cols.size)] = 1.0
     residual = float(np.max(np.abs(z * g - _apply_real(gen.matrix, g) - unit)))
-    if residual > 1e-10:
+    if not residual <= 1e-10:
         raise PoleProximityError(
             f"resolvent residual {residual:.2e} exceeds 1e-10 at z = {z}: "
             "too little precision left to certify G(z)",
@@ -427,9 +436,14 @@ def spectrum(
 
 def _block_resolvent(m: np.ndarray, z: complex) -> np.ndarray:
     a = z * np.eye(len(m), dtype=complex) - m
-    g = np.linalg.solve(a, np.eye(len(m), dtype=complex))
+    try:
+        g = np.linalg.solve(a, np.eye(len(m), dtype=complex))
+    except np.linalg.LinAlgError as exc:
+        raise PoleProximityError(
+            f"uncoupled resolvent solve failed ({exc}): z is a pole"
+        ) from exc
     residual = float(np.max(np.abs(a @ g - np.eye(len(m)))))
-    if residual > 1e-10:
+    if not residual <= 1e-10:
         raise PoleProximityError(
             f"uncoupled resolvent solve residual {residual:.2e}: z too close to a pole"
         )
@@ -446,10 +460,14 @@ def dyson_series(
 
     diag holds the uncoupled sector generators ("1", "m", "2") and inter the
     interaction blocks, as produced by hierarchy.decompose_blocks.  Raises
-    DivergentSeriesError when ||V G0|| >= 1.
+    DivergentSeriesError when ||V G0|| >= 1, PoleProximityError when z is
+    at or near a pole of an uncoupled block, and ValueError for a z that is
+    not finite.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
+    if not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
     d1, dm, d2 = (len(diag[k]) for k in ("1", "m", "2"))
     g0 = np.zeros((d1 + dm + d2,) * 2, dtype=complex)
     sl = {"1": slice(0, d1), "m": slice(d1, d1 + dm), "2": slice(d1 + dm, d1 + dm + d2)}

@@ -225,7 +225,8 @@ def test_console_entry_point(tmp_path):
 
 @pytest.mark.parametrize("command", ["validate", "spectrum"])
 def test_subcommand_overrides_tasks(tmp_path, command):
-    cfg = write_config(tmp_path / "c.json", tasks=["evolve"])
+    # resolvent's own rules (z given, Cartesian observables) apply only when it runs
+    cfg = write_config(tmp_path / "c.json", tasks=["evolve", "resolvent"], observables=["+0"])
     assert cli.main([command, str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
     output = {"validate": "validate.txt", "spectrum": "spectrum.csv"}[command]
     assert (tmp_path / "out" / output).exists()
@@ -307,6 +308,10 @@ _BAD_INPUTS = {
         {"i": 0, "j": 1, "tensor": np.eye(3).tolist()},
         {"i": 0, "j": 1, "tensor": [[0, 0, 0], [0, 0, 0], [0, 0, 1.0]]},
     ]},
+    # the resolvent's own checks refuse these before evolve writes a file
+    "resolvent without z": {"tasks": ["evolve", "resolvent"]},
+    "ladder resolvent entry": {"tasks": ["evolve", "resolvent"], "observables": ["+0"],
+                               "resolvent": {"z": [[0.5, 0.5]]}},
 }
 
 
@@ -380,7 +385,7 @@ def test_generator_and_decompose_admission_thresholds(tmp_path):
     hams = []
     for n in (9, 10):
         path = write_config(tmp_path / f"{n}.json", **_dense_sites(n))
-        hams.append(cli._build_hamiltonian(cli.load_config(path)))
+        hams.append(cli.load_config(path).hamiltonian)
     nine, ten = hams
     # 12 bytes per nonzero and 4 per row pointer
     assert generator_bytes(nine) == 12 * 351 * 4**9 // 2 + 4 * (4**9 + 1)  # 0.55 GB
@@ -447,6 +452,14 @@ def test_more_sites_than_the_dense_cap_exit_4_at_load(tmp_path, capsys, override
     _refused_in_small_memory(capsys, cfg, tmp_path / "out")
 
 
+def test_oversized_time_grid_exits_4_before_the_first_task(tmp_path, capsys):
+    # validate's 2e300 steps are refused before spectrum writes its file
+    cfg = write_config(
+        tmp_path / "c.json", tasks=["spectrum", "validate"], time={"t_max": 2.0, "dt": 1e-300}
+    )
+    _refused_in_small_memory(capsys, cfg, tmp_path / "out")
+
+
 @pytest.mark.parametrize("task", ["spectrum", "resolvent", "validate"])
 def test_spectral_tasks_past_the_dense_cap_exit_4_before_the_build(
     tmp_path, capsys, task
@@ -469,7 +482,7 @@ def test_expm_plans_count_towards_generator_admission(
     from corrdyn import hierarchy
 
     cfg = write_config(tmp_path / "c.json", tasks=tasks, method=method)
-    h = cli._build_hamiltonian(cli.load_config(cfg))
+    h = cli.load_config(cfg).hamiltonian
     # room for M, not for M and the scaled values of two Taylor plans
     cap = hierarchy.generator_bytes(h) + 8 * hierarchy.generator_nnz(h)
     monkeypatch.setattr(hierarchy, "GENERATOR_BYTES_CAP", cap)

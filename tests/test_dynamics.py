@@ -278,6 +278,29 @@ def test_dyson_at_a_pole_of_the_uncoupled_blocks_raises(rng):
         dyson_series(diag, inter, 0.0 + 0.0j, 4)
 
 
+@pytest.mark.parametrize(
+    "fields, z",
+    [([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], 0.0j), ([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], 1j)],
+    ids=["zero-H", "field-on-site-0"],
+)
+def test_dyson_at_an_exact_pole_raises_pole_proximity(fields, z):
+    # z is an exact eigenvalue of a sector block, so its solve is singular
+    gen = build_generator(SpinHamiltonian(2, fields))
+    diag, inter = decompose_blocks(gen, split_sectors(2, 0b01))
+    with pytest.raises(PoleProximityError, match="uncoupled resolvent"):
+        dyson_series(diag, inter, z, 2)
+
+
+@pytest.mark.parametrize("z", [complex(np.nan, 1.0), complex(0.5, np.inf)])
+def test_resolvent_and_dyson_refuse_a_z_that_is_not_finite(rng, z):
+    gen = build_generator(random_hamiltonian(2, rng))
+    with pytest.raises(ValueError, match="finite"):
+        resolvent(gen, z)
+    diag, inter = decompose_blocks(gen, split_sectors(2, 0b01))
+    with pytest.raises(ValueError, match="finite"):
+        dyson_series(diag, inter, z, 2)
+
+
 def test_trajectory_expectation_ladder(rng):
     from corrdyn.pauli import parse_label
 

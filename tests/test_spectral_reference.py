@@ -177,7 +177,7 @@ def test_density_file_matches_the_eager_loop(tmp_path):
 
     cfg = write_config(tmp_path / "c.json", tasks=["spectrum"], spectrum={"broadening": 0.05})
     assert cli.run(cfg, tmp_path / "out") == 0
-    gen = build_generator(cli._build_hamiltonian(cli.load_config(cfg)))
+    gen = build_generator(cli.load_config(cfg).hamiltonian)
     lam = dynamics._generator_eigenvalues(gen)
     omega = np.linspace(0.0, 1.2 * float(np.max(np.abs(lam))), 513)
     density = np.zeros_like(omega)
