@@ -203,9 +203,15 @@ def load_config(path: str | Path, tasks=None) -> RunConfig:
         if not all(map(_finite, table.values())):
             raise ConfigError("initial correlators must be finite numbers")
         entries = [(lb, parse_observable(lb, sites), float(v)) for lb, v in table.items()]
+        seen: dict[int, str] = {}
         for label, obs, _ in entries:
             if not obs.is_single_string:
                 raise ConfigError(f"initial correlators need Cartesian labels, got {label!r}")
+            if obs.code in seen:
+                raise ConfigError(
+                    f"initial correlators {seen[obs.code]!r} and {label!r} name the same string"
+                )
+            seen[obs.code] = label
         pairs = tuple((obs.code, v) for _, obs, v in entries)
         init = InitialState("correlators", correlators=pairs)
     if "resolvent" in tasks:

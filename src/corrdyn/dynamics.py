@@ -14,7 +14,10 @@ summed in another order (below, the CSR product, which is faster there).
 From five sites on the backends therefore also check that split against
 the CSR M.  The scaled hM shares M's index arrays, and its 1-norm, like
 ||M||_inf, is summed from the arrays in scipy's order rather than from a
-second matrix abs(hM), so a plan copies only M's values.
+second matrix abs(hM), so a plan copies only M's values.  Building that
+plan is the only place here that constructs a sparse matrix, so it alone
+imports scipy.sparse; everything else multiplies by the M that
+build_generator made.
 
 M is the Pauli-basis form of the commutator -i[H, .], so its eigenvalues
 are i(E_n - E_m) over all pairs of levels of H, with eigenvectors the Pauli
@@ -33,15 +36,17 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .density import CorrelatorVector, pauli_coefficients
 from .errors import DivergentSeriesError, PoleProximityError, SizeCapError, StepTooLargeError
 from .hierarchy import Generator, admit_dense
 from .pauli import Observable, PauliString
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -142,6 +147,8 @@ def _taylor_plan(m, h: float) -> _TaylorPlan:
     bound.  M is antisymmetric with zero trace, so no shift is needed.
     The scaled matrix shares M's index arrays; only its values are new.
     """
+    import scipy.sparse as sp
+
     a = sp.csr_matrix((m.data * h, m.indices, m.indptr), shape=m.shape)
     norm = _one_norm(a)
     if norm == 0:
@@ -179,7 +186,8 @@ def _budget_step(norm: float, budget: float = 0.1) -> float:
 
 
 def default_step(gen: Generator, budget: float = 0.1) -> float:
-    """Step size with dt * ||M||_inf = budget (1.0 if M vanishes)."""
+    """Step size with dt * ||M||_inf = budget (1.0 if M vanishes): the step
+    evolve takes when dt is None, which perfbench's tracer reads back."""
     return _budget_step(gen.infinity_norm(), budget)
 
 

@@ -25,6 +25,9 @@ only low digits selects the same low codes in every chunk, and one that
 tests a top digit selects a whole chunk or none of it.  Codes and indices
 are int32 throughout, so scipy's COO-to-CSR conversion copies none of
 them, and only one chunk's temporaries exist next to the finished CSR.
+build_generator imports scipy.sparse itself: it is the one place here that
+constructs a sparse matrix, so a process that never builds M (a decompose
+run, a config refused at load) never loads scipy.
 
 Split the sites into system 1 and the rest, system 2.  A field or a
 coupling inside one system changes only that system's digits, by an entry
@@ -45,10 +48,9 @@ V, so the X1 <-> X2 blocks are zero by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .combinatorics import bit_indices
 from .density import DensityMatrix, partial_trace_array
@@ -56,6 +58,9 @@ from .errors import SizeCapError
 from .hamiltonian import SpinHamiltonian, restrict
 from .oracle import EigenSystem, build_hamiltonian_matrix, coupling_terms, eigensystem
 from .pauli import _EPS_TERMS, sum_matrix, support_mask
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 # Generator.apply uses the half split from this many sites on.  With one
@@ -213,6 +218,8 @@ def build_generator(h: SpinHamiltonian) -> Generator:
     accepts.  Each chunk goes through scipy's COO-to-CSR conversion and is
     copied into the CSR arrays, allocated once from generator_nnz.
     """
+    import scipy.sparse as sp
+
     n = h.n_sites
     dim = 4**n
     low = min(n, (ROW_CHUNK.bit_length() - 1) // 2)  # sites inside a chunk

@@ -292,6 +292,7 @@ _BAD_INPUTS = {
     "inf product": {"initial_state": {"product": [[0.0, 0.0, 1.0], [0.0, -_INF, 0.0]]}},
     "nan correlator": {"initial_state": {"correlators": {"z0": _NAN}}},
     "string correlator": {"initial_state": {"correlators": {"z0": "0.5"}}},
+    "repeated correlator string": {"initial_state": {"correlators": {"x0 z1": 0.3, "z1 x0": -0.5}}},
     "inf t_max": {"time": {"t_max": _INF, "dt": 0.01}},
     "nan t_max": {"time": {"t_max": _NAN, "dt": 0.01}},
     "nan dt": {"time": {"t_max": 1.0, "dt": _NAN}},
