@@ -26,8 +26,8 @@ import numpy as np
 from . import decomposition, dynamics, hierarchy, oracle, states
 from .combinatorics import bit_indices
 from .density import (
-    DENSE_SITE_CAP,
     CorrelatorVector,
+    admit_sites,
     extract_correlators,
     from_correlators,
     partial_trace_array,
@@ -77,7 +77,6 @@ class InitialState:
 
 @dataclass(frozen=True)
 class RunConfig:
-    sites: int
     hamiltonian: SpinHamiltonian
     initial_state: InitialState  # checked at load, built after the size caps
     time: TimeGrid | None
@@ -86,6 +85,10 @@ class RunConfig:
     method: str
     broadening: float | None
     zs: list[complex]
+
+    @property
+    def sites(self) -> int:
+        return self.hamiltonian.n_sites
 
 
 def load_config(path: str | Path, tasks=None) -> RunConfig:
@@ -178,8 +181,7 @@ def load_config(path: str | Path, tasks=None) -> RunConfig:
     # every task builds the 4**N initial state, which density caps at
     # DENSE_SITE_CAP sites; refusing here keeps a longer config from reaching
     # the label parser, whose ladder tokens expand 2**k-fold, or any 4**N array
-    if sites > DENSE_SITE_CAP:
-        raise SizeCapError(f"sites capped at {DENSE_SITE_CAP}, got {sites}")
+    admit_sites(sites)
     observables = [(str(o), parse_observable(str(o), sites)) for o in labels]
     if "product" in state:
         vecs = state["product"]
@@ -221,7 +223,6 @@ def load_config(path: str | Path, tasks=None) -> RunConfig:
             raise ConfigError("resolvent task needs Cartesian observables to select entries")
     tensors = {(c["i"], c["j"]): np.array(c["tensor"], dtype=float) for c in couplings}
     return RunConfig(
-        sites=sites,
         hamiltonian=SpinHamiltonian(sites, np.array(fields, dtype=float), tensors),
         initial_state=init,
         time=grid,
@@ -401,8 +402,10 @@ def _execute(config_path, out_dir, tasks) -> None:
     # size caps before anything 4**N-sized is allocated or any task runs
     needs_generator = bool(set(cfg.tasks) - {"decompose"})  # the others all use M
     if needs_generator:
-        expm = "validate" in cfg.tasks or ("evolve" in cfg.tasks and cfg.method == "expm")
-        hierarchy.admit_generator(cfg.hamiltonian, expm=expm)
+        methods = {cfg.method} if "evolve" in cfg.tasks else set()
+        if "validate" in cfg.tasks:
+            methods.add("expm")
+        hierarchy.admit_generator(cfg.hamiltonian, methods)
     if "decompose" in cfg.tasks:
         decomposition.admit_decompose(cfg.sites)
     if {"spectrum", "resolvent", "validate"} & set(cfg.tasks):

@@ -72,13 +72,6 @@ class Partition:
             prev_low = low
             seen |= b
 
-    @property
-    def union(self) -> int:
-        u = 0
-        for b in self.blocks:
-            u |= b
-        return u
-
     def __len__(self) -> int:
         return len(self.blocks)
 

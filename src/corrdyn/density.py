@@ -31,11 +31,10 @@ TRACE_TOL = 1e-12
 _VALUE_SLACK = 1e-6
 
 
-def _check_cap(n_sites: int) -> None:
+def admit_sites(n_sites: int) -> None:
+    """Raise SizeCapError past DENSE_SITE_CAP sites, the cap of every dense array."""
     if n_sites > DENSE_SITE_CAP:
-        raise SizeCapError(
-            f"dense operations support at most {DENSE_SITE_CAP} sites, got {n_sites}"
-        )
+        raise SizeCapError(f"sites capped at {DENSE_SITE_CAP}, got {n_sites}")
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,7 @@ class CorrelatorVector:
     values: np.ndarray
 
     def __post_init__(self):
-        _check_cap(self.n_sites)
+        admit_sites(self.n_sites)
         v = np.asarray(self.values, dtype=float)
         if v.shape != (4**self.n_sites,):
             raise ValueError(f"expected {4 ** self.n_sites} values, got {v.shape}")
@@ -77,7 +76,7 @@ class DensityMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        _check_cap(self.n_sites)
+        admit_sites(self.n_sites)
         d = np.asarray(self.data, dtype=complex)
         dim = 2**self.n_sites
         if d.shape != (dim, dim):
@@ -209,8 +208,8 @@ class PositivityReport(NamedTuple):
     is_positive: bool
 
 
-def diagnose_positivity(rho: DensityMatrix, tol: float = 1e-10) -> PositivityReport:
-    """Smallest eigenvalue and whether the state is positive within tol.
+def diagnose_positivity(rho: DensityMatrix) -> PositivityReport:
+    """Smallest eigenvalue and whether it is at least -1e-10.
 
     Positivity is reported, never enforced: hierarchy integration error can
     transiently produce slightly unphysical correlator vectors, and silently
@@ -218,7 +217,7 @@ def diagnose_positivity(rho: DensityMatrix, tol: float = 1e-10) -> PositivityRep
     """
     w = np.linalg.eigvalsh(rho.data)
     lo = float(w[0])
-    return PositivityReport(lo, lo >= -tol)
+    return PositivityReport(lo, lo >= -1e-10)
 
 
 class PureTwoQubitResiduals(NamedTuple):

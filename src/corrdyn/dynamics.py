@@ -65,15 +65,9 @@ class Trajectory:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
-    def state(self, k: int) -> CorrelatorVector:
-        return CorrelatorVector(self.n_sites, self.values[k])
-
     def expectation(self, obs: Observable) -> np.ndarray:
         """Time series of an observable; complex for ladder combinations."""
-        out = np.zeros(self.times.size, dtype=complex)
-        for w, c in obs.terms:
-            out += w * self.values[:, c]
-        return out
+        return obs.expectation(self.values.T)
 
     def sector_norms(self) -> np.ndarray:
         """sqrt(sum of squared nonidentity slots) at each time; conserved."""
@@ -181,14 +175,14 @@ def _taylor_action(plan: _TaylorPlan, x: np.ndarray) -> np.ndarray:
     return f
 
 
-def _budget_step(norm: float, budget: float = 0.1) -> float:
-    return budget / norm if norm > 0 else 1.0
+def _budget_step(norm: float) -> float:
+    return 0.1 / norm if norm > 0 else 1.0
 
 
-def default_step(gen: Generator, budget: float = 0.1) -> float:
-    """Step size with dt * ||M||_inf = budget (1.0 if M vanishes): the step
+def default_step(gen: Generator) -> float:
+    """Step size with dt * ||M||_inf = 0.1 (1.0 if M vanishes): the step
     evolve takes when dt is None, which perfbench's tracer reads back."""
-    return _budget_step(gen.infinity_norm(), budget)
+    return _budget_step(gen.infinity_norm())
 
 
 def admit_grid(n_sites: int, t_max: float, dt: float, stride: int) -> int:
@@ -237,8 +231,8 @@ def evolve(
         dt = _budget_step(norm)
     if not dt > 0:
         raise ValueError("dt must be positive")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise ValueError("stride must be an integer >= 1")
     if method not in ("rk4", "expm"):
         raise ValueError(f"unknown method {method!r}")
     if dt * norm > 1.0:
@@ -390,28 +384,26 @@ class SpectralReport:
         return density
 
 
-def spectrum(
-    gen: Generator,
-    broadening: float | None = None,
-    omega_grid: np.ndarray | None = None,
-    merge_tol: float = 1e-9,
-) -> SpectralReport:
+def spectrum(gen: Generator, broadening: float | None = None) -> SpectralReport:
     """Eigenfrequency report of the generator.
 
     The eigenvalues of i M are the 4**N - 1 level differences E_n - E_m of
     H (one diagonal zero dropped for the identity slot), from the cached
     eigensystem of H; eigenpair_residual certifies them against M.
-    Frequencies closer than merge_tol * ||M|| are reported once with their
-    multiplicity.  The default broadening is 10x the mean spacing of the
-    detected distinct frequencies, kept deliberately coarser than the
-    typical pole separation; a given broadening must be a finite number > 0.
+    Frequencies within 1e-9 * max|lambda| of each other are reported once
+    with their multiplicity, and those below it count towards kernel_dim.
+    The default broadening is 10x the mean spacing of the detected distinct
+    frequencies, kept deliberately coarser than the typical pole
+    separation; a given broadening must be a finite number > 0.  The
+    density is sampled on 513 points from 0 to 1.2 max|lambda| (to 1 if M
+    vanishes).
     """
     if broadening is not None and not (math.isfinite(broadening) and broadening > 0):
         raise ValueError("broadening must be a finite number > 0")
     admit_dense(gen.n_sites)
     lam = _generator_eigenvalues(gen)
     scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-    tol = merge_tol * max(scale, 1e-300)
+    tol = 1e-9 * max(scale, 1e-300)
     kernel_dim = int(np.sum(np.abs(lam) < tol)) if scale > 0 else lam.size
 
     pos = np.sort(lam[lam >= tol]) if scale > 0 else np.array([])
@@ -433,13 +425,8 @@ def spectrum(
             broadening = 10.0 * float(np.mean(np.diff(frequencies)))
         else:
             broadening = 0.1 * max(scale, 1.0)
-    if omega_grid is None:
-        top = 1.2 * scale if scale > 0 else 1.0
-        omega_grid = np.linspace(0.0, top, 513)
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    return SpectralReport(
-        frequencies, multiplicities, kernel_dim, float(broadening), omega_grid, lam
-    )
+    omega = np.linspace(0.0, 1.2 * scale if scale > 0 else 1.0, 513)
+    return SpectralReport(frequencies, multiplicities, kernel_dim, float(broadening), omega, lam)
 
 
 def _block_resolvent(m: np.ndarray, z: complex) -> np.ndarray:

@@ -74,8 +74,8 @@ SPLIT_MIN_SITES = 5
 # build peak is 29 MB for a 21 MB M (82 MB in one piece)
 ROW_CHUNK = 4**6
 
-# admit_generator refuses an M, with its expm plans when an expm run asks,
-# of more than this many bytes (exit 4)
+# admit_generator refuses an M, with what the run's evolution methods build
+# next to it, of more than this many bytes (exit 4)
 GENERATOR_BYTES_CAP = 2 * 1024**3
 
 # admit_dense refuses work on dense arrays over more than this many
@@ -99,15 +99,19 @@ class HalfSplit(NamedTuple):
         return y
 
 
+def _cross(h: SpinHamiltonian, system1: int) -> SpinHamiltonian:
+    """H's couplings between the sites in system1 and the rest, without fields."""
+    n = h.n_sites
+    cross = {(i, j): v for (i, j), v in h.couplings.items() if (system1 >> i ^ system1 >> j) & 1}
+    return SpinHamiltonian(n, np.zeros((n, 3)), cross)
+
+
 def _bipartition(h: SpinHamiltonian, system1: int) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
     """Dense M_1 and M_2 of H restricted to the sites in system1 and to the
     rest, and the CSR V of the couplings between the two, in H's labels."""
-    n = h.n_sites
     m_1 = build_generator(restrict(h, system1)).matrix.toarray()
-    m_2 = build_generator(restrict(h, system1 ^ ((1 << n) - 1))).matrix.toarray()
-    cross = {(i, j): v for (i, j), v in h.couplings.items() if (system1 >> i ^ system1 >> j) & 1}
-    v = build_generator(SpinHamiltonian(n, np.zeros((n, 3)), cross)).matrix
-    return m_1, m_2, v
+    m_2 = build_generator(restrict(h, system1 ^ ((1 << h.n_sites) - 1))).matrix.toarray()
+    return m_1, m_2, build_generator(_cross(h, system1)).matrix
 
 
 def half_split(h: SpinHamiltonian) -> HalfSplit:
@@ -130,8 +134,8 @@ class Generator:
     n_sites: int
     matrix: sp.csr_matrix
     hamiltonian: SpinHamiltonian = field(repr=False)
-    _eigensystem: EigenSystem | None = field(default=None, repr=False, compare=False)
-    _split: HalfSplit | None = field(default=None, repr=False, compare=False)
+    _eigensystem: EigenSystem | None = field(default=None, init=False, repr=False, compare=False)
+    _split: HalfSplit | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -196,13 +200,22 @@ def generator_bytes(h: SpinHamiltonian) -> int:
     return 12 * generator_nnz(h) + 4 * (4**h.n_sites + 1)
 
 
-def admit_generator(h: SpinHamiltonian, expm: bool = False) -> None:
-    """Raise SizeCapError when M would take more than GENERATOR_BYTES_CAP bytes.
+def admit_generator(h: SpinHamiltonian, methods=()) -> None:
+    """Raise SizeCapError when M and what the evolution `methods` ("rk4",
+    "expm") build next to it would take more than GENERATOR_BYTES_CAP bytes.
 
-    With expm, the count adds 16 bytes per nonzero: an expm evolution holds
-    up to two Taylor plans next to M, each a scaled copy of M's values.
+    With "expm", the count adds 16 bytes per nonzero: an expm evolution
+    holds up to two Taylor plans next to M, each a scaled copy of M's
+    values.  With "rk4" from SPLIT_MIN_SITES sites on, it adds the half
+    split that apply caches: V's CSR and the dense M_A and M_B.
     """
-    need = generator_bytes(h) + (16 * generator_nnz(h) if expm else 0)
+    need = generator_bytes(h)
+    if "expm" in methods:
+        need += 16 * generator_nnz(h)
+    if "rk4" in methods and h.n_sites >= SPLIT_MIN_SITES:
+        n_a = h.n_sites // 2  # as in half_split
+        need += generator_bytes(_cross(h, (1 << n_a) - 1))
+        need += 8 * (16**n_a + 16 ** (h.n_sites - n_a))
     if need > GENERATOR_BYTES_CAP:
         raise SizeCapError(f"generator capped at {GENERATOR_BYTES_CAP} bytes, need {need}")
 
@@ -285,8 +298,6 @@ def build_generator(h: SpinHamiltonian) -> Generator:
     nnz = generator_nnz(h)
     indices = np.empty(nnz, dtype=np.int32)
     data = np.empty(nnz)
-    if step == dim:
-        return Generator(n, chunk(0, blocks, indices, data), h)
     # each chunk's COO goes into the slices of indices and data that its CSR
     # entries then overwrite, so a chunk holds only its rows and the CSR
     # conversion's output next to M

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pauli
-from .density import DENSE_SITE_CAP, DensityMatrix, real_coefficients
-from .errors import SizeCapError
+from .density import DensityMatrix, admit_sites, real_coefficients
 from .hamiltonian import SpinHamiltonian
 
 
@@ -38,10 +37,7 @@ class EigenSystem:
 
 def build_hamiltonian_matrix(h: SpinHamiltonian) -> np.ndarray:
     """Dense matrix of H with site 0 on the least-significant qubit."""
-    if h.n_sites > DENSE_SITE_CAP:
-        raise SizeCapError(
-            f"dense Hamiltonians support at most {DENSE_SITE_CAP} sites, got {h.n_sites}"
-        )
+    admit_sites(h.n_sites)
     terms = [
         (0.5 * h.fields[i, a], (a + 1) << 2 * i)
         for i in range(h.n_sites)

@@ -6,8 +6,7 @@ import math
 
 import numpy as np
 
-from .density import DENSE_SITE_CAP, DensityMatrix
-from .errors import SizeCapError
+from .density import DensityMatrix, admit_sites
 
 
 def pure_state(n_sites: int, amplitudes: np.ndarray) -> DensityMatrix:
@@ -48,8 +47,7 @@ def bloch_product(vectors) -> DensityMatrix:
     """Product state with the given Bloch vector on each site (site 0 first)."""
     vectors = [np.asarray(v, dtype=float) for v in vectors]
     n = len(vectors)
-    if n > DENSE_SITE_CAP:
-        raise SizeCapError(f"at most {DENSE_SITE_CAP} sites")
+    admit_sites(n)
     out = np.array([[1.0 + 0.0j]])
     for v in reversed(vectors):
         if v.shape != (3,):

@@ -496,6 +496,39 @@ def test_expm_plans_count_towards_generator_admission(
         assert any(out.iterdir())
 
 
+def _cross_coupled_twelve(pairs: int = 20) -> dict:
+    """12 sites, no fields, zz couplings that each join the low and the high half.
+
+    With 20 couplings M takes 2.08 GB, under GENERATOR_BYTES_CAP, and 1000
+    rk4 steps are 6.7e11 of WORK_CAP's 1.2e12; rk4's half split adds V
+    (as large as M, since every coupling crosses) and the dense halves.
+    """
+    zz = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    crossing = [(i, j) for i in range(6) for j in range(6, 12)][:pairs]
+    return {
+        "sites": 12,
+        "fields": [[0.0, 0.0, 0.0]] * 12,
+        "couplings": [{"i": i, "j": j, "tensor": zz} for i, j in crossing],
+        "initial_state": {"named": {"name": "ghz"}},
+        "time": {"t_max": 1.0, "dt": 0.001, "stride": 1000},
+        "observables": ["z0"],
+        "tasks": ["evolve"],
+        "method": "rk4",
+    }
+
+
+def test_rk4_half_split_counts_towards_generator_admission(tmp_path, capsys):
+    from corrdyn import hierarchy
+    from corrdyn.errors import SizeCapError
+
+    cfg = write_config(tmp_path / "c.json", **_cross_coupled_twelve())
+    h = cli.load_config(cfg).hamiltonian
+    hierarchy.admit_generator(h)  # M alone fits
+    with pytest.raises(SizeCapError, match="need 4429185032"):
+        hierarchy.admit_generator(h, {"rk4"})  # V 2.08 GB, M_A and M_B 0.27 GB
+    _refused_in_small_memory(capsys, cfg, tmp_path / "out")
+
+
 _HUGE_FIELDS = {"fields": [[1e300, 0.0, 0.0], [0.0, 0.0, 1e300]]}
 
 

@@ -8,6 +8,10 @@ Configs are drawn for up to 3 sites on small time grids, one in three with
 numbers near the ends of the double range, and then up to three of their
 entries, at any depth, are replaced by a wrong type, NaN, an infinity, a
 bool or an extreme number, or deleted.
+
+A second strategy draws only configs past an exit-4 cap, up to 64 sites:
+each must exit 4 with one error line before it writes a file or allocates
+1 MiB.
 """
 
 import contextlib
@@ -15,9 +19,11 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,3 +131,118 @@ def test_any_config_exits_by_the_contract(cfg):
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
     else:
         assert not lines, lines
+
+
+def _ladder_labels(n, cartesian, max_tokens):
+    """Labels of up to max_tokens tokens on distinct sites below n; ladder
+    tokens (+, -) only when not cartesian."""
+    axes = "xyz" if cartesian else "xyz+-"
+    token_sites = st.lists(st.integers(0, n - 1), min_size=1, max_size=max_tokens, unique=True)
+    label = st.builds(
+        lambda sites, picks: " ".join(axes[k % len(axes)] + str(i) for i, k in zip(sites, picks)),
+        token_sites,
+        st.lists(st.integers(0, 4), min_size=max_tokens, max_size=max_tokens),
+    )
+    return st.lists(label, min_size=1, max_size=3)
+
+
+def _coupling(i, j, tensor):
+    return {"i": i, "j": j, "tensor": tensor}
+
+
+_DENSE_TENSOR = [[0.3, 0.2, 0.1], [0.2, 0.5, 0.4], [0.1, 0.4, 0.6]]
+
+
+@st.composite
+def refused_configs(draw, kind):
+    """A valid config that breaks at least one exit-4 cap, the one `kind`
+    names, and is refused before the build, the initial state or any task.
+
+    - "sites": more than DENSE_SITE_CAP = 12 sites, anything else drawn freely;
+    - "generator": 10-12 sites with every field component and coupling entry
+      nonzero, past GENERATOR_BYTES_CAP (2.7 GB of M at 10 sites);
+    - "dense": 7-8 sites with a spectral task, past DENSE_DIM_CAP = 4**6;
+    - "decompose": 10-12 sites with decompose, past DECOMPOSE_WORK_CAP;
+    - "grid": 1-3 sites with a timed task on a grid past STEP_CAP, or
+      recording more than SAMPLE_BYTES_CAP;
+    - "split": an rk4 evolve of 12 sites whose 12-20 zz couplings all join
+      the low and the high half: M fits under GENERATOR_BYTES_CAP, M with
+      rk4's half split does not.
+    """
+    tasks = draw(st.lists(st.sampled_from(list(cli._TASKS)), min_size=1, unique=True))
+    method = draw(st.sampled_from(["rk4", "expm"]))
+    t_max, dt, stride = draw(st.sampled_from([0.05, 1.0, 1e6])), 1e-3, draw(st.integers(1, 10**9))
+    n = draw({
+        "sites": st.integers(13, 64), "generator": st.integers(10, 12), "dense": st.integers(7, 8),
+        "decompose": st.integers(10, 12), "grid": st.integers(1, 3), "split": st.just(12),
+    }[kind])
+    fields = [[0.0, 0.0, 1.0]] * n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    couplings = [
+        _coupling(i, j, _DENSE_TENSOR)
+        for i, j in draw(st.lists(st.sampled_from(pairs), max_size=4, unique=True))
+    ] if pairs else []
+    if kind == "generator":
+        fields = [[0.3, 0.2, 0.1]] * n
+        couplings = [_coupling(i, j, _DENSE_TENSOR) for i, j in pairs]
+    elif kind == "dense" and not {"spectrum", "resolvent", "validate"} & set(tasks):
+        tasks.append(draw(st.sampled_from(["spectrum", "resolvent", "validate"])))
+    elif kind == "decompose" and "decompose" not in tasks:
+        tasks.append("decompose")
+    elif kind == "grid":
+        if not {"evolve", "validate"} & set(tasks):
+            tasks.append(draw(st.sampled_from(["evolve", "validate"])))
+        if draw(st.booleans()):  # t_max / dt past 2**53, or past the double range
+            a = draw(st.integers(0, 300))
+            t_max, dt = 10.0**a, 10.0 ** -draw(st.integers(max(0, 16 - a), 300))
+        else:  # 1e8 or more samples of at least 32 bytes
+            t_max, stride = 10.0 ** draw(st.integers(6, 12)), draw(st.integers(1, 10))
+    elif kind == "split":
+        crossing = [(i, j) for i in range(6) for j in range(6, 12)]
+        zz = draw(st.sampled_from([-1.5, -0.2, 0.3, 1.0]))
+        tensor = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, zz]]
+        chosen = draw(st.lists(st.sampled_from(crossing), min_size=12, max_size=20, unique=True))
+        fields, couplings = [[0.0, 0.0, 0.0]] * n, [_coupling(i, j, tensor) for i, j in chosen]
+        tasks, method = ["evolve"], "rk4"  # any other task is refused by another cap
+        t_max, stride = 1.0, draw(st.integers(100, 1000))
+    cartesian = "resolvent" in tasks
+    max_tokens = n if kind == "sites" else min(n, 6)  # never parsed past 12 sites
+    return {
+        "sites": n,
+        "fields": fields,
+        "couplings": couplings,
+        "initial_state": draw(st.sampled_from([
+            {"named": {"name": "ghz"}}, {"named": {"name": "w"}},
+            {"named": {"name": "cat", "phase": 0.4}}, {"product": [[0.0, 0.6, 0.8]] * n},
+        ])),
+        "time": {"t_max": t_max, "dt": dt, "stride": stride},
+        "observables": draw(_ladder_labels(n, cartesian, max_tokens)),
+        "tasks": tasks,
+        "method": method,
+        "spectrum": {"broadening": 0.1},
+        "resolvent": {"z": [[0.5, 0.25]]},
+    }
+
+
+@pytest.mark.parametrize("kind", ["sites", "generator", "dense", "decompose", "grid", "split"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_configs_past_a_cap_exit_4_before_allocating(kind, data):
+    cfg = data.draw(refused_configs(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "c.json", Path(tmp) / "out"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stderr(err):
+                status = cli.run(path, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    lines = err.getvalue().splitlines()
+    assert status == 4, lines
+    assert len(lines) == 1 and lines[0].startswith("error:") and "capped" in lines[0], lines
+    assert not written, written
+    assert peak < 1 << 20, peak

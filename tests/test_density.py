@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corrdyn import states
+from corrdyn import oracle, states
 from corrdyn.density import (
     CorrelatorVector,
     DensityMatrix,
@@ -14,6 +14,7 @@ from corrdyn.density import (
     purity_from_correlators,
 )
 from corrdyn.errors import SizeCapError
+from corrdyn.hamiltonian import SpinHamiltonian
 
 from conftest import random_mixed_state, random_pure_state, up_right_mixture
 
@@ -229,3 +230,18 @@ def test_dense_site_cap():
         DensityMatrix(13, np.eye(2) / 2)
     with pytest.raises(SizeCapError):
         CorrelatorVector(13, np.zeros(4))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DensityMatrix(13, np.eye(2) / 2),
+        lambda: CorrelatorVector(13, np.zeros(4)),
+        lambda: oracle.build_hamiltonian_matrix(SpinHamiltonian(13, np.zeros((13, 3)))),
+        lambda: states.bloch_product([[0.0, 0.0, 1.0]] * 13),
+    ],
+    ids=["density-matrix", "correlator-vector", "hamiltonian-matrix", "bloch-product"],
+)
+def test_every_dense_site_cap_gives_the_cli_message(make):
+    with pytest.raises(SizeCapError, match=r"^sites capped at 12, got 13$"):
+        make()

@@ -71,6 +71,23 @@ def test_default_step_budget():
     assert default_step(gen) == traj.times[1]
 
 
+@pytest.mark.parametrize("method", ["rk4", "expm"])
+@pytest.mark.parametrize("stride", [1.5, 2.0, 0, True])
+def test_evolve_refuses_a_stride_that_is_not_an_integer_of_at_least_one(method, stride):
+    gen = build_generator(SpinHamiltonian(1, [[1.0, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match="stride must be an integer >= 1"):
+        evolve(gen, unit_vector(1, **{"3": 1.0}), 0.03, dt=0.01, stride=stride, method=method)
+
+
+@pytest.mark.parametrize("method", ["rk4", "expm"])
+def test_evolve_takes_a_numpy_integer_stride(method):
+    gen = build_generator(SpinHamiltonian(1, [[1.0, 0.0, 0.0]]))
+    x0 = unit_vector(1, **{"3": 1.0})
+    traj = evolve(gen, x0, 0.04, dt=0.01, stride=np.int64(2), method=method)
+    ref = evolve(gen, x0, 0.04, dt=0.01, stride=2, method=method)
+    assert np.array_equal(traj.times, ref.times) and np.array_equal(traj.values, ref.values)
+
+
 def test_evolve_matches_oracle(rng):
     h = random_hamiltonian(3, rng, 0.8, 0.5)
     gen = build_generator(h)

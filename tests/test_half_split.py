@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from corrdyn import hierarchy
 from corrdyn.dynamics import evolve
+from corrdyn.errors import SizeCapError
 from corrdyn.hamiltonian import SpinHamiltonian
 from corrdyn.hierarchy import SPLIT_MIN_SITES, build_generator, half_split
 from reference_dynamics import evolve_rk4_csr
@@ -111,3 +113,19 @@ def test_expm_evolution_leaves_the_split_unbuilt(rng):
     evolve(gen, x0, 0.2, dt=0.01, stride=5, method="rk4")
     assert gen._split is not None
 
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_rk4_admission_counts_the_bytes_of_the_split(rng, monkeypatch, n):
+    """admit_generator(h, {"rk4"}) needs M's bytes plus, from SPLIT_MIN_SITES
+    sites on, exactly the bytes of the split that apply caches."""
+    for name, h in split_hamiltonians(n, rng).items():
+        need = hierarchy.generator_bytes(h)
+        if n >= SPLIT_MIN_SITES:
+            m_a, m_b, v = half_split(h)
+            need += m_a.nbytes + m_b.nbytes + v.data.nbytes + v.indices.nbytes + v.indptr.nbytes
+        monkeypatch.setattr(hierarchy, "GENERATOR_BYTES_CAP", need)
+        hierarchy.admit_generator(h, {"rk4"})
+        monkeypatch.setattr(hierarchy, "GENERATOR_BYTES_CAP", need - 1)
+        with pytest.raises(SizeCapError):
+            hierarchy.admit_generator(h, {"rk4"})
