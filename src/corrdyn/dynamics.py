@@ -28,6 +28,10 @@ answer is trusted on that route alone: every resolvent column is certified
 by the residual of (z I - M) G with sparse matvecs on the hierarchy M, and
 eigenpair_residual certifies the eigendecomposition the spectrum rests on
 by one sparse product on seeded random probes (Freivalds' check).
+dyson_series expands G around M_0, the generator of H without the
+couplings across a split of the sites into two systems, and takes its G0
+from resolvent on M_0: one diagonalization of H_0 and the same residual
+certificate, so no dense solve of M or of a sector block is made here.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import numpy as np
 
 from .density import CorrelatorVector, pauli_coefficients
 from .errors import DivergentSeriesError, PoleProximityError, SizeCapError, StepTooLargeError
-from .hierarchy import Generator, admit_dense
+from .hierarchy import CoupledSplit, Generator, _coupling_split, admit_dense, build_generator
 from .pauli import Observable, PauliString
 
 if TYPE_CHECKING:
@@ -302,10 +306,13 @@ def resolvent(gen: Generator, z: complex, codes=None) -> np.ndarray:
     (0, 0).  Each computed column must satisfy (z I - M) G[:, b] = e_b to
     1e-10, checked with sparse matvecs on M.  Raises PoleProximityError at
     or near any pole i*lambda of the generator, or when that check fails,
-    and ValueError for a z that is not finite.
+    and ValueError for a z that is not finite or an empty `codes`.
     """
     if not cmath.isfinite(z):
         raise ValueError(f"z must be finite, got {z}")
+    rows = np.arange(gen.dim) if codes is None else np.asarray(codes, dtype=np.int64)
+    if not rows.size:
+        raise ValueError("codes must be nonempty")
     admit_dense(gen.n_sites)
     lam = np.concatenate(([0.0], _generator_eigenvalues(gen)))
     dist = np.abs(z - 1j * lam)
@@ -315,7 +322,6 @@ def resolvent(gen: Generator, z: complex, codes=None) -> np.ndarray:
             f"z = {z} is within {dist.min():.2e} of the pole {1j * nearest}",
             nearest_pole=1j * nearest,
         )
-    rows = np.arange(gen.dim) if codes is None else np.asarray(codes, dtype=np.int64)
     cols, where = np.unique(rows, return_inverse=True)
     es = gen.eigensystem()
     v, e = es.vectors, es.energies
@@ -429,55 +435,34 @@ def spectrum(gen: Generator, broadening: float | None = None) -> SpectralReport:
     return SpectralReport(frequencies, multiplicities, kernel_dim, float(broadening), omega, lam)
 
 
-def _block_resolvent(m: np.ndarray, z: complex) -> np.ndarray:
-    a = z * np.eye(len(m), dtype=complex) - m
-    try:
-        g = np.linalg.solve(a, np.eye(len(m), dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        raise PoleProximityError(
-            f"uncoupled resolvent solve failed ({exc}): z is a pole"
-        ) from exc
-    residual = float(np.max(np.abs(a @ g - np.eye(len(m)))))
-    if not residual <= 1e-10:
-        raise PoleProximityError(
-            f"uncoupled resolvent solve residual {residual:.2e}: z too close to a pole"
-        )
-    return g
-
-
-def dyson_series(
-    diag: dict[str, np.ndarray],
-    inter: dict[tuple[str, str], np.ndarray],
-    z: complex,
-    order: int,
-) -> np.ndarray:
+def dyson_series(gen: Generator, split: CoupledSplit, z: complex, order: int) -> np.ndarray:
     """Perturbative resolvent G0 sum_{n<=order} (V G0)^n in sector layout.
 
-    diag holds the uncoupled sector generators ("1", "m", "2") and inter the
-    interaction blocks, as produced by hierarchy.decompose_blocks.  Raises
-    DivergentSeriesError when ||V G0|| >= 1, PoleProximityError when z is
-    at or near a pole of an uncoupled block, and ValueError for a z that is
-    not finite.
+    M = M_0 + V splits the generator at split.system1 (hierarchy's
+    _coupling_split): M_0 of H without the couplings across the split, V of
+    those couplings alone.  G0 is resolvent(M_0, z) on the codes of
+    split.order, which is block diagonal in (X1, Y, X2) because M_0 keeps
+    every sector to itself, and V is multiplied as its sparse slice in the
+    same order.  The result approximates resolvent(gen, z) on split.order.
+    Raises DivergentSeriesError when ||V G0|| >= 1; ValueError for an order
+    that is not an integer >= 0, a z that is not finite, or a split of
+    another site count; and PoleProximityError, from resolvent, when z is
+    at or near a pole of M_0 or its residual check fails.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if not cmath.isfinite(z):
-        raise ValueError(f"z must be finite, got {z}")
-    d1, dm, d2 = (len(diag[k]) for k in ("1", "m", "2"))
-    g0 = np.zeros((d1 + dm + d2,) * 2, dtype=complex)
-    sl = {"1": slice(0, d1), "m": slice(d1, d1 + dm), "2": slice(d1 + dm, d1 + dm + d2)}
-    for k in ("1", "m", "2"):
-        g0[sl[k], sl[k]] = _block_resolvent(diag[k], z)
-    v = np.zeros_like(g0)
-    for (r, c), b in inter.items():
-        v[sl[r], sl[c]] = b
-    t = v @ g0
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 0:
+        raise ValueError("order must be an integer >= 0")
+    if split.n_sites != gen.n_sites:
+        raise ValueError("split and generator site counts differ")
+    h_0, h_v = _coupling_split(gen.hamiltonian, split.system1)
+    codes = split.order
+    g0 = resolvent(build_generator(h_0), z, codes)
+    t = build_generator(h_v).matrix[codes][:, codes] @ g0
     growth = float(np.linalg.norm(t, 2))
     if growth >= 1.0:
         raise DivergentSeriesError(
             f"series divergent at this z: ||V G0|| = {growth:.3g} >= 1"
         )
-    acc = np.eye(len(g0), dtype=complex)
+    g = g0
     for _ in range(order):
-        acc = np.eye(len(g0), dtype=complex) + t @ acc
-    return g0 @ acc
+        g = g0 + g @ t
+    return g

@@ -29,20 +29,22 @@ build_generator imports scipy.sparse itself: it is the one place here that
 constructs a sparse matrix, so a process that never builds M (a decompose
 run, a config refused at load) never loads scipy.
 
-Split the sites into system 1 and the rest, system 2.  A field or a
-coupling inside one system changes only that system's digits, by an entry
-that depends only on them, so M is the Kronecker sum of M_1 and M_2, the
-generators of H restricted to each system, plus V, the generator of the
-cross-system couplings alone.  _bipartition builds the three from H's
-terms.  half_split takes the low N // 2 sites as system 1, so that
+Split the sites into system 1 and the rest, system 2, and H into H_0, H
+without the couplings across the split, and H_V, those couplings alone.
+Their generators M_0 and V sum to M and share no entry, and _coupling_split
+returns the two Hamiltonians.  A field or a coupling inside one system
+changes only that system's digits, by an entry that depends only on them,
+so M_0 is the Kronecker sum of M_1 and M_2, the generators of H restricted
+to each system.  half_split takes the low N // 2 sites as system 1, so that
 M = kron(I, M_1) + kron(M_2, I) + V, and Generator caches it: from
 SPLIT_MIN_SITES sites on, apply computes M x from it as two small dense
 products and a sparse one with about half of M's nonzeros, faster than the
 CSR product, so rk4 reads the CSR M only for ||M||_inf and nnz.  The
-coupled-system sector blocks come from the same split for any system 1:
-X1 and X2 are the nonidentity slots of M_1 and M_2, the mixed sector's
-diagonal is their Kronecker sum and its interaction blocks are slices of
-V, so the X1 <-> X2 blocks are zero by construction.
+coupled-system sector blocks are slices in (X1, Y, X2) order: of M for
+block_structure, and of M_0 and V for decompose_blocks.  M_0 keeps every
+sector to itself, so the X1 <-> X2 blocks of M are those of V, which are
+zero: a coupling across the split adds or removes one of its two sites and
+keeps the other in the support, so no support passes between the systems.
 """
 
 from __future__ import annotations
@@ -99,24 +101,23 @@ class HalfSplit(NamedTuple):
         return y
 
 
-def _cross(h: SpinHamiltonian, system1: int) -> SpinHamiltonian:
-    """H's couplings between the sites in system1 and the rest, without fields."""
+def _coupling_split(h: SpinHamiltonian, system1: int) -> tuple[SpinHamiltonian, SpinHamiltonian]:
+    """H_0, H without its couplings between the sites in system1 and the
+    rest, and H_V, those couplings alone without fields: H = H_0 + H_V."""
     n = h.n_sites
-    cross = {(i, j): v for (i, j), v in h.couplings.items() if (system1 >> i ^ system1 >> j) & 1}
-    return SpinHamiltonian(n, np.zeros((n, 3)), cross)
-
-
-def _bipartition(h: SpinHamiltonian, system1: int) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
-    """Dense M_1 and M_2 of H restricted to the sites in system1 and to the
-    rest, and the CSR V of the couplings between the two, in H's labels."""
-    m_1 = build_generator(restrict(h, system1)).matrix.toarray()
-    m_2 = build_generator(restrict(h, system1 ^ ((1 << h.n_sites) - 1))).matrix.toarray()
-    return m_1, m_2, build_generator(_cross(h, system1)).matrix
+    inner, cross = {}, {}
+    for (i, j), v in h.couplings.items():
+        (cross if (system1 >> i ^ system1 >> j) & 1 else inner)[i, j] = v
+    return SpinHamiltonian(n, h.fields, inner), SpinHamiltonian(n, np.zeros((n, 3)), cross)
 
 
 def half_split(h: SpinHamiltonian) -> HalfSplit:
-    """_bipartition with system 1 = the low n_sites // 2 sites (A, the low digits)."""
-    return HalfSplit(*_bipartition(h, (1 << h.n_sites // 2) - 1))
+    """Dense M_A and M_B of H restricted to the low n_sites // 2 sites (A,
+    the low digits) and to the rest, and the CSR V of the couplings between them."""
+    system1 = (1 << h.n_sites // 2) - 1
+    m_a = build_generator(restrict(h, system1)).matrix.toarray()
+    m_b = build_generator(restrict(h, system1 ^ ((1 << h.n_sites) - 1))).matrix.toarray()
+    return HalfSplit(m_a, m_b, build_generator(_coupling_split(h, system1)[1]).matrix)
 
 
 @dataclass
@@ -214,7 +215,7 @@ def admit_generator(h: SpinHamiltonian, methods=()) -> None:
         need += 16 * generator_nnz(h)
     if "rk4" in methods and h.n_sites >= SPLIT_MIN_SITES:
         n_a = h.n_sites // 2  # as in half_split
-        need += generator_bytes(_cross(h, (1 << n_a) - 1))
+        need += generator_bytes(_coupling_split(h, (1 << n_a) - 1)[1])
         need += 8 * (16**n_a + 16 ** (h.n_sites - n_a))
     if need > GENERATOR_BYTES_CAP:
         raise SizeCapError(f"generator capped at {GENERATOR_BYTES_CAP} bytes, need {need}")
@@ -430,15 +431,11 @@ def split_sectors(n_sites: int, system1: int) -> CoupledSplit:
     return split
 
 
-@dataclass(frozen=True)
-class BlockStructure:
-    """Dense sector blocks of a generator in the (X1, Y, X2) layout."""
-
-    split: CoupledSplit
-    blocks: dict[tuple[str, str], np.ndarray]
-
-    def block(self, row: str, col: str) -> np.ndarray:
-        return self.blocks[(row, col)]
+def _sector_codes(gen: Generator, split: CoupledSplit) -> dict[str, np.ndarray]:
+    """The codes of the sectors "1", "m" and "2" of a split of gen's sites."""
+    if split.n_sites != gen.n_sites:
+        raise ValueError("split and generator site counts differ")
+    return dict(zip("1m2", map(np.array, (split.x1_codes, split.y_codes, split.x2_codes))))
 
 
 def decompose_blocks(
@@ -446,36 +443,29 @@ def decompose_blocks(
 ) -> tuple[dict[str, np.ndarray], dict[tuple[str, str], np.ndarray]]:
     """Split M into uncoupled sector blocks and the interaction remainder.
 
-    From _bipartition of the generator's Hamiltonian: the uncoupled diagonal
-    is (M1, kron(M1, I) + kron(I, M2), M2), M_1 and M_2 without the identity
-    slot, and the interaction blocks (1,m), (m,1), (m,m), (m,2), (2,m) are
-    V's entries between the sectors' codes.
+    The uncoupled diagonal ("1", "m", "2") is sliced from M_0, the generator
+    of H without the couplings across the split: M_1 and M_2 without the
+    identity slot and, on the mixed sector, their Kronecker sum
+    kron(M_1, I) + kron(I, M_2).  The interaction blocks (1,m), (m,1),
+    (m,m), (m,2), (2,m) are sliced from V, the generator of those couplings
+    alone.  M = M_0 + V and the two share no entry.
     """
-    if split.n_sites != gen.n_sites:
-        raise ValueError("split and generator site counts differ")
-    m_1, m_2, v = _bipartition(gen.hamiltonian, split.system1)
-    m1, m2 = m_1[1:, 1:], m_2[1:, 1:]
-    mixed0 = np.kron(m1, np.eye(len(m2)))
-    mixed0 += np.kron(np.eye(len(m1)), m2)
-    codes = {"1": split.x1_codes, "m": split.y_codes, "2": split.x2_codes}
+    codes = _sector_codes(gen, split)
+    m_0, v = (build_generator(x).matrix for x in _coupling_split(gen.hamiltonian, split.system1))
+    diag = {k: m_0[c][:, c].toarray() for k, c in codes.items()}
     inter = {
-        (r, c): v[np.array(codes[r])][:, np.array(codes[c])].toarray()
+        (r, c): v[codes[r]][:, codes[c]].toarray()
         for r, c in (("1", "m"), ("m", "1"), ("m", "m"), ("m", "2"), ("2", "m"))
     }
-    return {"1": m1, "m": mixed0, "2": m2}, inter
+    return diag, inter
 
 
-def block_structure(gen: Generator, split: CoupledSplit) -> BlockStructure:
-    """M in the 3x3 sector layout: decompose_blocks' diagonal plus its interaction.
+def block_structure(gen: Generator, split: CoupledSplit) -> dict[tuple[str, str], np.ndarray]:
+    """M in the 3x3 sector layout: {(row, col): dense block} for the sectors
+    "1", "m" and "2", sliced from gen.matrix in (X1, Y, X2) order.
 
     Pairwise interactions only create or annihilate mixed correlators, so
     the direct X1 <-> X2 blocks are zero.
     """
-    diag, inter = decompose_blocks(gen, split)
-    d1, _, d2 = split.dims
-    blocks = dict(inter)
-    blocks["1", "1"], blocks["2", "2"] = diag["1"], diag["2"]
-    blocks["m", "m"] = diag["m"]  # diag is not returned, so add in place
-    blocks["m", "m"] += inter["m", "m"]
-    blocks["1", "2"], blocks["2", "1"] = np.zeros((d1, d2)), np.zeros((d2, d1))
-    return BlockStructure(split, blocks)
+    codes = _sector_codes(gen, split)
+    return {(r, c): gen.matrix[codes[r]][:, codes[c]].toarray() for r in codes for c in codes}

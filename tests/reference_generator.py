@@ -10,10 +10,11 @@ straight from the one-spin equation of motion.
 `sector_blocks_dense` cuts the coupled-system sector blocks out of a dense
 copy of M reordered into (X1, Y, X2) sector order, and
 `decompose_blocks_dense` subtracts the uncoupled Kronecker sum from them.
-They are the slow path that `corrdyn.hierarchy.block_structure` and
-`decompose_blocks`, which build the blocks from the Hamiltonian's terms,
-must match bit for bit.  `reassemble` puts the blocks back into the 4**N
-layout of M.
+They are the slow path that `corrdyn.hierarchy.block_structure`, which
+slices the sparse M, and `decompose_blocks`, which slices the generators
+M_0 and V of H without and with only the couplings across the split, must
+match bit for bit.  `reassemble` puts the blocks back into the 4**N layout
+of M.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from corrdyn.hamiltonian import SpinHamiltonian
-from corrdyn.hierarchy import BlockStructure, CoupledSplit, Generator
+from corrdyn.hierarchy import CoupledSplit, Generator
 from corrdyn.pauli import _EPS_TERMS, digit, with_digit
 
 _AXES = "xyz"
@@ -142,14 +143,14 @@ def decompose_blocks_dense(
     return {"1": m1, "m": mixed0, "2": m2}, inter
 
 
-def reassemble(bs: BlockStructure) -> np.ndarray:
-    """Dense generator (full 4**N layout) rebuilt from the blocks."""
-    d1, dm, d2 = bs.split.dims
-    perm = np.concatenate(([0], bs.split.order))
+def reassemble(blocks: dict[tuple[str, str], np.ndarray], split: CoupledSplit) -> np.ndarray:
+    """Dense generator (full 4**N layout) rebuilt from the sector blocks of split."""
+    d1, dm, d2 = split.dims
+    perm = np.concatenate(([0], split.order))
     dense = np.zeros((len(perm), len(perm)))
     offs = {"1": 1, "m": 1 + d1, "2": 1 + d1 + dm}
     sizes = {"1": d1, "m": dm, "2": d2}
-    for (r, c), b in bs.blocks.items():
+    for (r, c), b in blocks.items():
         dense[offs[r] : offs[r] + sizes[r], offs[c] : offs[c] + sizes[c]] = b
     out = np.zeros_like(dense)
     out[np.ix_(perm, perm)] = dense

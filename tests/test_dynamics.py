@@ -221,9 +221,8 @@ def test_dyson_zero_interaction_is_exact(rng):
     h = SpinHamiltonian(3, rng.normal(size=(3, 3)), {(1, 2): rng.normal(size=(3, 3))})
     gen = build_generator(h)
     split = split_sectors(3, 0b001)
-    diag, inter = decompose_blocks(gen, split)
     z = 0.9 + 0.4j
-    approx = dyson_series(diag, inter, z, 0)
+    approx = dyson_series(gen, split, z, 0)
     order = split.order
     exact = resolvent(gen, z)[np.ix_(order, order)]
     assert np.max(np.abs(approx - exact)) < 1e-10
@@ -262,9 +261,8 @@ def test_dyson_weak_coupling_accuracy(rng):
     h = weak_coupling_hamiltonian(rng, 3, 0.01)
     gen = build_generator(h)
     split = split_sectors(3, 0b001)
-    diag, inter = decompose_blocks(gen, split)
     z = 1.0 + 0.0j
-    approx = dyson_series(diag, inter, z, 4)
+    approx = dyson_series(gen, split, z, 4)
     order = split.order
     exact = resolvent(gen, z)[np.ix_(order, order)]
     rel = np.max(np.abs(approx - exact)) / np.max(np.abs(exact))
@@ -277,25 +275,30 @@ def test_dyson_divergence_error(rng):
     )
     gen = build_generator(h)
     split = split_sectors(2, 0b01)
-    diag, inter = decompose_blocks(gen, split)
     with pytest.raises(DivergentSeriesError, match="divergent"):
-        dyson_series(diag, inter, 0.05 + 0.0j, 4)
+        dyson_series(gen, split, 0.05 + 0.0j, 4)
 
 
 def test_dyson_negative_order_raises(rng):
     gen = build_generator(random_hamiltonian(3, rng))
-    diag, inter = decompose_blocks(gen, split_sectors(3, 0b001))
     with pytest.raises(ValueError, match="order"):
-        dyson_series(diag, inter, 1.0 + 0.5j, -1)
+        dyson_series(gen, split_sectors(3, 0b001), 1.0 + 0.5j, -1)
+
+
+@pytest.mark.parametrize("order", [2.5, True], ids=["float", "bool"])
+def test_dyson_refuses_an_order_that_is_not_an_integer(rng, order):
+    gen = build_generator(random_hamiltonian(3, rng))
+    with pytest.raises(ValueError, match="order must be an integer >= 0"):
+        dyson_series(gen, split_sectors(3, 0b001), 1.0 + 0.5j, order)
 
 
 def test_dyson_at_a_pole_of_the_uncoupled_blocks_raises(rng):
     # z = 0 is a pole of every sector block: each system's levels give the
     # zero eigenvalues E_n - E_n
     gen = build_generator(random_hamiltonian(3, rng))
-    diag, inter = decompose_blocks(gen, split_sectors(3, 0b001))
-    with pytest.raises(PoleProximityError, match="uncoupled resolvent"):
-        dyson_series(diag, inter, 0.0 + 0.0j, 4)
+    with pytest.raises(PoleProximityError, match="of the pole") as exc:
+        dyson_series(gen, split_sectors(3, 0b001), 0.0 + 0.0j, 4)
+    assert exc.value.nearest_pole == 0
 
 
 @pytest.mark.parametrize(
@@ -304,11 +307,17 @@ def test_dyson_at_a_pole_of_the_uncoupled_blocks_raises(rng):
     ids=["zero-H", "field-on-site-0"],
 )
 def test_dyson_at_an_exact_pole_raises_pole_proximity(fields, z):
-    # z is an exact eigenvalue of a sector block, so its solve is singular
+    # z is an exact eigenvalue of a sector block of M_0
     gen = build_generator(SpinHamiltonian(2, fields))
-    diag, inter = decompose_blocks(gen, split_sectors(2, 0b01))
-    with pytest.raises(PoleProximityError, match="uncoupled resolvent"):
-        dyson_series(diag, inter, z, 2)
+    with pytest.raises(PoleProximityError, match="of the pole") as exc:
+        dyson_series(gen, split_sectors(2, 0b01), z, 2)
+    assert exc.value.nearest_pole == z
+
+
+def test_resolvent_refuses_empty_codes(rng):
+    gen = build_generator(random_hamiltonian(2, rng))
+    with pytest.raises(ValueError, match="codes must be nonempty"):
+        resolvent(gen, 1.0 + 0.5j, [])
 
 
 @pytest.mark.parametrize("z", [complex(np.nan, 1.0), complex(0.5, np.inf)])
@@ -316,9 +325,8 @@ def test_resolvent_and_dyson_refuse_a_z_that_is_not_finite(rng, z):
     gen = build_generator(random_hamiltonian(2, rng))
     with pytest.raises(ValueError, match="finite"):
         resolvent(gen, z)
-    diag, inter = decompose_blocks(gen, split_sectors(2, 0b01))
     with pytest.raises(ValueError, match="finite"):
-        dyson_series(diag, inter, z, 2)
+        dyson_series(gen, split_sectors(2, 0b01), z, 2)
 
 
 def test_trajectory_expectation_ladder(rng):

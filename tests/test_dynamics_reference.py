@@ -1,15 +1,17 @@
-"""The planned exponential-action kernel of `evolve` against per-sample scipy."""
+"""The planned exponential-action kernel of `evolve` against per-sample
+scipy, and `dyson_series` against the dense-solve Dyson series."""
 
 import numpy as np
 import pytest
 
 from corrdyn import oracle, states
 from corrdyn.density import extract_correlators, from_correlators
-from corrdyn.dynamics import _one_norm, _taylor_plan, evolve
+from corrdyn.dynamics import _one_norm, _taylor_plan, dyson_series, evolve
 from corrdyn.hamiltonian import SpinHamiltonian, random_hamiltonian
-from corrdyn.hierarchy import build_generator
+from corrdyn.hierarchy import build_generator, decompose_blocks, split_sectors
 from conftest import random_mixed_state
-from reference_dynamics import evolve_expm_per_sample
+from reference_dynamics import dyson_series_dense, evolve_expm_per_sample
+from test_dynamics import weak_coupling_hamiltonian
 from test_generator_reference import assert_same_csr, hamiltonians
 
 # condition (3.13) of Al-Mohy & Higham: up to this ||hM||_1 scipy chooses the
@@ -102,3 +104,23 @@ def test_expm_leaves_the_generator_arrays_unchanged(rng):
     evolve(gen, product_state(5, rng), 0.3, dt=0.01, stride=7, method="expm")
     after = (gen.matrix.indptr, gen.matrix.indices, gen.matrix.data)
     assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
+
+# every nonempty proper system-1 mask at 2..4 sites
+DYSON_MASKS = [(n, mask) for n in range(2, 5) for mask in range(1, (1 << n) - 1)]
+
+
+@pytest.mark.parametrize(
+    "n, system1", DYSON_MASKS, ids=[f"{n}-{m:0{n}b}" for n, m in DYSON_MASKS]
+)
+def test_dyson_series_matches_the_dense_solve_series(rng, n, system1):
+    # couplings up to 0.2 against unit fields, and z at distance 1 from every
+    # pole on the imaginary axis: ||V G0|| < 1 and order 4 still counts
+    gen = build_generator(weak_coupling_hamiltonian(rng, n, 0.2))
+    split = split_sectors(n, system1)
+    diag, inter = decompose_blocks(gen, split)
+    z = 1.0 + 0.5j
+    for order in range(5):
+        ref = dyson_series_dense(diag, inter, z, order)
+        rel = np.max(np.abs(dyson_series(gen, split, z, order) - ref)) / np.max(np.abs(ref))
+        assert rel < 1e-12, (order, rel)
