@@ -306,13 +306,16 @@ def resolvent(gen: Generator, z: complex, codes=None) -> np.ndarray:
     (0, 0).  Each computed column must satisfy (z I - M) G[:, b] = e_b to
     1e-10, checked with sparse matvecs on M.  Raises PoleProximityError at
     or near any pole i*lambda of the generator, or when that check fails,
-    and ValueError for a z that is not finite or an empty `codes`.
+    and ValueError for a z that is not finite or a `codes` that is empty or
+    not of integer dtype.
     """
     if not cmath.isfinite(z):
         raise ValueError(f"z must be finite, got {z}")
-    rows = np.arange(gen.dim) if codes is None else np.asarray(codes, dtype=np.int64)
+    rows = np.arange(gen.dim) if codes is None else np.asarray(codes)
     if not rows.size:
         raise ValueError("codes must be nonempty")
+    if not np.issubdtype(rows.dtype, np.integer):
+        raise ValueError(f"codes must be integers, got dtype {rows.dtype}")
     admit_dense(gen.n_sites)
     lam = np.concatenate(([0.0], _generator_eigenvalues(gen)))
     dist = np.abs(z - 1j * lam)
@@ -400,11 +403,13 @@ def spectrum(gen: Generator, broadening: float | None = None) -> SpectralReport:
     with their multiplicity, and those below it count towards kernel_dim.
     The default broadening is 10x the mean spacing of the detected distinct
     frequencies, kept deliberately coarser than the typical pole
-    separation; a given broadening must be a finite number > 0.  The
-    density is sampled on 513 points from 0 to 1.2 max|lambda| (to 1 if M
-    vanishes).
+    separation; a given broadening must be a finite number > 0, not a
+    bool.  The density is sampled on 513 points from 0 to 1.2 max|lambda|
+    (to 1 if M vanishes).
     """
-    if broadening is not None and not (math.isfinite(broadening) and broadening > 0):
+    if broadening is not None and (
+        isinstance(broadening, bool) or not (math.isfinite(broadening) and broadening > 0)
+    ):
         raise ValueError("broadening must be a finite number > 0")
     admit_dense(gen.n_sites)
     lam = _generator_eigenvalues(gen)

@@ -26,6 +26,8 @@ class SpinHamiltonian:
         f = np.asarray(self.fields, dtype=float)
         if f.shape != (self.n_sites, 3):
             raise ValueError(f"fields must be ({self.n_sites}, 3)")
+        if not np.isfinite(f).all():
+            raise ValueError("fields must be finite")
         object.__setattr__(self, "fields", f)
         clean = {}
         for (i, j), v in self.couplings.items():
@@ -36,6 +38,8 @@ class SpinHamiltonian:
             v = np.asarray(v, dtype=float)
             if v.shape != (3, 3):
                 raise ValueError("coupling tensors must be 3x3")
+            if not np.isfinite(v).all():
+                raise ValueError(f"coupling tensor ({i}, {j}) must be finite")
             clean[(i, j)] = v
         object.__setattr__(self, "couplings", clean)
         # one pass over the sorted pairs leaves every partner list ascending:

@@ -334,10 +334,13 @@ def reduced_eom_residual(
     Checks i d/dt rbar_A = [Hbar_A, rbar_A] + sum_{l not in A} tr_l
     sum_{j in A} [Vhat_jl, rbar_{A+l}] along a uniformly sampled exact
     trajectory; the result is O(dt^2) purely from the finite difference.
+    Needs one state per time and at least 3 of them.
     """
     times = np.asarray(times, dtype=float)
     if len(times) < 3:
         raise ValueError("need at least 3 trajectory points")
+    if len(rhos) != len(times):
+        raise ValueError(f"{len(rhos)} states for {len(times)} times")
     steps = np.diff(times)
     dt = steps[0]
     if np.max(np.abs(steps - dt)) > 1e-12 * max(abs(dt), 1.0):

@@ -79,6 +79,8 @@ class PauliString:
     code: int
 
     def __post_init__(self):
+        if isinstance(self.code, bool) or not isinstance(self.code, (int, np.integer)):
+            raise ValueError(f"code must be an integer, got {self.code!r}")
         if not 0 <= self.code < 4**self.n_sites:
             raise ValueError(f"code {self.code} out of range for {self.n_sites} sites")
 

@@ -30,6 +30,9 @@ which follow from G(z)^T = -G(-z) for antisymmetric M.
 Block index conventions match the sector layout used by the hierarchy
 module: single-site blocks are ordered (x, y, z); pair blocks are ordered
 with the site-1 axis fastest, (xx, xy, xz, yx, ..., zz).
+
+These fixtures exist so that generator and resolvent code cannot drift
+without a test noticing.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import PoleProximityError
+from corrdyn.errors import PoleProximityError
 
 _POLE_MARGIN = 1e-8
 

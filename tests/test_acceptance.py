@@ -20,7 +20,6 @@ from corrdyn.decomposition import (
     trace_defect,
 )
 from corrdyn.density import extract_correlators, partial_trace_array
-from corrdyn.diagnostics import two_spin as ts
 from corrdyn.dynamics import dyson_series, evolve, resolvent, spectrum
 from corrdyn.hamiltonian import SpinHamiltonian, random_hamiltonian, transverse_pair
 from corrdyn.hierarchy import (
@@ -31,6 +30,7 @@ from corrdyn.hierarchy import (
     split_sectors,
 )
 from conftest import random_mixed_state, up_right_mixture
+import reference_two_spin as ts
 from test_dynamics import weak_coupling_hamiltonian
 from test_hierarchy import EPS, cross_matrix
 from test_two_spin_analytic import sample_z, split_blocks

@@ -201,7 +201,7 @@ def test_broadened_density_is_lorentzian_sum(rng):
     assert np.max(np.abs(manual - rep.density)) < 1e-9
 
 
-@pytest.mark.parametrize("broadening", [-0.5, 0.0, float("inf"), float("nan")])
+@pytest.mark.parametrize("broadening", [-0.5, 0.0, float("inf"), float("nan"), True])
 def test_spectrum_refuses_a_broadening_that_is_not_finite_and_positive(rng, broadening):
     gen = build_generator(random_hamiltonian(2, rng))
     with pytest.raises(ValueError, match="broadening"):
@@ -318,6 +318,21 @@ def test_resolvent_refuses_empty_codes(rng):
     gen = build_generator(random_hamiltonian(2, rng))
     with pytest.raises(ValueError, match="codes must be nonempty"):
         resolvent(gen, 1.0 + 0.5j, [])
+
+
+@pytest.mark.parametrize("codes", [[1.5], [True]], ids=["float", "bool"])
+def test_resolvent_refuses_codes_that_are_not_integers(rng, codes):
+    gen = build_generator(random_hamiltonian(2, rng))
+    with pytest.raises(ValueError, match="codes must be integers"):
+        resolvent(gen, 1.0 + 0.5j, codes)
+
+
+def test_resolvent_takes_integer_codes_of_any_width(rng):
+    gen = build_generator(random_hamiltonian(2, rng))
+    ref = resolvent(gen, 1.0 + 0.5j, [5, 1, 5])
+    for dtype in (np.uint8, np.int32, np.int64):
+        part = resolvent(gen, 1.0 + 0.5j, np.array([5, 1, 5], dtype=dtype))
+        assert np.array_equal(part, ref), dtype
 
 
 @pytest.mark.parametrize("z", [complex(np.nan, 1.0), complex(0.5, np.inf)])

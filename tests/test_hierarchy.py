@@ -56,6 +56,18 @@ def test_partner_lists_are_the_coupled_sites_ascending(rng):
                 assert h.partners(i) == expected, (n, i)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hamiltonian_refuses_non_finite_fields_and_couplings(bad):
+    fields = np.zeros((2, 3))
+    fields[1, 2] = bad
+    with pytest.raises(ValueError, match="fields must be finite"):
+        SpinHamiltonian(2, fields)
+    tensor = np.eye(3)
+    tensor[0, 1] = bad
+    with pytest.raises(ValueError, match=r"coupling tensor \(0, 1\) must be finite"):
+        SpinHamiltonian(2, np.zeros((2, 3)), {(0, 1): tensor})
+
+
 def test_free_static_spins_have_zero_generator():
     h = SpinHamiltonian(2, np.zeros((2, 3)))
     gen = build_generator(h)
@@ -316,6 +328,16 @@ def test_reduced_eom_needs_three_points(rng):
     rhos = oracle.evolve_exact(h, rho0, [0.0, 1e-3])
     with pytest.raises(ValueError, match="3 trajectory points"):
         reduced_eom_residual(h, [0.0, 1e-3], rhos, 0b01)
+
+
+def test_reduced_eom_needs_one_state_per_time(rng):
+    h = random_hamiltonian(2, rng)
+    times = [0.0, 1e-3, 2e-3, 3e-3]
+    rhos = oracle.evolve_exact(h, random_mixed_state(rng, 2), times)
+    with pytest.raises(ValueError, match="3 states for 4 times"):
+        reduced_eom_residual(h, times, rhos[:3], 0b01)
+    with pytest.raises(ValueError, match="4 states for 3 times"):
+        reduced_eom_residual(h, times[:3], rhos, 0b01)
 
 
 def test_spectrum_matches_energy_differences(rng):

@@ -123,6 +123,16 @@ def test_label_round_trip():
     assert parse_label("", 3).code == 0
 
 
+@pytest.mark.parametrize(
+    "code, message",
+    [(-1, "out of range"), (16, "out of range"), (1.5, "integer"), (True, "integer")],
+)
+def test_pauli_string_refuses_a_code_that_is_not_an_integer_in_range(code, message):
+    with pytest.raises(ValueError, match=message):
+        PauliString(2, code)
+    assert PauliString(2, np.int64(15)).code == 15
+
+
 @given(st.integers(0, 4**3 - 1))
 def test_label_parse_round_trip(code):
     s = PauliString(3, code)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from corrdyn import oracle
-from corrdyn.diagnostics import two_spin as ts
 from corrdyn.dynamics import resolvent
 from corrdyn.errors import PoleProximityError
 from corrdyn.hamiltonian import SpinHamiltonian, transverse_pair
 from corrdyn.hierarchy import build_generator, split_sectors
+
+import reference_two_spin as ts
 
 
 def sector_resolvent(p: ts.TwoSpinParams, z: complex) -> np.ndarray:
