@@ -1,0 +1,59 @@
+#!/usr/bin/env python3
+"""Print the sha256 of every output file the benchmark workloads' configs write.
+
+For each seed and each workload of perfbench/workloads.py (which is only
+read), the seeded configs are written and each runs once through
+`corrdyn.cli.run` into its own directory.  One line per output file follows:
+
+    workload seed config file sha256
+
+Two checkouts that print the same lines write the same bytes.  BLAS runs on
+one thread, as in the benchmark.
+
+Usage: python scripts/output_digests.py --seeds 1 2 [--scale tiny]
+"""
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--scale", choices=("full", "tiny"), default="full")
+    args = parser.parse_args(argv)
+
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    from corrdyn import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in args.seeds:
+            for name in workloads.NAMES:
+                work = Path(tmp) / f"{name}-{seed}"
+                wl = workloads.build(name, seed, args.scale)
+                paths, _ = workloads.write_configs(wl, work / "configs")
+                for path in paths:
+                    out = work / path.stem
+                    out.mkdir()
+                    code = cli.run(path, out)
+                    if code != 0:
+                        print(f"error: {name} seed {seed} {path.name} exited {code}",
+                              file=sys.stderr)
+                        return 1
+                    for f in sorted(out.iterdir()):
+                        digest = hashlib.sha256(f.read_bytes()).hexdigest()
+                        print(name, seed, path.name, f.name, digest)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

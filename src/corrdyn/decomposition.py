@@ -24,18 +24,19 @@ tensor product over disjoint subsets is a product of coefficients and both
 kinds of part (beyond single cells) are supported on every site of their
 subset.  The correlated coefficients are one per-site triangular transform
 of x, and the cumulant coefficients follow the moment-cumulant recursion
-over subsets; each part's matrix is then formed once from its coefficients.
-The checks stay in matrix space and share nothing with that route:
-`reconstruct` rebuilds rho from the parts' matrices over the power set and
-`cumulant_reconstruct` over all B_N set partitions, by Kronecker products,
-and `trace_defect` traces cells out of them.  The partition sums over dense
-reduced matrices that defined the parts serve as the reference in the tests.
+over subsets; the matrices of all parts of one subset size are then formed
+from their coefficients in one batched transform.  The checks stay in matrix
+space and share nothing with that route: `reconstruct` rebuilds rho from the
+parts' matrices over the power set and `cumulant_reconstruct` over all B_N
+set partitions, by Kronecker products, and `trace_defect` traces cells out
+of them.  The partition sums over dense reduced matrices that defined the
+parts serve as the reference in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -52,7 +53,6 @@ from .density import (
     DensityMatrix,
     extract_correlators,
     operator_matrix,
-    partial_trace_array,
 )
 from .errors import SizeCapError
 
@@ -60,8 +60,9 @@ TRACE_ZERO_TOL = 1e-12
 
 # admit_decompose refuses a state of N sites when B_N * 4**N exceeds this:
 # cumulant_reconstruct sums B_N partitions of 4**N-entry matrices, and a
-# 9-site W state (5.5e9) took 62 s on an x86-64 guest, so the cap is about
-# 20 minutes and admits N <= 9 (10 sites need 1.2e11)
+# `corrdyn run` decompose of a W state took 2.4 s at 8 sites and 36 s at 9
+# (5.5e9) on one x86-64 vCPU, so the cap is about 11 minutes and admits
+# N <= 9 (10 sites need 1.2e11)
 DECOMPOSE_WORK_CAP = 1e11
 
 
@@ -96,26 +97,20 @@ def permute_sites(mat: np.ndarray, sites: list[int]) -> np.ndarray:
     return np.transpose(w, perm).reshape(2**n, 2**n)
 
 
-def _kron_chain(
-    factors: Iterable[tuple[int, np.ndarray]],
-) -> tuple[int, list[int], np.ndarray]:
-    """Kronecker product of operators on pairwise-disjoint subsets, unpermuted.
+def _kron_chain(mats: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+    """Kronecker product of `mats`, the first on the least-significant qubits.
 
-    Returns (union mask, site order, matrix), where site order k is the site
-    on qubit k (least-significant first) of the matrix.
+    The last factor is multiplied straight into `out` when it is given, so a
+    caller summing many products of one size reuses one buffer.
     """
-    site_order: list[int] = []
     mat = np.array([[1.0 + 0.0j]])
-    union = 0
-    for mask, block in factors:
-        if mask & union:
-            raise ValueError("factors must live on disjoint subsets")
-        union |= mask
+    for k, block in enumerate(mats, 1):
         # kron(block, mat) keeps the accumulated qubits on the low end
         d, e = len(block), len(mat)
-        mat = (block[:, None, :, None] * mat[None, :, None, :]).reshape(d * e, d * e)
-        site_order = site_order + bit_indices(mask)
-    return union, site_order, mat
+        dest = out.reshape(d, e, d, e) if out is not None and k == len(mats) else None
+        mat = np.multiply(block[:, None, :, None], mat[None, :, None, :], out=dest)
+        mat = mat.reshape(d * e, d * e)
+    return mat
 
 
 def embed_product(factors: Iterable[tuple[int, np.ndarray]]) -> tuple[int, np.ndarray]:
@@ -123,8 +118,16 @@ def embed_product(factors: Iterable[tuple[int, np.ndarray]]) -> tuple[int, np.nd
 
     Returns (union mask, matrix) with the union's sites ordered ascending.
     """
-    union, site_order, mat = _kron_chain(factors)
-    return union, permute_sites(mat, site_order)
+    union = 0
+    site_order: list[int] = []
+    mats = []
+    for mask, block in factors:
+        if mask & union:
+            raise ValueError("factors must live on disjoint subsets")
+        union |= mask
+        site_order += bit_indices(mask)
+        mats.append(block)
+    return union, permute_sites(_kron_chain(mats), site_order)
 
 
 def _marginal(values: np.ndarray, n_sites: int, subset: int) -> np.ndarray:
@@ -199,13 +202,27 @@ def _cumulant_blocks(grid: np.ndarray) -> dict[int, np.ndarray]:
     return kappa
 
 
-def _part_matrix(block: np.ndarray, k: int) -> np.ndarray:
-    """Matrix of a k-site part from its full-support coefficients."""
-    coeffs = np.zeros((4,) * k)
-    coeffs[(slice(1, None),) * k] = block.reshape((3,) * k)
+def _part_matrices(blocks: Sequence[np.ndarray], k: int) -> np.ndarray:
+    """Matrices of k-site parts from their full-support coefficients.
+
+    One transform builds the whole (len(blocks), 2**k, 2**k) stack.
+    """
+    coeffs = np.zeros((4,) * k + (len(blocks),))
+    coeffs[(slice(1, None),) * k] = np.stack([b.reshape((3,) * k) for b in blocks], -1)
     # a single cell's part is its reduced matrix, the only one with a trace
-    coeffs.flat[0] = 1.0 if k == 1 else 0.0
-    return operator_matrix(coeffs.ravel())
+    coeffs[(0,) * k] = 1.0 if k == 1 else 0.0
+    return operator_matrix(coeffs.reshape(4**k, len(blocks)))
+
+
+def _parts_by_size(blocks: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """Matrix of every part keyed by mask, from one transform per subset size."""
+    by_size: dict[int, list[int]] = {}
+    for mask in blocks:
+        by_size.setdefault(mask.bit_count(), []).append(mask)
+    mats = {}
+    for k, masks in by_size.items():
+        mats.update(zip(masks, _part_matrices([blocks[m] for m in masks], k)))
+    return {mask: mats[mask] for mask in blocks}
 
 
 def admit_decompose(n_sites: int) -> None:
@@ -230,7 +247,7 @@ def correlated_part(rho: DensityMatrix, subset: int) -> CorrelatedPart:
         raise ValueError("subset references sites beyond the system")
     k = subset.bit_count()
     c = _correlated_grid(_state_grid(rho, subset))
-    return CorrelatedPart(subset, _part_matrix(c[(slice(1, None),) * k], k))
+    return CorrelatedPart(subset, _part_matrices([c[(slice(1, None),) * k]], k)[0])
 
 
 def correlated_parts(rho: DensityMatrix) -> dict[int, CorrelatedPart]:
@@ -238,11 +255,12 @@ def correlated_parts(rho: DensityMatrix) -> dict[int, CorrelatedPart]:
     n = rho.n_sites
     full = (1 << n) - 1
     c = _correlated_grid(_state_grid(rho, full))
-    return {
-        mask: CorrelatedPart(mask, _part_matrix(c[_support(n, mask)], mask.bit_count()))
+    blocks = {
+        mask: c[_support(n, mask)]
         for mask in enumerate_subsets(full)
         if mask.bit_count() >= 2
     }
+    return {mask: CorrelatedPart(mask, m) for mask, m in _parts_by_size(blocks).items()}
 
 
 def cumulant_part(rho: DensityMatrix, subset: int) -> CumulantPart:
@@ -253,30 +271,34 @@ def cumulant_part(rho: DensityMatrix, subset: int) -> CumulantPart:
         raise ValueError("subset references sites beyond the system")
     k = subset.bit_count()
     kappa = _cumulant_blocks(_state_grid(rho, subset))
-    return CumulantPart(subset, _part_matrix(kappa[(1 << k) - 1], k))
+    return CumulantPart(subset, _part_matrices([kappa[(1 << k) - 1]], k)[0])
 
 
 def cumulant_parts(rho: DensityMatrix) -> dict[int, CumulantPart]:
     """rho^CC for every nonempty subset, keyed by mask."""
     full = (1 << rho.n_sites) - 1
     kappa = _cumulant_blocks(_state_grid(rho, full))
-    return {
-        mask: CumulantPart(mask, _part_matrix(kappa[mask], mask.bit_count()))
-        for mask in enumerate_subsets(full)
-        if mask
-    }
+    blocks = {mask: kappa[mask] for mask in enumerate_subsets(full) if mask}
+    return {mask: CumulantPart(mask, m) for mask, m in _parts_by_size(blocks).items()}
 
 
 def trace_defect(part: CorrelatedPart) -> float:
-    """Largest |entry| left after tracing any single cell out of rho^C."""
-    cells = bit_indices(part.subset)
-    n = len(cells)
-    worst = 0.0
-    for k in range(n):
-        keep = ((1 << n) - 1) ^ (1 << k)
-        t = partial_trace_array(part.matrix, n, keep)
-        worst = max(worst, float(np.max(np.abs(t))))
-    return worst
+    """Largest |entry| left after tracing any single cell out of rho^C.
+
+    The matrix is reshaped once to one (row, column) axis pair per cell, and
+    each cell is traced out over its own pair.
+    """
+    n = part.subset.bit_count()
+    w = part.matrix.reshape((2,) * (2 * n))
+    return max(float(np.max(np.abs(np.trace(w, 0, p, n + p)))) for p in range(n))
+
+
+def _require_parts(parts: Mapping[int, object], masks: Iterable[int], kind: str) -> None:
+    """Raise ValueError naming the first mask in `masks` that has no part."""
+    for mask in masks:
+        if mask not in parts:
+            sites = ",".join(map(str, bit_indices(mask)))
+            raise ValueError(f"missing the {kind} part of subset {{{sites}}}")
 
 
 def reconstruct(
@@ -287,13 +309,15 @@ def reconstruct(
     """Reassemble rho from single-cell reduced matrices and all rho^C.
 
     The sum runs over the power set; single-cell subsets drop out, leaving
-    2**N - N contributing terms.
+    2**N - N contributing terms.  Every subset of two or more sites needs a
+    part.
     """
     if set(singles) != set(range(n_sites)):
         raise ValueError("need exactly one reduced matrix per site")
     full = (1 << n_sites) - 1
     if any(mask >> n_sites or mask.bit_count() < 2 for mask in parts):
         raise ValueError("correlated parts inconsistent with site count")
+    _require_parts(parts, (m for m in range(full + 1) if m.bit_count() >= 2), "correlated")
     out = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
     terms = 0
     for sub in enumerate_subsets(full):
@@ -314,20 +338,28 @@ def cumulant_reconstruct(
 ) -> DensityMatrix:
     """Reassemble rho as the sum over all B_N partitions of cumulant products.
 
-    Every term is the Kronecker product of its blocks' parts as given.  The
-    terms whose factors leave the sites in the same qubit order are summed
-    first, so each order is permuted to ascending once, not once per term.
+    Every term is the Kronecker product of its blocks' parts as given, its
+    last factor multiplied into one reused buffer.  The terms whose factors
+    leave the sites in the same qubit order are summed first, so each order
+    is permuted to ascending once, not once per term.  Every nonempty subset
+    needs a part.
     """
     full = (1 << n_sites) - 1
-    by_order: dict[tuple[int, ...], list] = {}
+    _require_parts(parts, range(1, full + 1), "cumulant")
+    sites = {b: tuple(bit_indices(b)) for b in range(1, full + 1)}
+    mats = {b: parts[b].matrix for b in range(1, full + 1)}
+    by_order: dict[tuple[int, ...], list[list[np.ndarray]]] = {}
     for p in enumerate_partitions(full):
-        order = tuple(s for b in p.blocks for s in bit_indices(b))
-        by_order.setdefault(order, []).append(p)
-    out = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
+        order = sum((sites[b] for b in p.blocks), ())
+        by_order.setdefault(order, []).append([mats[b] for b in p.blocks])
+    dim = 2**n_sites
+    out = np.zeros((dim, dim), dtype=complex)
+    staged = np.empty_like(out)
+    term = np.empty_like(out)
     for order, group in by_order.items():
-        staged = _kron_chain((b, parts[b].matrix) for b in group[0].blocks)[2]
-        for p in group[1:]:
-            staged += _kron_chain((b, parts[b].matrix) for b in p.blocks)[2]
+        _kron_chain(group[0], staged)
+        for factors in group[1:]:
+            staged += _kron_chain(factors, term)
         out += permute_sites(staged, list(order))
     return DensityMatrix(n_sites, out)
 

@@ -122,9 +122,11 @@ def pauli_coefficients(mats: np.ndarray) -> np.ndarray:
 
 
 def _from_pair_digits(vec: np.ndarray, n: int) -> np.ndarray:
-    w = vec.reshape((2,) * (2 * n))
-    w = np.transpose(w, np.argsort(_pair_order(n)))
-    return w.reshape(2**n, 2**n)
+    """Pair-digit vectors, batch on the trailing axes, as matrices, batch first."""
+    batch = vec.shape[1:]
+    w = vec.reshape((2,) * (2 * n) + batch)
+    perm = [2 * n + a for a in range(len(batch))] + list(np.argsort(_pair_order(n)))
+    return np.transpose(w, perm).reshape(batch + (2**n, 2**n))
 
 
 def real_coefficients(mats: np.ndarray) -> np.ndarray:
@@ -143,7 +145,9 @@ def extract_correlators(rho: DensityMatrix) -> CorrelatorVector:
 def operator_matrix(values: np.ndarray) -> np.ndarray:
     """The matrix 2**-N sum_c values[c] P_c of any 4**N coefficient vector.
 
-    No state validation, so this also serves the zero-trace components.
+    A (4**N, k) stack of vectors gives the (k, 2**N, 2**N) stack of their
+    matrices, in one transform.  No state validation, so this also serves
+    the zero-trace components.
     """
     n = pauli._sites_of(len(values))
     w = pauli._apply_site_map(values, _B_BUILD) / 2**n

@@ -16,6 +16,11 @@ import numpy as np
 from .combinatorics import bit_indices
 
 
+def _is_integer(x) -> bool:
+    """An int or numpy integer, a bool excluded."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SpinHamiltonian:
     n_sites: int
@@ -23,6 +28,8 @@ class SpinHamiltonian:
     couplings: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not _is_integer(self.n_sites):
+            raise ValueError("n_sites must be an integer")
         f = np.asarray(self.fields, dtype=float)
         if f.shape != (self.n_sites, 3):
             raise ValueError(f"fields must be ({self.n_sites}, 3)")
@@ -31,6 +38,8 @@ class SpinHamiltonian:
         object.__setattr__(self, "fields", f)
         clean = {}
         for (i, j), v in self.couplings.items():
+            if not (_is_integer(i) and _is_integer(j)):
+                raise ValueError(f"coupling pair ({i}, {j}) must hold integer sites")
             if i == j:
                 raise ValueError("no self-coupling")
             if not (0 <= i < j < self.n_sites):

@@ -86,3 +86,14 @@ def cumulant_reconstruct(n_sites: int, parts: Mapping[int, CumulantPart]) -> Den
     for p in enumerate_partitions(full):
         out += embed_product([(b, parts[b].matrix) for b in p.blocks])[1]
     return DensityMatrix(n_sites, out)
+
+
+def trace_defect(part: CorrelatedPart) -> float:
+    """Largest |entry| left after tracing each single cell out, one einsum each."""
+    n = part.subset.bit_count()
+    worst = 0.0
+    for k in range(n):
+        keep = ((1 << n) - 1) ^ (1 << k)
+        t = partial_trace_array(part.matrix, n, keep)
+        worst = max(worst, float(np.max(np.abs(t))))
+    return worst

@@ -123,6 +123,22 @@ def test_reconstruction_term_count_and_identity(rng):
         assert np.max(np.abs(back.data - rho.data)) < 1e-12
 
 
+def test_reconstructions_name_a_missing_subset(rng):
+    rho = random_mixed_state(rng, 4)
+    singles = {i: partial_trace_array(rho.data, 4, 1 << i) for i in range(4)}
+    parts = correlated_parts(rho)
+    del parts[0b0011]
+    with pytest.raises(ValueError, match=r"missing the correlated part of subset \{0,1\}"):
+        reconstruct(4, singles, parts)
+    three = cumulant_parts(random_mixed_state(rng, 3))
+    with pytest.raises(ValueError, match=r"missing the cumulant part of subset \{3\}"):
+        cumulant_reconstruct(4, three)
+    cparts = cumulant_parts(rho)
+    del cparts[0b1111]
+    with pytest.raises(ValueError, match=r"missing the cumulant part of subset \{0,1,2,3\}"):
+        cumulant_reconstruct(4, cparts)
+
+
 def test_cumulant_reconstruction(rng):
     for n in (2, 3, 4):
         rho = random_mixed_state(rng, n)

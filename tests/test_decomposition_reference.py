@@ -8,7 +8,12 @@ import pytest
 import reference_decomposition as ref
 from conftest import random_mixed_state, random_pure_state
 from corrdyn import cli, decomposition, states
-from corrdyn.combinatorics import bit_indices, enumerate_subsets
+from corrdyn.combinatorics import (
+    bell_number,
+    bit_indices,
+    enumerate_partitions,
+    enumerate_subsets,
+)
 from corrdyn.decomposition import (
     correlated_part,
     correlated_parts,
@@ -69,6 +74,32 @@ def test_staged_cumulant_reconstruct_matches_per_term_sum(n):
         parts = cumulant_parts(rho)
         got = cumulant_reconstruct(n, parts).data
         assert np.max(np.abs(got - ref.cumulant_reconstruct(n, parts).data)) < TOL, name
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_trace_defect_equals_the_per_cell_partial_trace_loop(n):
+    rng = np.random.default_rng(4200 + n)
+    for rho in (random_mixed_state(rng, n), states.w_state(n), states.ghz_state(n)):
+        for part in correlated_parts(rho).values():
+            assert decomposition.trace_defect(part) == ref.trace_defect(part)
+        # a part with weight left under a partial trace
+        part = decomposition.CorrelatedPart((1 << n) - 1, rho.data)
+        assert decomposition.trace_defect(part) == ref.trace_defect(part) > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_cumulant_reconstruct_sums_every_partition_once(monkeypatch, n):
+    yielded = []
+
+    def counting(mask):
+        for p in enumerate_partitions(mask):
+            yielded.append(p.blocks)
+            yield p
+
+    parts = cumulant_parts(states.w_state(n))
+    monkeypatch.setattr(decomposition, "enumerate_partitions", counting)
+    cumulant_reconstruct(n, parts)
+    assert len(yielded) == len(set(yielded)) == bell_number(n)
 
 
 def _decompose(tmp_path, n, state):

@@ -9,6 +9,7 @@ from corrdyn.density import (
     diagnose_positivity,
     extract_correlators,
     from_correlators,
+    operator_matrix,
     partial_trace,
     purity,
     purity_from_correlators,
@@ -245,3 +246,16 @@ def test_dense_site_cap():
 def test_every_dense_site_cap_gives_the_cli_message(make):
     with pytest.raises(SizeCapError, match=r"^sites capped at 12, got 13$"):
         make()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_operator_matrix_of_a_stack_equals_one_call_per_vector(rng, n, k, dtype):
+    values = rng.normal(size=(4**n, k)).astype(dtype)
+    if dtype is complex:
+        values += 1j * rng.normal(size=(4**n, k))
+    stack = operator_matrix(values)
+    assert stack.shape == (k, 2**n, 2**n)
+    for j in range(k):
+        assert np.array_equal(stack[j], operator_matrix(values[:, j]))

@@ -68,6 +68,24 @@ def test_hamiltonian_refuses_non_finite_fields_and_couplings(bad):
         SpinHamiltonian(2, np.zeros((2, 3)), {(0, 1): tensor})
 
 
+@pytest.mark.parametrize("n_sites", [True, 2.0, np.float64(2.0), "2"])
+def test_hamiltonian_refuses_a_site_count_that_is_not_an_integer(n_sites):
+    with pytest.raises(ValueError, match="n_sites must be an integer"):
+        SpinHamiltonian(n_sites, np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("pair", [(0.5, 1), (0, 1.0), (False, True), (0, np.float64(1))])
+def test_hamiltonian_refuses_coupling_sites_that_are_not_integers(pair):
+    with pytest.raises(ValueError, match="must hold integer sites"):
+        SpinHamiltonian(2, np.zeros((2, 3)), {pair: np.eye(3)})
+
+
+def test_hamiltonian_accepts_numpy_integers():
+    h = SpinHamiltonian(np.int64(2), np.zeros((2, 3)), {(np.int32(0), np.int64(1)): np.eye(3)})
+    assert np.array_equal(h.coupling(0, 1), np.eye(3))
+    assert h.partners(1) == (0,)
+
+
 def test_free_static_spins_have_zero_generator():
     h = SpinHamiltonian(2, np.zeros((2, 3)))
     gen = build_generator(h)

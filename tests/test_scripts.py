@@ -10,12 +10,12 @@ from corrdyn import cli
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(script: str) -> subprocess.CompletedProcess:
+def _run(script: str, *args: str) -> subprocess.CompletedProcess:
     # the child imports the same corrdyn as this test, installed or not
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script)],
+        [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -41,3 +41,21 @@ def test_entanglement_buildup_matches_exact_evolution():
     prefix = "# max deviation from exact evolution: "
     (line,) = [ln for ln in proc.stderr.splitlines() if ln.startswith(prefix)]
     assert float(line[len(prefix):]) <= 1e-12
+
+
+def test_output_digests_lists_every_output_file_once():
+    lines = _run("output_digests.py", "--seeds", "1", "2", "--scale", "tiny").stdout.splitlines()
+    rows = [line.split() for line in lines]
+    assert all(len(row) == 5 and len(row[4]) == 64 for row in rows), lines
+    # per seed: 2 trajectory, 8 sweep, 2 x 3 spectral and 4 decompose files
+    assert len(rows) == len({tuple(row[:4]) for row in rows}) == 40
+    for seed in ("1", "2"):
+        names = {(row[0], row[3]) for row in rows if row[1] == seed}
+        assert names == {
+            ("trajectory", "trajectory.csv"),
+            ("sweep", "trajectory.csv"),
+            ("spectral", "spectrum.csv"),
+            ("spectral", "resolvent.csv"),
+            ("spectral", "validate.txt"),
+            ("decompose", "decomposition.txt"),
+        }
