@@ -7,8 +7,10 @@ read), the seeded configs are written and each runs once through
 
     workload seed config file sha256
 
-Two checkouts that print the same lines write the same bytes.  BLAS runs on
-one thread, as in the benchmark.
+Two checkouts that print the same lines write the same bytes.  corrdyn is
+imported from this checkout's src/, put first on sys.path, and any other
+copy is refused, so each checkout runs its own code whatever is installed or
+on PYTHONPATH.  BLAS runs on one thread, as in the benchmark.
 
 Usage: python scripts/output_digests.py --seeds 1 2 [--scale tiny]
 """
@@ -23,6 +25,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def import_cli():
+    """corrdyn.cli from this checkout's src/, refusing any other copy."""
+    src = ROOT / "src"
+    sys.path.insert(0, str(src))
+    import corrdyn
+
+    if Path(corrdyn.__file__).resolve().parent != src / "corrdyn":
+        raise SystemExit(f"error: corrdyn imported from {corrdyn.__file__}, not {src}")
+    from corrdyn import cli
+
+    return cli
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
@@ -31,9 +46,9 @@ def main(argv=None) -> int:
 
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
-    sys.path.insert(0, str(ROOT / "perfbench"))
+    cli = import_cli()
+    sys.path.insert(1, str(ROOT / "perfbench"))
     import workloads
-    from corrdyn import cli
 
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:

@@ -346,7 +346,7 @@ def _task_decompose(cfg, gen, x0, out_dir: Path) -> None:
             f"subset={sites} norm_correlated={cnorm} "
             f"norm_cumulant={_fmt(np.linalg.norm(cparts[mask].matrix))}"
         )
-    defect = max((decomposition.trace_defect(p) for p in parts.values()), default=0.0)
+    defect = decomposition.max_trace_defect(parts.values())
     recon = decomposition.reconstruct(cfg.sites, singles, parts)
     crecon = decomposition.cumulant_reconstruct(cfg.sites, cparts)
     lines.append(f"max_single_cell_trace={_fmt(defect)}")

@@ -2,16 +2,40 @@
 
 Sets of cells are plain Python ints used as bitmasks (bit i set = site i is a
 member), which keeps all set algebra O(1).  Masks are limited to MAX_BITS
-sites, far beyond anything the dense machinery downstream can handle.
+sites, far beyond anything the dense machinery downstream can handle.  Every
+mask argument passes `check_mask`: a bool or a non-integer is refused, and a
+numpy integer becomes a Python int.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
 MAX_BITS = 24
+
+
+def as_int(value, what: str) -> int:
+    """`value` as a Python int; a bool or a non-integer raises ValueError.
+
+    numpy integers are converted with operator.index.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def check_mask(mask) -> int:
+    """`mask` as an int in the supported MAX_BITS-bit range, else ValueError."""
+    mask = as_int(mask, "mask")
+    if mask < 0 or mask >= 1 << MAX_BITS:
+        raise ValueError(f"mask {mask:#x} outside the supported {MAX_BITS}-bit range")
+    return mask
 
 
 def mask_of(sites) -> int:
@@ -24,12 +48,8 @@ def mask_of(sites) -> int:
 
 def bit_indices(mask: int) -> list[int]:
     """Ascending list of site indices contained in the mask."""
+    mask = check_mask(mask)
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def _check_mask(mask: int) -> None:
-    if mask < 0 or mask >= 1 << MAX_BITS:
-        raise ValueError(f"mask {mask:#x} outside the supported {MAX_BITS}-bit range")
 
 
 def enumerate_subsets(mask: int) -> Iterator[int]:
@@ -38,7 +58,7 @@ def enumerate_subsets(mask: int) -> Iterator[int]:
     The empty set is yielded first and `mask` itself last; a mask with n bits
     produces 2**n submasks.
     """
-    _check_mask(mask)
+    mask = check_mask(mask)
     sub = 0
     while True:
         yield sub
@@ -83,7 +103,6 @@ def enumerate_partitions(mask: int) -> Iterator[Partition]:
     the output order is canonical and duplicate-free by construction.  The
     number of partitions of an n-element set is the Bell number B_n.
     """
-    _check_mask(mask)
     sites = bit_indices(mask)
     n = len(sites)
     if n == 0:

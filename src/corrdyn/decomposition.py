@@ -28,9 +28,13 @@ over subsets; the matrices of all parts of one subset size are then formed
 from their coefficients in one batched transform.  The checks stay in matrix
 space and share nothing with that route: `reconstruct` rebuilds rho from the
 parts' matrices over the power set and `cumulant_reconstruct` over all B_N
-set partitions, by Kronecker products, and `trace_defect` traces cells out
-of them.  The partition sums over dense reduced matrices that defined the
-parts serve as the reference in the tests.
+set partitions, by Kronecker products whose qubits are put in ascending
+order by one gather of rows and columns, and `max_trace_defect` traces cells
+out of all parts of one subset size at once.  The partition sums over dense
+reduced matrices that defined the parts, with `np.kron` chains and axis
+transposes for their products, serve as the reference in the tests.  Every
+whole-state entry point refuses a state past DECOMPOSE_WORK_CAP before it
+allocates anything.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from . import pauli
 from .combinatorics import (
     bell_number,
     bit_indices,
+    check_mask,
     enumerate_partitions,
     enumerate_subsets,
     mask_of,
@@ -60,9 +65,9 @@ TRACE_ZERO_TOL = 1e-12
 
 # admit_decompose refuses a state of N sites when B_N * 4**N exceeds this:
 # cumulant_reconstruct sums B_N partitions of 4**N-entry matrices, and a
-# `corrdyn run` decompose of a W state took 2.4 s at 8 sites and 36 s at 9
-# (5.5e9) on one x86-64 vCPU, so the cap is about 11 minutes and admits
-# N <= 9 (10 sites need 1.2e11)
+# `corrdyn run` decompose of a W state took 2.2 s at 8 sites and 33 s at 9
+# (5.5e9) on one x86-64 vCPU (medians of 10 and 5 runs), so the cap is about
+# 10 minutes and admits N <= 9 (10 sites need 1.2e11)
 DECOMPOSE_WORK_CAP = 1e11
 
 
@@ -82,34 +87,52 @@ class CumulantPart:
     matrix: np.ndarray
 
 
-def permute_sites(mat: np.ndarray, sites: list[int]) -> np.ndarray:
+def permute_sites(
+    mat: np.ndarray, sites: list[int], buf: np.ndarray | None = None
+) -> np.ndarray:
     """Reorder the qubits of `mat` from the given order to ascending order.
 
     `sites[k]` is the site living on qubit k (least-significant first) of the
-    input matrix.
+    input matrix.  Rows and columns move by the same permutation of the 2**n
+    basis states, applied as one gather along each axis.  The row gather
+    goes into `buf` when it is given, so a caller permuting many matrices of
+    one size reuses one intermediate.
     """
     n = len(sites)
     target = sorted(sites)
     # qubit position of each site, most-significant axis first
     src = [n - 1 - sites.index(s) for s in reversed(target)]
-    perm = src + [n + a for a in src]
-    w = mat.reshape((2,) * (2 * n))
-    return np.transpose(w, perm).reshape(2**n, 2**n)
+    rows = np.arange(2**n).reshape((2,) * n).transpose(src).reshape(-1)
+    # the rows are a permutation, so "clip" never clips; under the default
+    # "raise" numpy would gather into a temporary and then copy it to `buf`
+    return np.take(mat, rows, 0, out=buf, mode="clip").take(rows, 1)
 
 
 def _kron_chain(mats: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
     """Kronecker product of `mats`, the first on the least-significant qubits.
 
     The last factor is multiplied straight into `out` when it is given, so a
-    caller summing many products of one size reuses one buffer.
+    caller summing many products of one size reuses one buffer.  There a
+    one-site block times an accumulated factor of 64 or 128 rows (N=7 or 8)
+    is their contiguous outer product, moved into `out` by one transposed
+    copy, and every other shape is one broadcast multiply: on one x86-64
+    vCPU that outer product made `cumulant_reconstruct` 12% faster at N=7
+    and 2% at N=8, while for 32 or 256 rows (N=6 or 9) it was slower than
+    the broadcast, and so was the outer product for every last factor
+    (`BENCH_18.json`, `layout_checks`).  Both multiply block entry by
+    accumulated entry, in that order, so the bits are the same.
     """
     mat = np.array([[1.0 + 0.0j]])
     for k, block in enumerate(mats, 1):
         # kron(block, mat) keeps the accumulated qubits on the low end
         d, e = len(block), len(mat)
         dest = out.reshape(d, e, d, e) if out is not None and k == len(mats) else None
-        mat = np.multiply(block[:, None, :, None], mat[None, :, None, :], out=dest)
-        mat = mat.reshape(d * e, d * e)
+        if dest is not None and d == 2 and 64 <= e <= 128:
+            np.copyto(dest, np.multiply.outer(block, mat).transpose(0, 2, 1, 3))
+            mat = out
+        else:
+            mat = np.multiply(block[:, None, :, None], mat[None, :, None, :], out=dest)
+            mat = mat.reshape(d * e, d * e)
     return mat
 
 
@@ -241,6 +264,7 @@ def correlated_part(rho: DensityMatrix, subset: int) -> CorrelatedPart:
     The single-cell component is identically zero by convention and is an
     error here so that callers handle it explicitly.
     """
+    subset = check_mask(subset)
     if subset.bit_count() < 2:
         raise ValueError("correlated component needs a subset of >= 2 cells")
     if subset >> rho.n_sites:
@@ -252,6 +276,7 @@ def correlated_part(rho: DensityMatrix, subset: int) -> CorrelatedPart:
 
 def correlated_parts(rho: DensityMatrix) -> dict[int, CorrelatedPart]:
     """rho^C for every subset with >= 2 cells, keyed by mask."""
+    admit_decompose(rho.n_sites)
     n = rho.n_sites
     full = (1 << n) - 1
     c = _correlated_grid(_state_grid(rho, full))
@@ -265,6 +290,7 @@ def correlated_parts(rho: DensityMatrix) -> dict[int, CorrelatedPart]:
 
 def cumulant_part(rho: DensityMatrix, subset: int) -> CumulantPart:
     """rho^CC of a nonempty subset, via the moment-cumulant recursion."""
+    subset = check_mask(subset)
     if subset == 0:
         raise ValueError("cumulant component of the empty set is undefined")
     if subset >> rho.n_sites:
@@ -276,21 +302,34 @@ def cumulant_part(rho: DensityMatrix, subset: int) -> CumulantPart:
 
 def cumulant_parts(rho: DensityMatrix) -> dict[int, CumulantPart]:
     """rho^CC for every nonempty subset, keyed by mask."""
+    admit_decompose(rho.n_sites)
     full = (1 << rho.n_sites) - 1
     kappa = _cumulant_blocks(_state_grid(rho, full))
     blocks = {mask: kappa[mask] for mask in enumerate_subsets(full) if mask}
     return {mask: CumulantPart(mask, m) for mask, m in _parts_by_size(blocks).items()}
 
 
-def trace_defect(part: CorrelatedPart) -> float:
-    """Largest |entry| left after tracing any single cell out of rho^C.
+def max_trace_defect(parts: Iterable[CorrelatedPart]) -> float:
+    """Largest |entry| left after tracing any single cell out of any rho^C.
 
-    The matrix is reshaped once to one (row, column) axis pair per cell, and
-    each cell is traced out over its own pair.
+    The parts of one subset size are stacked and reshaped once, to a batch
+    axis and one (row, column) axis pair per cell, and each cell is traced
+    out over its own pair for the whole stack.  No parts give 0.
     """
-    n = part.subset.bit_count()
-    w = part.matrix.reshape((2,) * (2 * n))
-    return max(float(np.max(np.abs(np.trace(w, 0, p, n + p)))) for p in range(n))
+    by_size: dict[int, list[np.ndarray]] = {}
+    for part in parts:
+        by_size.setdefault(part.subset.bit_count(), []).append(part.matrix)
+    worst = 0.0
+    for n, mats in by_size.items():
+        w = np.stack(mats).reshape((len(mats),) + (2,) * (2 * n))
+        for p in range(n):
+            worst = max(worst, float(np.max(np.abs(np.trace(w, 0, 1 + p, 1 + n + p)))))
+    return worst
+
+
+def trace_defect(part: CorrelatedPart) -> float:
+    """Largest |entry| left after tracing any single cell out of rho^C."""
+    return max_trace_defect([part])
 
 
 def _require_parts(parts: Mapping[int, object], masks: Iterable[int], kind: str) -> None:
@@ -312,6 +351,7 @@ def reconstruct(
     2**N - N contributing terms.  Every subset of two or more sites needs a
     part.
     """
+    admit_decompose(n_sites)
     if set(singles) != set(range(n_sites)):
         raise ValueError("need exactly one reduced matrix per site")
     full = (1 << n_sites) - 1
@@ -341,9 +381,10 @@ def cumulant_reconstruct(
     Every term is the Kronecker product of its blocks' parts as given, its
     last factor multiplied into one reused buffer.  The terms whose factors
     leave the sites in the same qubit order are summed first, so each order
-    is permuted to ascending once, not once per term.  Every nonempty subset
-    needs a part.
+    is permuted to ascending once, not once per term, with the term buffer
+    as the permutation's intermediate.  Every nonempty subset needs a part.
     """
+    admit_decompose(n_sites)
     full = (1 << n_sites) - 1
     _require_parts(parts, range(1, full + 1), "cumulant")
     sites = {b: tuple(bit_indices(b)) for b in range(1, full + 1)}
@@ -360,7 +401,7 @@ def cumulant_reconstruct(
         _kron_chain(group[0], staged)
         for factors in group[1:]:
             staged += _kron_chain(factors, term)
-        out += permute_sites(staged, list(order))
+        out += permute_sites(staged, list(order), term)
     return DensityMatrix(n_sites, out)
 
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import pauli
-from .combinatorics import bit_indices
+from .combinatorics import as_int, bit_indices
 from .errors import SizeCapError
 
 DENSE_SITE_CAP = 12
@@ -32,8 +32,11 @@ _VALUE_SLACK = 1e-6
 
 
 def admit_sites(n_sites: int) -> None:
-    """Raise SizeCapError past DENSE_SITE_CAP sites, the cap of every dense array."""
-    if n_sites > DENSE_SITE_CAP:
+    """Raise SizeCapError past DENSE_SITE_CAP sites, the cap of every dense array.
+
+    A site count that is a bool or not an integer raises ValueError.
+    """
+    if as_int(n_sites, "n_sites") > DENSE_SITE_CAP:
         raise SizeCapError(f"sites capped at {DENSE_SITE_CAP}, got {n_sites}")
 
 

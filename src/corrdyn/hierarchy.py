@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .combinatorics import bit_indices
+from .combinatorics import bit_indices, check_mask
 from .density import DensityMatrix, partial_trace_array
 from .errors import SizeCapError
 from .hamiltonian import SpinHamiltonian, restrict
@@ -336,6 +336,7 @@ def reduced_eom_residual(
     trajectory; the result is O(dt^2) purely from the finite difference.
     Needs one state per time and at least 3 of them.
     """
+    subset = check_mask(subset)
     times = np.asarray(times, dtype=float)
     if len(times) < 3:
         raise ValueError("need at least 3 trajectory points")
@@ -414,6 +415,7 @@ def admit_dense(n_sites: int) -> None:
 
 
 def split_sectors(n_sites: int, system1: int) -> CoupledSplit:
+    system1 = check_mask(system1)
     full = (1 << n_sites) - 1
     if system1 == 0 or system1 & ~full or system1 == full:
         raise ValueError("system1 must be a nonempty proper subset of the sites")

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .combinatorics import as_int
+
 PAULI = (
     np.eye(2, dtype=complex),
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -79,8 +81,8 @@ class PauliString:
     code: int
 
     def __post_init__(self):
-        if isinstance(self.code, bool) or not isinstance(self.code, (int, np.integer)):
-            raise ValueError(f"code must be an integer, got {self.code!r}")
+        as_int(self.n_sites, "n_sites")
+        as_int(self.code, "code")
         if not 0 <= self.code < 4**self.n_sites:
             raise ValueError(f"code {self.code} out of range for {self.n_sites} sites")
 
@@ -259,6 +261,7 @@ def parse_label(text: str, n_sites: int) -> Observable:
     Each token is one axis character in x, y, z, +, - immediately followed by
     a decimal site index; the empty string denotes the identity.
     """
+    as_int(n_sites, "n_sites")
     terms: list[tuple[complex, int]] = [(1.0 + 0.0j, 0)]
     seen = 0
     for tok in text.split():

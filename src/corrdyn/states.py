@@ -20,6 +20,7 @@ def pure_state(n_sites: int, amplitudes: np.ndarray) -> DensityMatrix:
 
 def cat_state(n_sites: int, phase: float = 0.0) -> DensityMatrix:
     """(|up..up> + e^{i phase}|down..down>)/sqrt(2)."""
+    admit_sites(n_sites)
     if n_sites < 1:
         raise ValueError("cat state needs at least one site")
     psi = np.zeros(2**n_sites, dtype=complex)
@@ -34,6 +35,7 @@ def ghz_state(n_sites: int) -> DensityMatrix:
 
 def w_state(n_sites: int) -> DensityMatrix:
     """Equal superposition of the states with exactly one site up."""
+    admit_sites(n_sites)
     if n_sites < 1:
         raise ValueError("w state needs at least one site")
     psi = np.zeros(2**n_sites, dtype=complex)

@@ -3,18 +3,57 @@
 The slow path that `corrdyn.decomposition` replaced: every part is a sum
 over subsets (rho^C) or set partitions (rho^CC) of Kronecker products of
 reduced 2**k x 2**k matrices.  The tests compare the correlator-basis route
-against it entry by entry at small N.
+against it entry by entry at small N.  Its Kronecker products are an
+`np.kron` chain and its qubit reorders one 2N-axis transpose, so these sums
+share no helper with `corrdyn.decomposition`.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from corrdyn.combinatorics import bit_indices, enumerate_partitions, enumerate_subsets
-from corrdyn.decomposition import CorrelatedPart, CumulantPart, embed_product
+from corrdyn.decomposition import CorrelatedPart, CumulantPart
 from corrdyn.density import DensityMatrix, partial_trace_array
+
+
+def permute_sites(mat: np.ndarray, sites: list[int]) -> np.ndarray:
+    """Reorder the qubits of `mat` from the order `sites` to ascending order.
+
+    `sites[k]` is the site on qubit k (least-significant first); the matrix
+    is reshaped to one axis per qubit of its rows and of its columns, and
+    the 2N axes are transposed at once.
+    """
+    n = len(sites)
+    target = sorted(sites)
+    # qubit position of each site, most-significant axis first
+    src = [n - 1 - sites.index(s) for s in reversed(target)]
+    perm = src + [n + a for a in src]
+    w = mat.reshape((2,) * (2 * n))
+    return np.transpose(w, perm).reshape(2**n, 2**n)
+
+
+def kron_chain(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product of `mats`, the first on the least-significant qubits."""
+    mat = np.array([[1.0 + 0.0j]])
+    for block in mats:
+        mat = np.kron(block, mat)
+    return mat
+
+
+def embed_product(factors: Iterable[tuple[int, np.ndarray]]) -> tuple[int, np.ndarray]:
+    """Tensor product over disjoint subsets, sites ordered ascending."""
+    union = 0
+    site_order: list[int] = []
+    mats = []
+    for mask, block in factors:
+        assert not mask & union
+        union |= mask
+        site_order += bit_indices(mask)
+        mats.append(block)
+    return union, permute_sites(kron_chain(mats), site_order)
 
 
 def reduced_matrices(rho: DensityMatrix) -> dict[int, np.ndarray]:

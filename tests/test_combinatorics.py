@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -104,3 +105,23 @@ def test_partition_validation():
 def test_bit_indices():
     assert bit_indices(0b101001) == [0, 3, 5]
     assert bit_indices(0) == []
+
+
+_NOT_INTEGERS = [True, False, np.bool_(True), 3.0, np.float64(3.0), "3", None]
+
+
+@pytest.mark.parametrize("mask", _NOT_INTEGERS, ids=repr)
+def test_masks_must_be_integers(mask):
+    calls = (bit_indices, lambda m: list(enumerate_subsets(m)),
+             lambda m: list(enumerate_partitions(m)))
+    for call in calls:
+        with pytest.raises(ValueError, match="mask must be an integer"):
+            call(mask)
+
+
+def test_numpy_integer_masks_act_as_ints():
+    assert bit_indices(np.int64(6)) == [1, 2]
+    subsets = list(enumerate_subsets(np.uint8(5)))
+    assert subsets == [0, 1, 4, 5] and all(type(m) is int for m in subsets)
+    expected = [p.blocks for p in enumerate_partitions(7)]
+    assert [p.blocks for p in enumerate_partitions(np.int64(7))] == expected

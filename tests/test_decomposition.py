@@ -223,3 +223,19 @@ def test_connected_pair_product_state():
 def test_ghz_three_point_connected():
     v = extract_correlators(states.ghz_state(3))
     assert abs(connected_triple(v, (0, 1, 2), ("x", "x", "x")) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("subset", [True, 3.0, np.float64(3.0)], ids=repr)
+def test_single_parts_refuse_a_mask_that_is_not_an_integer(subset):
+    rho = states.w_state(3)
+    for part in (correlated_part, cumulant_part):
+        with pytest.raises(ValueError, match="mask must be an integer"):
+            part(rho, subset)
+
+
+def test_single_parts_take_a_numpy_integer_mask(rng):
+    rho = random_mixed_state(rng, 3)
+    for part in (correlated_part, cumulant_part):
+        got = part(rho, np.int64(3))
+        assert type(got.subset) is int and got.subset == 3
+        assert np.array_equal(got.matrix, part(rho, 3).matrix)

@@ -1,6 +1,8 @@
 """The correlator-basis decomposition against the matrix-space reference."""
 
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,9 +24,98 @@ from corrdyn.decomposition import (
     cumulant_reconstruct,
 )
 from corrdyn.density import extract_correlators
+from corrdyn.errors import SizeCapError
 from corrdyn.pauli import PauliString
 
 TOL = 1e-12
+
+
+def _bits(a):
+    """The bit pattern of every entry, so signed zeros and NaNs compare too."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _random_complex(rng, dim):
+    """A random complex matrix with some entries +0.0 and -0.0 in each part."""
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    zeros = rng.random(a.shape) < 0.2
+    a.real[zeros] = np.where(rng.random(a.shape) < 0.5, -0.0, 0.0)[zeros]
+    zeros = rng.random(a.shape) < 0.2
+    a.imag[zeros] = np.where(rng.random(a.shape) < 0.5, -0.0, 0.0)[zeros]
+    return a
+
+
+def test_kron_chain_matches_the_np_kron_chain_bit_for_bit():
+    rng = np.random.default_rng(4300)
+    dims = [2**k for k in range(8)]
+    pairs = [(d, e) for d, e in itertools.product(dims, dims) if d * e <= 128]
+    # the outer product's largest accumulated factor and the next size up
+    for d, e in pairs + [(2, 128), (2, 256)]:
+        # e is the accumulated factor, d the block multiplied in last
+        mats = [_random_complex(rng, e), _random_complex(rng, d)]
+        expected = _bits(ref.kron_chain(mats))
+        assert np.array_equal(_bits(decomposition._kron_chain(mats)), expected), (d, e)
+        out = np.full((d * e, d * e), np.nan, dtype=complex)
+        got = decomposition._kron_chain(mats, out)
+        assert np.shares_memory(got, out)
+        assert np.array_equal(_bits(out), expected), (d, e)
+    # longer chains of one-site blocks and larger blocks
+    for sizes in [(2, 2, 2, 2, 2, 2, 2), (2, 4, 2, 8), (8, 2, 2, 2, 2), (4, 4, 2, 2, 2)]:
+        mats = [_random_complex(rng, s) for s in sizes]
+        out = np.empty((128, 128), dtype=complex)
+        decomposition._kron_chain(mats, out)
+        assert np.array_equal(_bits(out), _bits(ref.kron_chain(mats))), sizes
+
+
+def test_permute_sites_matches_the_transpose_bit_for_bit():
+    rng = np.random.default_rng(4400)
+    orders = [list(p) for n in range(1, 6) for p in itertools.permutations(range(n))]
+    for n in (6, 7):
+        # site labels need not be 0..n-1, only distinct
+        orders += [list(rng.choice(12, size=n, replace=False)) for _ in range(50)]
+    for sites in orders:
+        mat = _random_complex(rng, 2 ** len(sites))
+        expected = _bits(ref.permute_sites(mat, sites))
+        got = decomposition.permute_sites(mat, sites)
+        assert np.array_equal(_bits(got), expected), sites
+        buf = np.full_like(mat, np.nan)
+        got = decomposition.permute_sites(mat, sites, buf)
+        assert np.array_equal(_bits(got), expected), sites
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_max_trace_defect_equals_the_largest_reference_defect(n):
+    rng = np.random.default_rng(4500 + n)
+    for rho in (random_mixed_state(rng, n), states.w_state(n), states.ghz_state(n)):
+        parts = list(correlated_parts(rho).values())
+        # a part with weight left under a partial trace
+        parts.append(decomposition.CorrelatedPart((1 << n) - 1, rho.data))
+        for chosen in (parts[:-1], parts):
+            expected = max(ref.trace_defect(p) for p in chosen)
+            got = decomposition.max_trace_defect(chosen)
+            assert _bits(np.float64(got)) == _bits(np.float64(expected))
+    assert decomposition.max_trace_defect([]) == 0.0
+    assert decomposition.max_trace_defect(iter([])) == 0.0
+
+
+def test_decomposition_refuses_past_the_work_cap_before_allocating():
+    n = 10  # B_10 * 4**10 = 1.2e11 partition-entries
+    rho = states.w_state(n)
+    calls = [
+        lambda: correlated_parts(rho),
+        lambda: cumulant_parts(rho),
+        lambda: decomposition.reconstruct(n, {}, {}),
+        lambda: cumulant_reconstruct(n, {}),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError, match="decomposition of 10 sites capped"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def _states(n):

@@ -5,12 +5,14 @@ from corrdyn import oracle, states
 from corrdyn.density import (
     CorrelatorVector,
     DensityMatrix,
+    admit_sites,
     check_pure_two_qubit,
     diagnose_positivity,
     extract_correlators,
     from_correlators,
     operator_matrix,
     partial_trace,
+    partial_trace_array,
     purity,
     purity_from_correlators,
 )
@@ -259,3 +261,33 @@ def test_operator_matrix_of_a_stack_equals_one_call_per_vector(rng, n, k, dtype)
     assert stack.shape == (k, 2**n, 2**n)
     for j in range(k):
         assert np.array_equal(stack[j], operator_matrix(values[:, j]))
+
+
+@pytest.mark.parametrize("n", [True, 2.0, np.float64(2.0), "2"], ids=repr)
+def test_site_counts_must_be_integers(n):
+    makers = [
+        admit_sites,
+        lambda n: DensityMatrix(n, np.eye(4) / 4),
+        lambda n: CorrelatorVector(n, np.eye(16)[0]),
+        states.ghz_state,
+        states.w_state,
+        lambda n: states.cat_state(n, 0.5),
+    ]
+    for make in makers:
+        with pytest.raises(ValueError, match="n_sites must be an integer"):
+            make(n)
+
+
+def test_numpy_integer_site_counts_are_taken():
+    rho = states.ghz_state(np.int64(2))
+    assert np.array_equal(rho.data, states.ghz_state(2).data)
+
+
+@pytest.mark.parametrize("keep", [True, 1.0], ids=repr)
+def test_partial_trace_refuses_a_mask_that_is_not_an_integer(keep):
+    rho = states.ghz_state(3)
+    with pytest.raises(ValueError, match="mask must be an integer"):
+        partial_trace(rho, keep)
+    with pytest.raises(ValueError, match="mask must be an integer"):
+        partial_trace_array(rho.data, 3, keep)
+    assert np.array_equal(partial_trace(rho, np.int64(1)).data, partial_trace(rho, 1).data)

@@ -356,6 +356,8 @@ def test_reduced_eom_needs_one_state_per_time(rng):
         reduced_eom_residual(h, times, rhos[:3], 0b01)
     with pytest.raises(ValueError, match="4 states for 3 times"):
         reduced_eom_residual(h, times[:3], rhos, 0b01)
+    with pytest.raises(ValueError, match="mask must be an integer"):
+        reduced_eom_residual(h, times, rhos, 1.0)
 
 
 def test_spectrum_matches_energy_differences(rng):
@@ -379,3 +381,16 @@ def test_kernel_counts_degenerate_pair():
 
     rep = spectrum(gen)
     assert rep.kernel_dim > 3
+
+
+@pytest.mark.parametrize("system1", [True, 1.0], ids=repr)
+def test_split_sectors_refuses_a_mask_that_is_not_an_integer(system1):
+    with pytest.raises(ValueError, match="mask must be an integer"):
+        split_sectors(3, system1)
+    with pytest.raises(ValueError, match="mask must be an integer"):
+        restrict(random_hamiltonian(3, np.random.default_rng(0)), system1)
+
+
+def test_split_sectors_takes_a_numpy_integer_mask():
+    split = split_sectors(3, np.int64(1))
+    assert type(split.system1) is int and split == split_sectors(3, 1)

@@ -186,3 +186,16 @@ def test_matrix_embedding_site_order():
     assert np.allclose(np.diag(z0), [1, -1, 1, -1])
     z1 = PauliString.from_axes(2, {1: "z"}).matrix()
     assert np.allclose(np.diag(z1), [1, 1, -1, -1])
+
+
+@pytest.mark.parametrize("n", [True, 2.0, np.float64(2.0)], ids=repr)
+def test_pauli_site_counts_must_be_integers(n):
+    with pytest.raises(ValueError, match="n_sites must be an integer"):
+        PauliString(n, 1)
+    with pytest.raises(ValueError, match="n_sites must be an integer"):
+        parse_label("x0", n)
+
+
+def test_pauli_site_counts_take_numpy_integers():
+    assert np.array_equal(PauliString(np.int64(2), 7).matrix(), PauliString(2, 7).matrix())
+    assert parse_label("x0 z1", np.int64(2)).code == parse_label("x0 z1", 2).code

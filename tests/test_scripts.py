@@ -59,3 +59,30 @@ def test_output_digests_lists_every_output_file_once():
             ("spectral", "validate.txt"),
             ("decompose", "decomposition.txt"),
         }
+
+
+def _digests(script: Path, pythonpath: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(script), "--seeds", "1", "--scale", "tiny"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+
+
+def test_output_digests_runs_its_own_checkout(tmp_path):
+    decoy = tmp_path / "decoy"
+    (decoy / "corrdyn").mkdir(parents=True)
+    (decoy / "corrdyn" / "__init__.py").write_text("DECOY = True\n")
+    script = ROOT / "scripts" / "output_digests.py"
+    proc = _digests(script, str(decoy))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == _digests(script, "").stdout
+    assert len(proc.stdout.splitlines()) == 20
+    # a copy of the script with no src/ beside it refuses the decoy
+    lone = tmp_path / "lone" / "scripts" / "output_digests.py"
+    lone.parent.mkdir(parents=True)
+    lone.write_text(script.read_text())
+    proc = _digests(lone, str(decoy))
+    assert proc.returncode != 0 and not proc.stdout
+    assert proc.stderr.startswith(f"error: corrdyn imported from {decoy / 'corrdyn'}")
