@@ -73,7 +73,8 @@ class Partition:
     """A set partition: pairwise-disjoint nonempty blocks covering the input set.
 
     Blocks are ordered by their smallest element, which is the canonical order
-    produced by restricted-growth enumeration.
+    produced by restricted-growth enumeration.  A block that is a bool, not an
+    integer, or <= 0 raises ValueError; numpy integers are stored as ints.
     """
 
     blocks: tuple[int, ...]
@@ -82,8 +83,13 @@ class Partition:
         seen = 0
         prev_low = -1
         for b in self.blocks:
-            if b == 0:
-                raise ValueError("partition blocks must be nonempty")
+            if type(b) is not int:
+                # a bool or non-integer raises; other integers become ints
+                blocks = tuple(int(as_int(c, "partition block")) for c in self.blocks)
+                object.__setattr__(self, "blocks", blocks)
+                return self.__post_init__()
+            if b <= 0:
+                raise ValueError(f"partition blocks must be nonempty masks (> 0), got {b}")
             if b & seen:
                 raise ValueError("partition blocks must be disjoint")
             low = b & -b

@@ -6,7 +6,11 @@ truncated-Taylor sparse matvecs (Al-Mohy & Higham 2011).  The Taylor
 degree and scaling depend only on hM, so they are chosen once per distinct
 interval h between recorded samples, by the 1-norm rule scipy's
 expm_multiply applies while ||hM||_1 <= 63.36; in that range the result is
-bit-identical to calling expm_multiply per sample.  That identity is why
+bit-identical to calling expm_multiply per sample: each Taylor term is the
+same product, scaling and sum as scipy's, made in place with one |.| pass,
+and the partial sum's infinity norm is computed only when a running upper
+bound on it lets scipy's stopping test pass, which then decides on the
+exact norm, so every sub-step ends at scipy's term.  That identity is why
 expm multiplies by the assembled CSR M, while RK4 applies M through
 Generator.apply: from five sites on, the Kronecker sum of the generators of
 the two halves of the sites plus their sparse interaction, the same M
@@ -162,21 +166,52 @@ def _taylor_action(plan: _TaylorPlan, x: np.ndarray) -> np.ndarray:
     """exp(a) x by the plan's truncated Taylor series (Al-Mohy & Higham, alg. 3.2).
 
     A sub-step stops early once two consecutive terms fall below 2**-53
-    of the partial sum, in the infinity norm.
+    of the partial sum, in the infinity norm: c1 + c2 <= 2**-53 ||f||_inf,
+    the test scipy's expm_multiply makes after every term.  Each term is
+    one product a @ x, scaled and added to f in place, with the same
+    operands in the same order as scipy, and one |.| pass for c2 = ||x||_inf.
+
+    ||f||_inf is computed, with a second |.| pass, only when a running
+    bound U (`bound`) lets the test pass, c1 + c2 <= 2**-53 U; the term is
+    accepted only by the exact test on the computed f, and U is then reset
+    to ||f||_inf.  U >= ||f||_inf whenever ||f||_inf is not NaN: U starts
+    each sub-step at fl(c1 (1 + 2**-50)) >= c1 = ||f||_inf, where f is x,
+    and after a term every entry of the new f is fl(f_i + x_i), with
+    |fl(f_i + x_i)| <= fl(|f_i| + |x_i|) <= fl(U + c2)
+    <= fl(fl(U + c2) (1 + 2**-50)), the new U, because rounding is
+    monotone (the factor 1 + 2**-50 is slack on top).  U turns NaN only
+    through a NaN c1, c2 or ||f||_inf, each of which leaves a NaN in f for
+    the rest of the sub-step.  So whenever scipy's test passes,
+    c1 + c2 <= 2**-53 ||f||_inf <= 2**-53 U (scaling by 2**-53 is monotone
+    as well), the bound passes too and the exact test is made: every
+    sub-step stops at scipy's term, for NaN and inf entries too, and every
+    output bit is scipy's.
     """
     a, m_star, s = plan
-    f = x
+    f = np.array(x, dtype=float)
+    buf = np.empty_like(f)
+    slack = 1.0 + 2.0**-50
     for _ in range(s):
-        c1 = np.max(np.abs(x))
-        for j in range(m_star):
-            x = (1.0 / (s * (j + 1))) * (a @ x)
-            c2 = np.max(np.abs(x))
-            f = f + x
-            if c1 + c2 <= _TAYLOR_TOL * np.max(np.abs(f)):
-                break
-            c1 = c2
         x = f
+        c1 = np.abs(f, out=buf).max()
+        bound = c1 * slack
+        for j in range(m_star):
+            x = a @ x
+            x *= 1.0 / (s * (j + 1))
+            c2 = np.abs(x, out=buf).max()
+            f += x
+            bound = (bound + c2) * slack
+            if c1 + c2 <= _TAYLOR_TOL * bound:
+                bound = np.abs(f, out=buf).max()
+                if c1 + c2 <= _TAYLOR_TOL * bound:
+                    break
+            c1 = c2
     return f
+
+
+def _is_bool(value) -> bool:
+    """True for a Python or numpy bool, which no real-valued argument takes."""
+    return isinstance(value, (bool, np.bool_))
 
 
 def _budget_step(norm: float) -> float:
@@ -221,20 +256,21 @@ def evolve(
     samples take at most two lengths (stride steps, and the remainder
     before the last sample); expm scales M and chooses its Taylor degree
     and scaling once per length, so each sample costs only its matvecs.
-    t_max > 0 is rounded to a whole number of steps.  Raises SizeCapError
+    t_max > 0 is rounded to a whole number of steps; a t_max or dt that is
+    a bool, Python's or numpy's, raises ValueError.  Raises SizeCapError
     before allocating when admit_grid refuses the grid, and before stepping
     when the matvecs (4 per rk4 step; m_star * s per expm interval, from
     its plan) times nnz(M) + MATVEC_OVERHEAD exceed WORK_CAP.
     """
     if x0.n_sites != gen.n_sites:
         raise ValueError("state and generator site counts differ")
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
+    if _is_bool(t_max) or not t_max > 0:
+        raise ValueError("t_max must be a positive number")
     norm = gen.infinity_norm()
     if dt is None:
         dt = _budget_step(norm)
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if _is_bool(dt) or not dt > 0:
+        raise ValueError("dt must be a positive number")
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError("stride must be an integer >= 1")
     if method not in ("rk4", "expm"):
@@ -408,7 +444,7 @@ def spectrum(gen: Generator, broadening: float | None = None) -> SpectralReport:
     (to 1 if M vanishes).
     """
     if broadening is not None and (
-        isinstance(broadening, bool) or not (math.isfinite(broadening) and broadening > 0)
+        _is_bool(broadening) or not (math.isfinite(broadening) and broadening > 0)
     ):
         raise ValueError("broadening must be a finite number > 0")
     admit_dense(gen.n_sites)

@@ -102,6 +102,20 @@ def test_partition_validation():
         Partition((0b01, 0))  # empty block
 
 
+@pytest.mark.parametrize(
+    "blocks", [(True, 2), (np.True_,), (1.5,), ("1",), (None,), (-1,), (1, -2)], ids=repr
+)
+def test_partition_refuses_blocks_that_are_not_positive_integers(blocks):
+    with pytest.raises(ValueError, match="partition block"):
+        Partition(blocks)
+
+
+def test_partition_stores_numpy_integer_blocks_as_ints():
+    p = Partition((np.int64(1), np.uint8(6)))
+    assert p == Partition((1, 6)) and hash(p) == hash(Partition((1, 6)))
+    assert all(type(b) is int for b in p.blocks)
+
+
 def test_bit_indices():
     assert bit_indices(0b101001) == [0, 3, 5]
     assert bit_indices(0) == []

@@ -80,6 +80,16 @@ def test_evolve_refuses_a_stride_that_is_not_an_integer_of_at_least_one(method, 
 
 
 @pytest.mark.parametrize("method", ["rk4", "expm"])
+@pytest.mark.parametrize("arg", ["t_max", "dt"])
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy_bool"])
+def test_evolve_refuses_a_bool_t_max_or_dt(method, arg, flag):
+    gen = build_generator(SpinHamiltonian(1, [[0.0, 0.0, 0.1]]))
+    times = {"t_max": 0.5, "dt": 0.1, arg: flag}
+    with pytest.raises(ValueError, match=f"{arg} must be a positive number"):
+        evolve(gen, unit_vector(1), method=method, **times)
+
+
+@pytest.mark.parametrize("method", ["rk4", "expm"])
 def test_evolve_takes_a_numpy_integer_stride(method):
     gen = build_generator(SpinHamiltonian(1, [[1.0, 0.0, 0.0]]))
     x0 = unit_vector(1, **{"3": 1.0})
@@ -201,7 +211,9 @@ def test_broadened_density_is_lorentzian_sum(rng):
     assert np.max(np.abs(manual - rep.density)) < 1e-9
 
 
-@pytest.mark.parametrize("broadening", [-0.5, 0.0, float("inf"), float("nan"), True])
+@pytest.mark.parametrize(
+    "broadening", [-0.5, 0.0, float("inf"), float("nan"), True, np.True_]
+)
 def test_spectrum_refuses_a_broadening_that_is_not_finite_and_positive(rng, broadening):
     gen = build_generator(random_hamiltonian(2, rng))
     with pytest.raises(ValueError, match="broadening"):

@@ -3,10 +3,11 @@ scipy, and `dyson_series` against the dense-solve Dyson series."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from corrdyn import oracle, states
 from corrdyn.density import extract_correlators, from_correlators
-from corrdyn.dynamics import _one_norm, _taylor_plan, dyson_series, evolve
+from corrdyn.dynamics import _one_norm, _taylor_action, _taylor_plan, dyson_series, evolve
 from corrdyn.hamiltonian import SpinHamiltonian, random_hamiltonian
 from corrdyn.hierarchy import build_generator, decompose_blocks, split_sectors
 from conftest import random_mixed_state
@@ -95,6 +96,51 @@ def test_norms_equal_scipy_expressions(rng, n):
             assert np.shares_memory(plan.a.indptr, m.indptr)
             assert m.nnz == 0 or np.shares_memory(plan.a.indices, m.indices)
             assert _one_norm(plan.a) == float(abs(m * step).sum(axis=0).max()), name
+
+
+# ||hM||_1 targets whose plans take one (up to 9), two (15), five (40) and
+# seven (63) sub-steps, all inside the range where scipy picks its plan from
+# the 1-norm alone
+_SCALED_NORMS = (0.05, 2.0, 9.0, 15.0, 40.0, 63.0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_taylor_action_is_bit_identical_to_scipy(rng, n):
+    gen = build_generator(random_hamiltonian(n, rng, 0.8, 0.6))
+    m = gen.matrix
+    norm = _one_norm(m)
+    x = product_state(n, rng).values
+    covered = set()
+    for target in _SCALED_NORMS:
+        h = target / norm
+        plan = _taylor_plan(m, h)
+        assert _one_norm(plan.a) <= _ONE_NORM_RANGE
+        covered.add(plan.s)
+        assert np.array_equal(_taylor_action(plan, x), spla.expm_multiply(m * h, x)), target
+    assert {1, 2} <= covered and max(covered) >= 3, covered
+
+
+@pytest.mark.parametrize("zero", [False, True], ids=["random", "zero"])
+def test_taylor_action_leaves_its_input_unchanged(rng, zero):
+    h = SpinHamiltonian(3, np.zeros((3, 3))) if zero else random_hamiltonian(3, rng)
+    plan = _taylor_plan(build_generator(h).matrix, 0.7)
+    x = product_state(3, rng).values
+    before = x.copy()
+    f = _taylor_action(plan, x)
+    assert np.array_equal(x, before)
+    assert not np.shares_memory(f, x)
+
+
+@pytest.mark.parametrize("zero", [False, True], ids=["random", "zero"])
+def test_evolve_rows_are_not_views_of_each_other(rng, zero):
+    h = SpinHamiltonian(3, np.zeros((3, 3))) if zero else random_hamiltonian(3, rng)
+    x0 = product_state(3, rng)
+    rows = evolve(build_generator(h), x0, 0.3, dt=0.01, stride=7, method="expm").values
+    assert rows.shape[0] == 6
+    assert not np.shares_memory(rows, x0.values)
+    assert not any(
+        np.shares_memory(rows[i], rows[j]) for i in range(len(rows)) for j in range(i)
+    )
 
 
 def test_expm_leaves_the_generator_arrays_unchanged(rng):
