@@ -73,13 +73,16 @@ class Partition:
     """A set partition: pairwise-disjoint nonempty blocks covering the input set.
 
     Blocks are ordered by their smallest element, which is the canonical order
-    produced by restricted-growth enumeration.  A block that is a bool, not an
-    integer, or <= 0 raises ValueError; numpy integers are stored as ints.
+    produced by restricted-growth enumeration.  They are stored as a tuple of
+    ints: a block that is a bool, not an integer, <= 0 or past MAX_BITS bits
+    raises ValueError, and numpy integers become ints.
     """
 
     blocks: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.blocks) is not tuple:
+            object.__setattr__(self, "blocks", tuple(self.blocks))
         seen = 0
         prev_low = -1
         for b in self.blocks:
@@ -88,8 +91,8 @@ class Partition:
                 blocks = tuple(int(as_int(c, "partition block")) for c in self.blocks)
                 object.__setattr__(self, "blocks", blocks)
                 return self.__post_init__()
-            if b <= 0:
-                raise ValueError(f"partition blocks must be nonempty masks (> 0), got {b}")
+            if not 0 < b < 1 << MAX_BITS:
+                raise ValueError(f"partition block {b} outside 1..2**{MAX_BITS}-1")
             if b & seen:
                 raise ValueError("partition blocks must be disjoint")
             low = b & -b
@@ -139,8 +142,11 @@ def bell_number(n: int) -> int:
     """B_n, the number of partitions of an n-element set.
 
     From B_{m+1} = sum_k C(m, k) B_k: the block holding the last element
-    leaves some k of the other m elements to be partitioned.
+    leaves some k of the other m elements to be partitioned.  A negative or
+    non-integer n raises ValueError.
     """
+    if as_int(n, "n") < 0:
+        raise ValueError(f"bell_number needs n >= 0, got {n}")
     b = [1]
     for m in range(n):
         b.append(sum(math.comb(m, k) * b[k] for k in range(m + 1)))

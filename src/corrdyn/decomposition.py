@@ -26,15 +26,15 @@ subset.  The correlated coefficients are one per-site triangular transform
 of x, and the cumulant coefficients follow the moment-cumulant recursion
 over subsets; the matrices of all parts of one subset size are then formed
 from their coefficients in one batched transform.  The checks stay in matrix
-space and share nothing with that route: `reconstruct` rebuilds rho from the
-parts' matrices over the power set and `cumulant_reconstruct` over all B_N
-set partitions, by Kronecker products whose qubits are put in ascending
-order by one gather of rows and columns, and `max_trace_defect` traces cells
-out of all parts of one subset size at once.  The partition sums over dense
-reduced matrices that defined the parts, with `np.kron` chains and axis
-transposes for their products, serve as the reference in the tests.  Every
-whole-state entry point refuses a state past DECOMPOSE_WORK_CAP before it
-allocates anything.
+space and share nothing with that route.  One loop, `_sum_of_products`,
+forms and sums the Kronecker products of both reconstructions, over the
+power set in `reconstruct` and over all B_N set partitions, grouped by the
+qubit order of their factors, in `cumulant_reconstruct`; each group is put in
+ascending order once, by one gather of rows and columns.  `max_trace_defect`
+traces cells out of all parts of one subset size at once.  The tests'
+reference sums dense reduced matrices with `np.kron` chains and transposes.
+Every whole-state entry point refuses a state past DECOMPOSE_WORK_CAP before
+it allocates anything.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ import numpy as np
 
 from . import pauli
 from .combinatorics import (
+    as_int,
     bell_number,
     bit_indices,
     check_mask,
@@ -136,21 +137,21 @@ def _kron_chain(mats: Sequence[np.ndarray], out: np.ndarray | None = None) -> np
     return mat
 
 
-def embed_product(factors: Iterable[tuple[int, np.ndarray]]) -> tuple[int, np.ndarray]:
-    """Tensor product of operators on pairwise-disjoint subsets.
+def _sum_of_products(n_sites: int, groups: Iterable[tuple]) -> np.ndarray:
+    """Sum over groups (order, terms) of Kronecker products on N sites.
 
-    Returns (union mask, matrix) with the union's sites ordered ascending.
+    A group's terms, lists of blocks for `_kron_chain`, are formed in two
+    reused buffers and summed; `order[k]` is the site on qubit k of each, and
+    the sum is put in ascending order once, the term buffer its intermediate.
     """
-    union = 0
-    site_order: list[int] = []
-    mats = []
-    for mask, block in factors:
-        if mask & union:
-            raise ValueError("factors must live on disjoint subsets")
-        union |= mask
-        site_order += bit_indices(mask)
-        mats.append(block)
-    return union, permute_sites(_kron_chain(mats), site_order)
+    out = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
+    staged, term = np.empty_like(out), np.empty_like(out)
+    for order, terms in groups:
+        acc = _kron_chain(terms[0], staged)  # a fresh [[1]] for zero sites
+        for blocks in terms[1:]:
+            acc += _kron_chain(blocks, term)
+        out += permute_sites(acc, list(order), term)
+    return out
 
 
 def _marginal(values: np.ndarray, n_sites: int, subset: int) -> np.ndarray:
@@ -332,10 +333,12 @@ def trace_defect(part: CorrelatedPart) -> float:
     return max_trace_defect([part])
 
 
-def _require_parts(parts: Mapping[int, object], masks: Iterable[int], kind: str) -> None:
-    """Raise ValueError naming the first mask in `masks` that has no part."""
-    for mask in masks:
-        if mask not in parts:
+def _check_parts(parts: Mapping[int, object], n_sites: int, least: int, kind: str) -> None:
+    """Refuse any key but a subset of >= `least` of the N sites; name any missing."""
+    if any(as_int(m, f"{kind} part key") >> n_sites or m.bit_count() < least for m in parts):
+        raise ValueError(f"{kind} parts inconsistent with site count")
+    for mask in range(1 << n_sites):
+        if mask.bit_count() >= least and mask not in parts:
             sites = ",".join(map(str, bit_indices(mask)))
             raise ValueError(f"missing the {kind} part of subset {{{sites}}}")
 
@@ -348,29 +351,22 @@ def reconstruct(
     """Reassemble rho from single-cell reduced matrices and all rho^C.
 
     The sum runs over the power set; single-cell subsets drop out, leaving
-    2**N - N contributing terms.  Every subset of two or more sites needs a
-    part.
+    2**N - N terms.  The term of subset A is the Kronecker product of the
+    reduced matrices of the cells outside A, ascending, and then rho^C_A.
+    Every subset of two or more sites needs a part.
     """
     admit_decompose(n_sites)
     if set(singles) != set(range(n_sites)):
         raise ValueError("need exactly one reduced matrix per site")
-    full = (1 << n_sites) - 1
-    if any(mask >> n_sites or mask.bit_count() < 2 for mask in parts):
-        raise ValueError("correlated parts inconsistent with site count")
-    _require_parts(parts, (m for m in range(full + 1) if m.bit_count() >= 2), "correlated")
-    out = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
-    terms = 0
-    for sub in enumerate_subsets(full):
-        size = sub.bit_count()
-        if size == 1:
-            continue
-        factors = [(1 << j, singles[j]) for j in range(n_sites) if not sub >> j & 1]
-        if size >= 2:
-            factors.append((sub, parts[sub].matrix))
-        out += embed_product(factors)[1]
-        terms += 1
-    assert terms == 2**n_sites - n_sites
-    return DensityMatrix(n_sites, out)
+    _check_parts(parts, n_sites, 2, "correlated")
+    groups = []
+    for sub in enumerate_subsets((1 << n_sites) - 1):
+        if sub.bit_count() != 1:
+            rest = [j for j in range(n_sites) if not sub >> j & 1]
+            blocks = [singles[j] for j in rest] + ([parts[sub].matrix] if sub else [])
+            groups.append((rest + bit_indices(sub), [blocks]))
+    assert len(groups) == 2**n_sites - n_sites
+    return DensityMatrix(n_sites, _sum_of_products(n_sites, groups))
 
 
 def cumulant_reconstruct(
@@ -378,31 +374,20 @@ def cumulant_reconstruct(
 ) -> DensityMatrix:
     """Reassemble rho as the sum over all B_N partitions of cumulant products.
 
-    Every term is the Kronecker product of its blocks' parts as given, its
-    last factor multiplied into one reused buffer.  The terms whose factors
-    leave the sites in the same qubit order are summed first, so each order
-    is permuted to ascending once, not once per term, with the term buffer
-    as the permutation's intermediate.  Every nonempty subset needs a part.
+    The terms whose factors leave the sites in the same qubit order form one
+    group, permuted to ascending order once.  Every nonempty subset needs a
+    part.
     """
     admit_decompose(n_sites)
+    _check_parts(parts, n_sites, 1, "cumulant")
     full = (1 << n_sites) - 1
-    _require_parts(parts, range(1, full + 1), "cumulant")
     sites = {b: tuple(bit_indices(b)) for b in range(1, full + 1)}
     mats = {b: parts[b].matrix for b in range(1, full + 1)}
     by_order: dict[tuple[int, ...], list[list[np.ndarray]]] = {}
     for p in enumerate_partitions(full):
         order = sum((sites[b] for b in p.blocks), ())
         by_order.setdefault(order, []).append([mats[b] for b in p.blocks])
-    dim = 2**n_sites
-    out = np.zeros((dim, dim), dtype=complex)
-    staged = np.empty_like(out)
-    term = np.empty_like(out)
-    for order, group in by_order.items():
-        _kron_chain(group[0], staged)
-        for factors in group[1:]:
-            staged += _kron_chain(factors, term)
-        out += permute_sites(staged, list(order), term)
-    return DensityMatrix(n_sites, out)
+    return DensityMatrix(n_sites, _sum_of_products(n_sites, by_order.items()))
 
 
 def _connected(v: CorrelatorVector, axes: dict[int, str]) -> float:

@@ -161,9 +161,11 @@ class Generator:
         return self._split.apply(x)
 
     def infinity_norm(self) -> float:
-        """max_r sum_c |M_rc|, summed as scipy sums the rows of abs(M).
+        """max_r sum_c |M_rc|, the value of scipy's abs(M).sum(axis=1).max().
 
-        The rows are read ROW_CHUNK at a time, so no copy of M is made.
+        The rows are read ROW_CHUNK at a time, so no copy of M is made, and
+        summed by np.add.reduceat, in numpy's pairwise order, not one entry
+        after another, as scipy 1.17 sums CSR rows; the tests check the max.
         """
         m = self.matrix
         best = 0.0

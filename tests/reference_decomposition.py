@@ -3,7 +3,8 @@
 The slow path that `corrdyn.decomposition` replaced: every part is a sum
 over subsets (rho^C) or set partitions (rho^CC) of Kronecker products of
 reduced 2**k x 2**k matrices.  The tests compare the correlator-basis route
-against it entry by entry at small N.  Its Kronecker products are an
+against it entry by entry at small N, and `corrdyn.decomposition.reconstruct`
+against its power-set sum bit for bit.  Its Kronecker products are an
 `np.kron` chain and its qubit reorders one 2N-axis transpose, so these sums
 share no helper with `corrdyn.decomposition`.
 """
@@ -116,6 +117,29 @@ def cumulant_parts(rho: DensityMatrix) -> dict[int, CumulantPart]:
     red = reduced_matrices(rho)
     memo: dict[int, np.ndarray] = {}
     return {mask: CumulantPart(mask, _cumulant_matrix(mask, red, memo)) for mask in red}
+
+
+def reconstruct(
+    n_sites: int, singles: Mapping[int, np.ndarray], parts: Mapping[int, CorrelatedPart]
+) -> DensityMatrix:
+    """The power-set sum of (prod_{j not in A} rbar_j) rho^C_A, term by term.
+
+    Terms come in `enumerate_subsets` order, each with the cells outside A
+    ascending and then rho^C_A; single-cell subsets drop out.
+    """
+    full = (1 << n_sites) - 1
+    out = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
+    terms = 0
+    for sub in enumerate_subsets(full):
+        if sub.bit_count() == 1:
+            continue
+        factors = [(1 << j, singles[j]) for j in bit_indices(full ^ sub)]
+        if sub:
+            factors.append((sub, parts[sub].matrix))
+        out += embed_product(factors)[1]
+        terms += 1
+    assert terms == 2**n_sites - n_sites
+    return DensityMatrix(n_sites, out)
 
 
 def cumulant_reconstruct(n_sites: int, parts: Mapping[int, CumulantPart]) -> DensityMatrix:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from corrdyn.combinatorics import (
+    MAX_BITS,
     Partition,
     bell_number,
     bit_indices,
@@ -68,6 +69,13 @@ def test_partition_count_matches_bell_triangle(n):
 def test_bell_number_matches_bell_triangle():
     assert [bell_number(n) for n in range(1, 13)] == [bell_triangle(n) for n in range(1, 13)]
     assert bell_number(9) == 21147
+    assert bell_number(0) == 1 and bell_number(np.int64(4)) == 15
+
+
+@pytest.mark.parametrize("n", [-1, -5, 2.5, True, np.True_, "3", None], ids=repr)
+def test_bell_number_refuses_a_negative_or_non_integer_n(n):
+    with pytest.raises(ValueError, match="n must be an integer|needs n >= 0"):
+        bell_number(n)
 
 
 def test_partition_of_empty_set_is_an_error():
@@ -114,6 +122,22 @@ def test_partition_stores_numpy_integer_blocks_as_ints():
     p = Partition((np.int64(1), np.uint8(6)))
     assert p == Partition((1, 6)) and hash(p) == hash(Partition((1, 6)))
     assert all(type(b) is int for b in p.blocks)
+
+
+def test_partition_stores_its_blocks_as_a_tuple():
+    for blocks in ([1, 6], iter([1, 6]), [np.int64(1), 6]):
+        p = Partition(blocks)
+        assert type(p.blocks) is tuple and p.blocks == (1, 6)
+        assert p == Partition((1, 6)) and hash(p) == hash(Partition((1, 6)))
+
+
+@pytest.mark.parametrize(
+    "blocks", [(1 << MAX_BITS,), (1, 1 << 40), (np.int64(1 << 40),)], ids=repr
+)
+def test_partition_refuses_a_block_past_max_bits(blocks):
+    with pytest.raises(ValueError, match="partition block"):
+        Partition(blocks)
+    assert Partition(((1 << MAX_BITS) - 1,)).blocks == ((1 << MAX_BITS) - 1,)
 
 
 def test_bit_indices():

@@ -11,13 +11,13 @@ from corrdyn.decomposition import (
     cumulant_part,
     cumulant_parts,
     cumulant_reconstruct,
-    embed_product,
     permute_sites,
     reconstruct,
     trace_defect,
 )
 from corrdyn.density import extract_correlators, partial_trace_array
 from conftest import random_mixed_state, up_right_mixture
+from reference_decomposition import embed_product
 
 
 def brute_force_correlated(rho, subset):
@@ -57,22 +57,6 @@ def test_permute_sites_round_trip(rng):
     out = permute_sites(mat, [2, 0, 1])
     back = permute_sites(out, [1, 2, 0])
     assert np.max(np.abs(back - mat)) < 1e-15
-
-
-def test_embed_product_orders_sites():
-    a = np.array([[1.0, 0.0], [0.0, -1.0]])  # z on site 2
-    b = np.array([[0.0, 1.0], [1.0, 0.0]])  # x on site 0
-    mask, mat = embed_product([(0b100, a), (0b001, b)])
-    assert mask == 0b101
-    from corrdyn.pauli import PauliString
-
-    expected = PauliString.from_axes(2, {0: "x", 1: "z"}).matrix()
-    assert np.max(np.abs(mat - expected)) < 1e-15
-
-
-def test_embed_product_rejects_overlap():
-    with pytest.raises(ValueError, match="disjoint"):
-        embed_product([(0b11, np.eye(4)), (0b01, np.eye(2))])
 
 
 def test_pair_part_is_reduced_minus_product(rng):
@@ -137,6 +121,26 @@ def test_reconstructions_name_a_missing_subset(rng):
     del cparts[0b1111]
     with pytest.raises(ValueError, match=r"missing the cumulant part of subset \{0,1,2,3\}"):
         cumulant_reconstruct(4, cparts)
+
+
+def test_reconstructions_refuse_parts_past_the_site_count(rng):
+    rho = random_mixed_state(rng, 3)
+    cparts = cumulant_parts(rho)
+    # a fourth site's part, the empty set and a negative key
+    for extra in (0b1000, 0b1001, 0, -1):
+        with pytest.raises(ValueError, match="cumulant parts inconsistent with site count"):
+            cumulant_reconstruct(3, {**cparts, extra: cparts[1]})
+    for extra in (1.5, "1", None):
+        with pytest.raises(ValueError, match="cumulant part key must be an integer"):
+            cumulant_reconstruct(3, {**cparts, extra: cparts[1]})
+    singles = {i: partial_trace_array(rho.data, 3, 1 << i) for i in range(3)}
+    parts = correlated_parts(rho)
+    # a fourth site's part, a single cell and the empty set
+    for extra in (0b1011, 0b100, 0):
+        with pytest.raises(ValueError, match="correlated parts inconsistent with site count"):
+            reconstruct(3, singles, {**parts, extra: parts[0b11]})
+    with pytest.raises(ValueError, match="correlated part key must be an integer"):
+        reconstruct(3, singles, {**parts, 3.5: parts[0b11]})
 
 
 def test_cumulant_reconstruction(rng):

@@ -23,7 +23,7 @@ from corrdyn.decomposition import (
     cumulant_parts,
     cumulant_reconstruct,
 )
-from corrdyn.density import extract_correlators
+from corrdyn.density import extract_correlators, partial_trace_array
 from corrdyn.errors import SizeCapError
 from corrdyn.pauli import PauliString
 
@@ -157,6 +157,24 @@ def test_single_subset_parts_match_reference(n):
                 expected = ref._correlated_matrix(mask, red)
                 got = correlated_part(rho, mask).matrix
                 assert np.max(np.abs(got - expected)) < TOL, name
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_reconstruct_matches_the_reference_sum_bit_for_bit(n):
+    rng = np.random.default_rng(4600 + n)
+    cases = {
+        "w": states.w_state(n),
+        "ghz": states.ghz_state(n),
+        "cat": states.cat_state(n, 0.7),
+        "mixed": random_mixed_state(rng, n),
+    }
+    for name, rho in cases.items():
+        singles = {i: partial_trace_array(rho.data, n, 1 << i) for i in range(n)}
+        parts = correlated_parts(rho)
+        got = decomposition.reconstruct(n, singles, parts).data
+        expected = ref.reconstruct(n, singles, parts).data
+        assert np.array_equal(got, expected), name
+        assert np.array_equal(_bits(got), _bits(expected)), name
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

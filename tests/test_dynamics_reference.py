@@ -85,8 +85,15 @@ def test_large_step_beyond_the_one_norm_range(rng):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_norms_equal_scipy_expressions(rng, n):
-    """Both norms are read off M's arrays, with scipy's arithmetic."""
-    for name, h in hamiltonians(n, rng).items():
+    """Both norms are read off M's arrays and equal scipy's expressions."""
+    cases = hamiltonians(n, rng)
+    if n >= 2:
+        # all pairs coupled, and heavy-tailed coefficients whose row sums mix
+        # magnitudes far apart
+        cases["random"] = random_hamiltonian(n, rng)
+        cauchy = {(i, j): rng.standard_cauchy((3, 3)) for i in range(n) for j in range(i + 1, n)}
+        cases["cauchy"] = SpinHamiltonian(n, rng.standard_cauchy((n, 3)), cauchy)
+    for name, h in cases.items():
         gen = build_generator(h)
         m = gen.matrix
         assert gen.infinity_norm() == float(abs(m).sum(axis=1).max()), name
