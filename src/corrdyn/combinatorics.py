@@ -74,15 +74,22 @@ class Partition:
 
     Blocks are ordered by their smallest element, which is the canonical order
     produced by restricted-growth enumeration.  They are stored as a tuple of
-    ints: a block that is a bool, not an integer, <= 0 or past MAX_BITS bits
-    raises ValueError, and numpy integers become ints.
+    ints: blocks that are not an iterable, or a block that is a bool, not an
+    integer, <= 0 or past MAX_BITS bits, raise ValueError, and numpy integers
+    become ints.
     """
 
     blocks: tuple[int, ...]
 
     def __post_init__(self):
         if type(self.blocks) is not tuple:
-            object.__setattr__(self, "blocks", tuple(self.blocks))
+            try:
+                blocks = tuple(self.blocks)
+            except TypeError:
+                raise ValueError(
+                    f"partition blocks must be an iterable of ints, got {self.blocks!r}"
+                ) from None
+            object.__setattr__(self, "blocks", blocks)
         seen = 0
         prev_low = -1
         for b in self.blocks:

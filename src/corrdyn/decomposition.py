@@ -28,11 +28,16 @@ over subsets; the matrices of all parts of one subset size are then formed
 from their coefficients in one batched transform.  The checks stay in matrix
 space and share nothing with that route.  One loop, `_sum_of_products`,
 forms and sums the Kronecker products of both reconstructions, over the
-power set in `reconstruct` and over all B_N set partitions, grouped by the
-qubit order of their factors, in `cumulant_reconstruct`; each group is put in
-ascending order once, by one gather of rows and columns.  `max_trace_defect`
-traces cells out of all parts of one subset size at once.  The tests'
-reference sums dense reduced matrices with `np.kron` chains and transposes.
+power set in `reconstruct` and over the B_N set partitions in
+`cumulant_reconstruct`.  There the partitions are grouped by their first
+block A, which holds site 0: the rest of the group's partitions are every
+partition of S - A once, summed on the space of S - A, so the group is one
+full-size product rho^CC_A (x) rho_{S-A} and the full-size sum has 2**(N-1)
+terms, not B_N.  Terms that leave the sites in the same qubit order form
+one group of `_sum_of_products`, put in ascending order once, by one gather
+of rows and columns.  `max_trace_defect` traces cells out of all parts of
+one subset size at once.  The tests' reference sums dense reduced matrices
+with `np.kron` chains and transposes, all B_N partitions at full size.
 Every whole-state entry point refuses a state past DECOMPOSE_WORK_CAP before
 it allocates anything.
 """
@@ -64,11 +69,14 @@ from .errors import SizeCapError
 
 TRACE_ZERO_TOL = 1e-12
 
-# admit_decompose refuses a state of N sites when B_N * 4**N exceeds this:
-# cumulant_reconstruct sums B_N partitions of 4**N-entry matrices, and a
-# `corrdyn run` decompose of a W state took 2.2 s at 8 sites and 33 s at 9
-# (5.5e9) on one x86-64 vCPU (medians of 10 and 5 runs), so the cap is about
-# 10 minutes and admits N <= 9 (10 sites need 1.2e11)
+# admit_decompose refuses a state of N sites when B_N * 4**N exceeds this.
+# That bounds cumulant_reconstruct's work from above: it enumerates the B_N
+# partitions and sums each first block's tails on the other sites, B_{N-1}
+# tails of 4**(N-1) entries for the block {0} alone.  A `corrdyn run`
+# decompose of a W state took 0.40 s at 8 sites and 2.8 s at 9 (5.5e9) on one
+# x86-64 vCPU (medians of 10 and 5 runs; summing all B_N partitions at full
+# size took 1.10 s and 19.8 s).  The cap admits N <= 9: 10 sites need 1.2e11,
+# and their block {0} alone would sum B_9 = 21,147 tails of 4**9 entries.
 DECOMPOSE_WORK_CAP = 1e11
 
 
@@ -114,14 +122,16 @@ def _kron_chain(mats: Sequence[np.ndarray], out: np.ndarray | None = None) -> np
 
     The last factor is multiplied straight into `out` when it is given, so a
     caller summing many products of one size reuses one buffer.  There a
-    one-site block times an accumulated factor of 64 or 128 rows (N=7 or 8)
-    is their contiguous outer product, moved into `out` by one transposed
-    copy, and every other shape is one broadcast multiply: on one x86-64
-    vCPU that outer product made `cumulant_reconstruct` 12% faster at N=7
-    and 2% at N=8, while for 32 or 256 rows (N=6 or 9) it was slower than
-    the broadcast, and so was the outer product for every last factor
-    (`BENCH_18.json`, `layout_checks`).  Both multiply block entry by
-    accumulated entry, in that order, so the bits are the same.
+    one-site block times an accumulated factor of 64 or 128 rows is their
+    contiguous outer product, moved into `out` by one transposed copy, and
+    every other shape is one broadcast multiply.  In `cumulant_reconstruct`
+    those shapes are mostly the 7-site tails of an N=8 sum and the 8-site
+    tails of an N=9 sum: on one x86-64 vCPU the outer product made it 2.5%
+    faster at N=8 (130.4 vs 133.7 ms, 12 of 12 pairs) and left it level at
+    N=7 (15.4 ms) and N=9 (1.71 s) (`BENCH_21.json`, `kron_chain_branch`);
+    for 32 or 256 rows, and for every last factor, the outer product was
+    slower (`BENCH_18.json`, `layout_checks`).  Both multiply block entry
+    by accumulated entry, in that order, so the bits are the same.
     """
     mat = np.array([[1.0 + 0.0j]])
     for k, block in enumerate(mats, 1):
@@ -328,11 +338,6 @@ def max_trace_defect(parts: Iterable[CorrelatedPart]) -> float:
     return worst
 
 
-def trace_defect(part: CorrelatedPart) -> float:
-    """Largest |entry| left after tracing any single cell out of rho^C."""
-    return max_trace_defect([part])
-
-
 def _check_parts(parts: Mapping[int, object], n_sites: int, least: int, kind: str) -> None:
     """Refuse any key but a subset of >= `least` of the N sites; name any missing."""
     if any(as_int(m, f"{kind} part key") >> n_sites or m.bit_count() < least for m in parts):
@@ -374,20 +379,34 @@ def cumulant_reconstruct(
 ) -> DensityMatrix:
     """Reassemble rho as the sum over all B_N partitions of cumulant products.
 
-    The terms whose factors leave the sites in the same qubit order form one
-    group, permuted to ascending order once.  Every nonempty subset needs a
-    part.
+    Each of the B_N partitions is enumerated once and filed under its first
+    block A, the one holding site 0.  The other blocks of the partitions in
+    group A run once through every partition of S - A, so by the distributive
+    law the group sums to rho^CC_A (x) rho_{S-A}, where rho_{S-A} is the sum
+    of their products on the 2**(N-|A|)-row space of S - A ([[1]] for A = S).
+    Both sums, of the tails within a group and of the 2**(N-1) group terms
+    at full size, gather the terms that leave the sites in the same qubit
+    order and permute them to ascending order once.  Every nonempty subset
+    needs a part.
     """
     admit_decompose(n_sites)
     _check_parts(parts, n_sites, 1, "cumulant")
     full = (1 << n_sites) - 1
-    sites = {b: tuple(bit_indices(b)) for b in range(1, full + 1)}
+    sites = {b: tuple(bit_indices(b)) for b in range(full + 1)}
     mats = {b: parts[b].matrix for b in range(1, full + 1)}
-    by_order: dict[tuple[int, ...], list[list[np.ndarray]]] = {}
+    # first block -> qubit order of the tail -> the tails' block matrices
+    groups: dict[int, dict[tuple[int, ...], list[list[np.ndarray]]]] = {}
     for p in enumerate_partitions(full):
-        order = sum((sites[b] for b in p.blocks), ())
-        by_order.setdefault(order, []).append([mats[b] for b in p.blocks])
-    return DensityMatrix(n_sites, _sum_of_products(n_sites, by_order.items()))
+        head, tail = p.blocks[0], p.blocks[1:]
+        order = sum((sites[b] for b in tail), ())
+        groups.setdefault(head, {}).setdefault(order, []).append([mats[b] for b in tail])
+
+    def group_terms():
+        for head, tails in groups.items():
+            rest = _sum_of_products(n_sites - head.bit_count(), tails.items())
+            yield sites[head] + sites[full ^ head], [[mats[head], rest]]
+
+    return DensityMatrix(n_sites, _sum_of_products(n_sites, group_terms()))
 
 
 def _connected(v: CorrelatorVector, axes: dict[int, str]) -> float:

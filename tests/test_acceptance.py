@@ -16,8 +16,8 @@ from corrdyn.decomposition import (
     correlated_parts,
     cumulant_parts,
     cumulant_reconstruct,
+    max_trace_defect,
     reconstruct,
-    trace_defect,
 )
 from corrdyn.density import extract_correlators, partial_trace_array
 from corrdyn.dynamics import dyson_series, evolve, resolvent, spectrum
@@ -80,7 +80,7 @@ def test_criterion_2_trace_zero_law():
                 parts = correlated_parts(rho)
                 assert len(parts) == 2**n - n - 1
                 for part in parts.values():
-                    worst = max(worst, trace_defect(part))
+                    worst = max(worst, max_trace_defect([part]))
         assert worst < 1e-12
 
 

@@ -131,6 +131,12 @@ def test_partition_stores_its_blocks_as_a_tuple():
         assert p == Partition((1, 6)) and hash(p) == hash(Partition((1, 6)))
 
 
+@pytest.mark.parametrize("blocks", [5, None, 1.5, np.int64(3)], ids=repr)
+def test_partition_refuses_blocks_that_are_not_iterable(blocks):
+    with pytest.raises(ValueError, match="partition blocks must be an iterable"):
+        Partition(blocks)
+
+
 @pytest.mark.parametrize(
     "blocks", [(1 << MAX_BITS,), (1, 1 << 40), (np.int64(1 << 40),)], ids=repr
 )

@@ -11,9 +11,9 @@ from corrdyn.decomposition import (
     cumulant_part,
     cumulant_parts,
     cumulant_reconstruct,
+    max_trace_defect,
     permute_sites,
     reconstruct,
-    trace_defect,
 )
 from corrdyn.density import extract_correlators, partial_trace_array
 from conftest import random_mixed_state, up_right_mixture
@@ -94,7 +94,7 @@ def test_trace_zero_invariant(rng):
     for n in (2, 3, 4):
         rho = random_mixed_state(rng, n)
         for part in correlated_parts(rho).values():
-            assert trace_defect(part) < 1e-12
+            assert max_trace_defect([part]) < 1e-12
 
 
 def test_reconstruction_term_count_and_identity(rng):

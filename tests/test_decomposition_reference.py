@@ -177,7 +177,7 @@ def test_reconstruct_matches_the_reference_sum_bit_for_bit(n):
         assert np.array_equal(_bits(got), _bits(expected)), name
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_staged_cumulant_reconstruct_matches_per_term_sum(n):
     for name, rho in _states(n).items():
         parts = cumulant_parts(rho)
@@ -185,15 +185,32 @@ def test_staged_cumulant_reconstruct_matches_per_term_sum(n):
         assert np.max(np.abs(got - ref.cumulant_reconstruct(n, parts).data)) < TOL, name
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_cumulant_reconstruct_forms_one_full_size_product_per_first_block(monkeypatch, n):
+    full_size = []
+    kron_chain = decomposition._kron_chain
+
+    def counting(mats, out=None):
+        mat = kron_chain(mats, out)
+        full_size.append(len(mat) == 2**n)
+        return mat
+
+    parts = cumulant_parts(states.w_state(n))
+    monkeypatch.setattr(decomposition, "_kron_chain", counting)
+    cumulant_reconstruct(n, parts)
+    # the first block holds site 0 and any subset of the other N - 1 sites
+    assert sum(full_size) == 2 ** (n - 1)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_trace_defect_equals_the_per_cell_partial_trace_loop(n):
     rng = np.random.default_rng(4200 + n)
     for rho in (random_mixed_state(rng, n), states.w_state(n), states.ghz_state(n)):
         for part in correlated_parts(rho).values():
-            assert decomposition.trace_defect(part) == ref.trace_defect(part)
+            assert decomposition.max_trace_defect([part]) == ref.trace_defect(part)
         # a part with weight left under a partial trace
         part = decomposition.CorrelatedPart((1 << n) - 1, rho.data)
-        assert decomposition.trace_defect(part) == ref.trace_defect(part) > 0
+        assert decomposition.max_trace_defect([part]) == ref.trace_defect(part) > 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
