@@ -75,7 +75,7 @@ TRACE_ZERO_TOL = 1e-12
 # tails of 4**(N-1) entries for the block {0} alone.  A `corrdyn run`
 # decompose of a W state took 0.40 s at 8 sites and 2.8 s at 9 (5.5e9) on one
 # x86-64 vCPU (medians of 10 and 5 runs; summing all B_N partitions at full
-# size took 1.10 s and 19.8 s).  The cap admits N <= 9: 10 sites need 1.2e11,
+# size took 1.17 s and 20.3 s).  The cap admits N <= 9: 10 sites need 1.2e11,
 # and their block {0} alone would sum B_9 = 21,147 tails of 4**9 entries.
 DECOMPOSE_WORK_CAP = 1e11
 
@@ -121,29 +121,15 @@ def _kron_chain(mats: Sequence[np.ndarray], out: np.ndarray | None = None) -> np
     """Kronecker product of `mats`, the first on the least-significant qubits.
 
     The last factor is multiplied straight into `out` when it is given, so a
-    caller summing many products of one size reuses one buffer.  There a
-    one-site block times an accumulated factor of 64 or 128 rows is their
-    contiguous outer product, moved into `out` by one transposed copy, and
-    every other shape is one broadcast multiply.  In `cumulant_reconstruct`
-    those shapes are mostly the 7-site tails of an N=8 sum and the 8-site
-    tails of an N=9 sum: on one x86-64 vCPU the outer product made it 2.5%
-    faster at N=8 (130.4 vs 133.7 ms, 12 of 12 pairs) and left it level at
-    N=7 (15.4 ms) and N=9 (1.71 s) (`BENCH_21.json`, `kron_chain_branch`);
-    for 32 or 256 rows, and for every last factor, the outer product was
-    slower (`BENCH_18.json`, `layout_checks`).  Both multiply block entry
-    by accumulated entry, in that order, so the bits are the same.
+    caller summing many products of one size reuses one buffer.
     """
     mat = np.array([[1.0 + 0.0j]])
     for k, block in enumerate(mats, 1):
         # kron(block, mat) keeps the accumulated qubits on the low end
         d, e = len(block), len(mat)
         dest = out.reshape(d, e, d, e) if out is not None and k == len(mats) else None
-        if dest is not None and d == 2 and 64 <= e <= 128:
-            np.copyto(dest, np.multiply.outer(block, mat).transpose(0, 2, 1, 3))
-            mat = out
-        else:
-            mat = np.multiply(block[:, None, :, None], mat[None, :, None, :], out=dest)
-            mat = mat.reshape(d * e, d * e)
+        mat = np.multiply(block[:, None, :, None], mat[None, :, None, :], out=dest)
+        mat = mat.reshape(d * e, d * e)
     return mat
 
 
@@ -386,8 +372,9 @@ def cumulant_reconstruct(
     of their products on the 2**(N-|A|)-row space of S - A ([[1]] for A = S).
     Both sums, of the tails within a group and of the 2**(N-1) group terms
     at full size, gather the terms that leave the sites in the same qubit
-    order and permute them to ascending order once.  Every nonempty subset
-    needs a part.
+    order and permute them to ascending order once; at full size only the
+    N first blocks {0}, {0, 1}, ..., S share an order, the ascending one.
+    Every nonempty subset needs a part.
     """
     admit_decompose(n_sites)
     _check_parts(parts, n_sites, 1, "cumulant")
@@ -401,12 +388,12 @@ def cumulant_reconstruct(
         order = sum((sites[b] for b in tail), ())
         groups.setdefault(head, {}).setdefault(order, []).append([mats[b] for b in tail])
 
-    def group_terms():
-        for head, tails in groups.items():
-            rest = _sum_of_products(n_sites - head.bit_count(), tails.items())
-            yield sites[head] + sites[full ^ head], [[mats[head], rest]]
-
-    return DensityMatrix(n_sites, _sum_of_products(n_sites, group_terms()))
+    # qubit order -> [rho^CC_A, rho_{S-A}] of the first blocks A leaving it
+    terms: dict[tuple[int, ...], list[list[np.ndarray]]] = {}
+    for head, tails in groups.items():
+        rest = _sum_of_products(n_sites - head.bit_count(), tails.items())
+        terms.setdefault(sites[head] + sites[full ^ head], []).append([mats[head], rest])
+    return DensityMatrix(n_sites, _sum_of_products(n_sites, terms.items()))
 
 
 def _connected(v: CorrelatorVector, axes: dict[int, str]) -> float:

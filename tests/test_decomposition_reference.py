@@ -49,7 +49,7 @@ def test_kron_chain_matches_the_np_kron_chain_bit_for_bit():
     rng = np.random.default_rng(4300)
     dims = [2**k for k in range(8)]
     pairs = [(d, e) for d, e in itertools.product(dims, dims) if d * e <= 128]
-    # the outer product's largest accumulated factor and the next size up
+    # a one-site block on the largest accumulated factors
     for d, e in pairs + [(2, 128), (2, 256)]:
         # e is the accumulated factor, d the block multiplied in last
         mats = [_random_complex(rng, e), _random_complex(rng, d)]
@@ -187,19 +187,26 @@ def test_staged_cumulant_reconstruct_matches_per_term_sum(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_cumulant_reconstruct_forms_one_full_size_product_per_first_block(monkeypatch, n):
-    full_size = []
-    kron_chain = decomposition._kron_chain
+    products, permutations = [], []
+    kron_chain, permute_sites = decomposition._kron_chain, decomposition.permute_sites
 
-    def counting(mats, out=None):
+    def counting_products(mats, out=None):
         mat = kron_chain(mats, out)
-        full_size.append(len(mat) == 2**n)
+        products.append(len(mat) == 2**n)
         return mat
 
+    def counting_permutations(mat, sites, buf=None):
+        permutations.append(len(mat) == 2**n)
+        return permute_sites(mat, sites, buf)
+
     parts = cumulant_parts(states.w_state(n))
-    monkeypatch.setattr(decomposition, "_kron_chain", counting)
+    monkeypatch.setattr(decomposition, "_kron_chain", counting_products)
+    monkeypatch.setattr(decomposition, "permute_sites", counting_permutations)
     cumulant_reconstruct(n, parts)
     # the first block holds site 0 and any subset of the other N - 1 sites
-    assert sum(full_size) == 2 ** (n - 1)
+    assert sum(products) == 2 ** (n - 1)
+    # the N first blocks {0}, {0, 1}, ..., S leave the sites in one order
+    assert sum(permutations) == 2 ** (n - 1) - n + 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
