@@ -17,7 +17,7 @@ import numpy as np
 
 from corrdyn import SpinHamiltonian, build_generator, evolve, extract_correlators
 from corrdyn.decomposition import connected_pair, connected_triple
-from corrdyn.density import CorrelatorVector
+from corrdyn.density import CorrelatorVector, purity_from_correlators
 from corrdyn.oracle import correlator_trajectory
 from corrdyn.states import bloch_product
 
@@ -49,7 +49,7 @@ def main(argv):
             connected_pair(state, 0, 1, "x", "x"),
             connected_pair(state, 0, 2, "x", "x"),
             connected_triple(state, (0, 1, 2), ("x", "x", "x")),
-            (1.0 + np.sum(traj.values[k, 1:] ** 2)) / 8.0,
+            purity_from_correlators(state),
         ]
         print(",".join(format(val, ".12g") for val in row))
     print(f"# max deviation from exact evolution: {worst:.3e}", file=sys.stderr)

@@ -25,8 +25,6 @@ from .decomposition import (
 from .density import (
     CorrelatorVector,
     DensityMatrix,
-    check_pure_two_qubit,
-    diagnose_positivity,
     extract_correlators,
     from_correlators,
     partial_trace,
@@ -41,7 +39,7 @@ from .dynamics import (
     resolvent,
     spectrum,
 )
-from .hamiltonian import SpinHamiltonian, random_hamiltonian, transverse_pair
+from .hamiltonian import SpinHamiltonian, transverse_pair
 from .hierarchy import (
     CoupledSplit,
     Generator,
@@ -73,7 +71,6 @@ __all__ = [
     "block_structure",
     "build_generator",
     "build_hamiltonian_matrix",
-    "check_pure_two_qubit",
     "connected_pair",
     "connected_triple",
     "correlated_part",
@@ -82,7 +79,6 @@ __all__ = [
     "cumulant_parts",
     "cumulant_reconstruct",
     "decompose_blocks",
-    "diagnose_positivity",
     "dyson_series",
     "eigensystem",
     "enumerate_partitions",
@@ -97,7 +93,6 @@ __all__ = [
     "partial_trace",
     "purity",
     "purity_from_correlators",
-    "random_hamiltonian",
     "reconstruct",
     "reduced_eom_residual",
     "resolvent",

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 config/parse failure, 3 numeric failure (pole
 proximity, step too large, divergent series, numbers beyond the double
 range), 4 size cap exceeded (checked before anything 4**N-sized is
-allocated).  Every config error, and every size cap but evolve's work cap
-(which needs expm's Taylor plans), is found before the first task runs.
+allocated).  A run that exits nonzero writes no file: each task returns its
+files' text, and they are written only once the last task has returned.
 Every error path prints a single line starting with "error:".  Outputs are
 deterministic: floats carry 17 significant digits and no wall-clock or RNG
 state enters any file.
@@ -267,14 +267,11 @@ def _initial_correlators(cfg: RunConfig):
     return extract_correlators(rho)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+def _csv(header: list[str], rows) -> str:
+    return "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
 
 
-def _task_evolve(cfg, gen, x0, out_dir: Path) -> None:
+def _task_evolve(cfg, gen, x0) -> dict[str, str]:
     traj = dynamics.evolve(
         gen, x0, cfg.time.t_max, cfg.time.dt, stride=cfg.time.stride, method=cfg.method
     )
@@ -293,24 +290,23 @@ def _task_evolve(cfg, gen, x0, out_dir: Path) -> None:
     rows = (
         [_fmt(t)] + [col[k] for col in columns] for k, t in enumerate(traj.times)
     )
-    _write_csv(out_dir / "trajectory.csv", header, rows)
+    return {"trajectory.csv": _csv(header, rows)}
 
 
-def _task_spectrum(cfg, gen, x0, out_dir: Path) -> None:
+def _task_spectrum(cfg, gen, x0) -> dict[str, str]:
     rep = dynamics.spectrum(gen, broadening=cfg.broadening)
-    # the broadened pole density is only emitted when a width was requested;
-    # it is computed before any file is written, since it can fail
-    density = None if cfg.broadening is None else rep.density
     rows = (
         [_fmt(w), str(int(m))] for w, m in zip(rep.frequencies, rep.multiplicities)
     )
-    _write_csv(out_dir / "spectrum.csv", ["omega", "multiplicity"], rows)
-    if density is not None:
-        rows = ([_fmt(w), _fmt(d)] for w, d in zip(rep.omega, density))
-        _write_csv(out_dir / "density.csv", ["omega", "density"], rows)
+    files = {"spectrum.csv": _csv(["omega", "multiplicity"], rows)}
+    # the broadened pole density is only emitted when a width was requested
+    if cfg.broadening is not None:
+        rows = ([_fmt(w), _fmt(d)] for w, d in zip(rep.omega, rep.density))
+        files["density.csv"] = _csv(["omega", "density"], rows)
+    return files
 
 
-def _task_resolvent(cfg, gen, x0, out_dir: Path) -> None:
+def _task_resolvent(cfg, gen, x0) -> dict[str, str]:
     labels = [lb for lb, _ in cfg.observables]
     codes = [o.code for _, o in cfg.observables]
     rows = []
@@ -322,14 +318,11 @@ def _task_resolvent(cfg, gen, x0, out_dir: Path) -> None:
                     [_fmt(z.real), _fmt(z.imag), lr, lc,
                      _fmt(g[r, c].real), _fmt(g[r, c].imag)]
                 )
-    _write_csv(
-        out_dir / "resolvent.csv",
-        ["re_z", "im_z", "row", "col", "re_g", "im_g"],
-        iter(rows),
-    )
+    header = ["re_z", "im_z", "row", "col", "re_g", "im_g"]
+    return {"resolvent.csv": _csv(header, rows)}
 
 
-def _task_decompose(cfg, gen, x0, out_dir: Path) -> None:
+def _task_decompose(cfg, gen, x0) -> dict[str, str]:
     rho = from_correlators(x0)
     parts = decomposition.correlated_parts(rho)
     cparts = decomposition.cumulant_parts(rho)
@@ -354,10 +347,10 @@ def _task_decompose(cfg, gen, x0, out_dir: Path) -> None:
     lines.append(
         f"cumulant_reconstruction_error={_fmt(np.max(np.abs(crecon.data - rho.data)))}"
     )
-    (out_dir / "decomposition.txt").write_text("\n".join(lines) + "\n")
+    return {"decomposition.txt": "\n".join(lines) + "\n"}
 
 
-def _task_validate(cfg, gen, x0, out_dir: Path) -> None:
+def _task_validate(cfg, gen, x0) -> dict[str, str]:
     traj = dynamics.evolve(
         gen, x0, cfg.time.t_max, cfg.time.dt, stride=cfg.time.stride, method="expm"
     )
@@ -379,7 +372,7 @@ def _task_validate(cfg, gen, x0, out_dir: Path) -> None:
         f"kernel_dim={rep.kernel_dim}",
         f"status={'ok' if ok else 'fail'}",
     ]
-    (out_dir / "validate.txt").write_text("\n".join(lines) + "\n")
+    return {"validate.txt": "\n".join(lines) + "\n"}
 
 
 # every task, in the order it runs whatever the config's order
@@ -415,9 +408,13 @@ def _execute(config_path, out_dir, tasks) -> None:
     x0 = _initial_correlators(cfg)
 
     gen = hierarchy.build_generator(cfg.hamiltonian) if needs_generator else None
+    files = {}
     for name, task in _TASKS.items():
         if name in cfg.tasks:
-            task(cfg, gen, x0, out)
+            files.update(task(cfg, gen, x0))
+    # written only once every task has returned, so a run that fails writes nothing
+    for file_name, text in files.items():
+        (out / file_name).write_text(text)
 
 
 def run(config_path: str | Path, out_dir: str | Path = ".", tasks=None) -> int:

@@ -16,7 +16,6 @@ machinery, not a large-N code path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -171,21 +170,14 @@ def partial_trace_array(data: np.ndarray, n_sites: int, keep: int) -> np.ndarray
     kept = bit_indices(keep)
     if keep >> n_sites:
         raise ValueError("keep mask references sites beyond the system")
-    traced = [i for i in range(n_sites) if not keep >> i & 1]
     w = np.asarray(data).reshape((2,) * (2 * n_sites))
-    # row axis of site i sits at n_sites-1-i, column axis at 2*n_sites-1-i
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    row = {i: letters[k] for k, i in enumerate(range(n_sites))}
-    col = {i: letters[n_sites + k] for k, i in enumerate(range(n_sites))}
-    for i in traced:
-        col[i] = row[i]
-    sub_in = "".join(row[i] for i in reversed(range(n_sites))) + "".join(
-        col[i] for i in reversed(range(n_sites))
+    # row axis of site i sits at n_sites-1-i, column axis at 2*n_sites-1-i;
+    # site i's row is labelled i and its column n_sites+i, or i when traced
+    col = [n_sites + i if keep >> i & 1 else i for i in range(n_sites)]
+    sites = list(reversed(range(n_sites)))
+    out = np.einsum(
+        w, sites + [col[i] for i in sites], kept[::-1] + [col[i] for i in kept[::-1]]
     )
-    sub_out = "".join(row[i] for i in reversed(kept)) + "".join(
-        col[i] for i in reversed(kept)
-    )
-    out = np.einsum(f"{sub_in}->{sub_out}", w)
     dim = 2 ** len(kept)
     return out.reshape(dim, dim)
 
@@ -209,69 +201,3 @@ def purity_from_correlators(v: CorrelatorVector) -> float:
     """tr(rho^2) = 2**-N sum_c v[c]^2, the correlator-side route."""
     return float(np.dot(v.values, v.values) / 2**v.n_sites)
 
-
-class PositivityReport(NamedTuple):
-    min_eigenvalue: float
-    is_positive: bool
-
-
-def diagnose_positivity(rho: DensityMatrix) -> PositivityReport:
-    """Smallest eigenvalue and whether it is at least -1e-10.
-
-    Positivity is reported, never enforced: hierarchy integration error can
-    transiently produce slightly unphysical correlator vectors, and silently
-    projecting them back would mask bugs.
-    """
-    w = np.linalg.eigvalsh(rho.data)
-    lo = float(w[0])
-    return PositivityReport(lo, lo >= -1e-10)
-
-
-class PureTwoQubitResiduals(NamedTuple):
-    """Residuals of the four pure-state constraints on two-qubit correlators.
-
-    `norm` is signed (it equals 3 for the maximally mixed state); the other
-    three are max-abs over their free indices.  All four vanish iff the state
-    is pure.
-    """
-
-    norm: float
-    site0: float
-    site1: float
-    tensor: float
-
-    @property
-    def max_abs(self) -> float:
-        return max(abs(self.norm), self.site0, self.site1, self.tensor)
-
-
-def check_pure_two_qubit(v: CorrelatorVector) -> PureTwoQubitResiduals:
-    """Evaluate the pure-state constraints for a two-site correlator table.
-
-    With a = <sigma_0>, b = <sigma_1> and T[mu, nu] = <sigma_0^mu sigma_1^nu>:
-
-        3 - (a.a + b.b + sum T^2)                  (norm constraint)
-        a - T b                                    (per axis of site 0)
-        b - T^T a                                  (per axis of site 1)
-        T - a b^T + (1/2) eps eps : T T            (tensor constraint)
-    """
-    if v.n_sites != 2:
-        raise ValueError("pure-state constraint check requires exactly 2 sites")
-    vals = v.values
-    a = np.array([vals[pauli.with_digit(0, 0, d)] for d in (1, 2, 3)])
-    b = np.array([vals[pauli.with_digit(0, 1, d)] for d in (1, 2, 3)])
-    t = np.array(
-        [
-            [vals[pauli.with_digit(pauli.with_digit(0, 0, d0), 1, d1)] for d1 in (1, 2, 3)]
-            for d0 in (1, 2, 3)
-        ]
-    )
-    norm = 3.0 - (a @ a + b @ b + np.sum(t * t))
-    site0 = float(np.max(np.abs(a - t @ b)))
-    site1 = float(np.max(np.abs(b - t.T @ a)))
-    eps = np.zeros((3, 3, 3))
-    for i, j, k in np.ndindex(3, 3, 3):
-        eps[i, j, k] = pauli._eps_digits(i + 1, j + 1, k + 1)
-    quad = 0.5 * np.einsum("mal,nbg,ab,lg->mn", eps, eps, t, t)
-    tensor = float(np.max(np.abs(t - np.outer(a, b) + quad)))
-    return PureTwoQubitResiduals(float(norm), site0, site1, tensor)

@@ -96,19 +96,3 @@ def transverse_pair(delta1: float, delta2: float, omega: float) -> SpinHamiltoni
         2, np.array([[delta1, 0.0, 0.0], [delta2, 0.0, 0.0]]), {(0, 1): v}
     )
 
-
-def random_hamiltonian(
-    n_sites: int,
-    rng: np.random.Generator,
-    field_scale: float = 1.0,
-    coupling_scale: float = 1.0,
-    pair_density: float = 1.0,
-) -> SpinHamiltonian:
-    """Gaussian random fields and coupling tensors on a random pair set."""
-    fields = field_scale * rng.normal(size=(n_sites, 3))
-    couplings = {}
-    for i in range(n_sites):
-        for j in range(i + 1, n_sites):
-            if rng.random() <= pair_density:
-                couplings[(i, j)] = coupling_scale * rng.normal(size=(3, 3))
-    return SpinHamiltonian(n_sites, fields, couplings)

@@ -30,10 +30,6 @@ class EigenSystem:
     energies: np.ndarray
     vectors: np.ndarray
 
-    def propagator(self, t: float) -> np.ndarray:
-        """U(t) = exp(-i H t)."""
-        return (self.vectors * np.exp(-1j * self.energies * t)) @ self.vectors.conj().T
-
 
 def build_hamiltonian_matrix(h: SpinHamiltonian) -> np.ndarray:
     """Dense matrix of H with site 0 on the least-significant qubit."""

@@ -87,10 +87,6 @@ class PauliString:
             raise ValueError(f"code {self.code} out of range for {self.n_sites} sites")
 
     @classmethod
-    def identity(cls, n_sites: int) -> "PauliString":
-        return cls(n_sites, 0)
-
-    @classmethod
     def from_axes(cls, n_sites: int, axes: dict[int, str]) -> "PauliString":
         code = 0
         for site, axis in axes.items():
@@ -100,10 +96,6 @@ class PauliString:
                 raise ValueError(f"Cartesian only: axis {axis!r}")
             code = with_digit(code, site, _AXIS_TO_DIGIT[axis])
         return cls(n_sites, code)
-
-    @property
-    def support(self) -> int:
-        return support_mask(self.code, self.n_sites)
 
     def axes(self) -> dict[int, str]:
         return {
@@ -213,7 +205,6 @@ _TO_LADDER = np.array(
     ],
     dtype=complex,
 )
-_FROM_LADDER = np.linalg.inv(_TO_LADDER)
 
 
 def to_ladder(values: np.ndarray) -> np.ndarray:
@@ -223,11 +214,6 @@ def to_ladder(values: np.ndarray) -> np.ndarray:
     digit on site i selects among identity, sigma^+, sigma^-, sigma^z.
     """
     return _apply_site_map(values, _TO_LADDER)
-
-
-def from_ladder(values: np.ndarray) -> np.ndarray:
-    """Inverse of to_ladder; round trip is exact to machine precision."""
-    return _apply_site_map(values, _FROM_LADDER)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from corrdyn.density import DensityMatrix
+from corrdyn.hamiltonian import SpinHamiltonian
 
 
 def random_mixed_state(rng: np.random.Generator, n_sites: int) -> DensityMatrix:
@@ -16,6 +17,23 @@ def random_pure_state(rng: np.random.Generator, n_sites: int) -> DensityMatrix:
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi /= np.linalg.norm(psi)
     return DensityMatrix(n_sites, np.outer(psi, psi.conj()))
+
+
+def random_hamiltonian(
+    n_sites: int,
+    rng: np.random.Generator,
+    field_scale: float = 1.0,
+    coupling_scale: float = 1.0,
+    pair_density: float = 1.0,
+) -> SpinHamiltonian:
+    """Gaussian random fields and coupling tensors on a random pair set."""
+    fields = field_scale * rng.normal(size=(n_sites, 3))
+    couplings = {}
+    for i in range(n_sites):
+        for j in range(i + 1, n_sites):
+            if rng.random() <= pair_density:
+                couplings[(i, j)] = coupling_scale * rng.normal(size=(3, 3))
+    return SpinHamiltonian(n_sites, fields, couplings)
 
 
 def up_right_mixture() -> DensityMatrix:

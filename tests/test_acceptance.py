@@ -21,7 +21,7 @@ from corrdyn.decomposition import (
 )
 from corrdyn.density import extract_correlators, partial_trace_array
 from corrdyn.dynamics import dyson_series, evolve, resolvent, spectrum
-from corrdyn.hamiltonian import SpinHamiltonian, random_hamiltonian, transverse_pair
+from corrdyn.hamiltonian import SpinHamiltonian, transverse_pair
 from corrdyn.hierarchy import (
     antisymmetry_defect,
     block_structure,
@@ -29,7 +29,7 @@ from corrdyn.hierarchy import (
     reduced_eom_residual,
     split_sectors,
 )
-from conftest import random_mixed_state, up_right_mixture
+from conftest import random_hamiltonian, random_mixed_state, up_right_mixture
 import reference_two_spin as ts
 from test_dynamics import weak_coupling_hamiltonian
 from test_hierarchy import EPS, cross_matrix

@@ -552,3 +552,26 @@ def test_huge_fields_exit_3_without_output(tmp_path, capsys, task, options, mess
     line = _one_error_line(capsys)
     assert message in line and "nearest pole" not in line
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "field, time, status, message",
+    [
+        # past the work cap, which only evolve's Taylor plans can tell
+        (0.5, {"t_max": 1e9, "dt": 1e-3, "stride": 10**9}, 4, "run time capped"),
+        (100.0, {"t_max": 1.0, "dt": 0.1}, 3, "step too large"),
+    ],
+    ids=["work-cap", "step-too-large"],
+)
+def test_failing_task_leaves_no_earlier_task_output(
+    tmp_path, capsys, field, time, status, message
+):
+    # spectrum runs and succeeds before validate fails
+    larmor = {**_LARMOR, "fields": [[0.0, 0.0, field]]}
+    cfg = write_config(
+        tmp_path / "c.json", **larmor, time=time, tasks=["spectrum", "validate"]
+    )
+    out = tmp_path / "out"
+    assert cli.run(cfg, out) == status
+    assert message in _one_error_line(capsys)
+    assert not any(out.iterdir())

@@ -3,7 +3,7 @@
 Every config that `corrdyn.cli.run` can be handed must end in exit 0, 2, 3
 or 4, without a traceback or a numpy warning; a nonzero exit prints exactly
 one line on stderr, starting with "error:", and a zero exit prints nothing.
-An exit 2 leaves no file in the output directory.
+A nonzero exit leaves no file in the output directory.
 Configs are drawn for up to 3 sites on small time grids, one in three with
 numbers near the ends of the double range, and then up to three of their
 entries, at any depth, are replaced by a wrong type, NaN, an infinity, a
@@ -121,9 +121,9 @@ def test_any_config_exits_by_the_contract(cfg):
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
             status = cli.run(path, out)
-        # every config error is found before the first task writes a file
+        # files are written only once every task has returned
         written = sorted(p.name for p in out.iterdir()) if out.exists() else []
-    assert status != 2 or not written, written
+    assert status == 0 or not written, written
     assert not caught, [str(w.message) for w in caught]
     assert status in (0, 2, 3, 4)
     lines = err.getvalue().splitlines()

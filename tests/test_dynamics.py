@@ -16,9 +16,9 @@ from corrdyn.errors import (
     SizeCapError,
     StepTooLargeError,
 )
-from corrdyn.hamiltonian import SpinHamiltonian, random_hamiltonian, transverse_pair
+from corrdyn.hamiltonian import SpinHamiltonian, transverse_pair
 from corrdyn.hierarchy import build_generator, decompose_blocks, split_sectors
-from conftest import random_mixed_state
+from conftest import random_hamiltonian, random_mixed_state
 
 
 def zero_generator(n):
@@ -167,6 +167,13 @@ def test_resolvent_pole_rejection():
     assert err.value.nearest_pole is not None
     with pytest.raises(PoleProximityError):
         resolvent(gen, 0.0 + 0.0j)  # the kernel pole
+
+
+def test_resolvent_refuses_z_within_1e_12_of_a_pole():
+    gen = build_generator(SpinHamiltonian(1, [[0.0, 0.0, 1.0]]))
+    # the residual certificate fails this close too, so match the distance check
+    with pytest.raises(PoleProximityError, match="is within"):
+        resolvent(gen, 1e-12 + 1j)
 
 
 def test_spectrum_of_transverse_pair():

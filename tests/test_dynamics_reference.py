@@ -8,9 +8,9 @@ import scipy.sparse.linalg as spla
 from corrdyn import oracle, states
 from corrdyn.density import extract_correlators, from_correlators
 from corrdyn.dynamics import _one_norm, _taylor_action, _taylor_plan, dyson_series, evolve
-from corrdyn.hamiltonian import SpinHamiltonian, random_hamiltonian
+from corrdyn.hamiltonian import SpinHamiltonian
 from corrdyn.hierarchy import build_generator, decompose_blocks, split_sectors
-from conftest import random_mixed_state
+from conftest import random_hamiltonian, random_mixed_state
 from reference_dynamics import dyson_series_dense, evolve_expm_per_sample
 from test_dynamics import weak_coupling_hamiltonian
 from test_generator_reference import assert_same_csr, hamiltonians

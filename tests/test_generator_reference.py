@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from corrdyn import hierarchy
-from corrdyn.hamiltonian import SpinHamiltonian, random_hamiltonian
+from corrdyn.hamiltonian import SpinHamiltonian
 from corrdyn.hierarchy import build_generator, generator_bytes, generator_nnz
+from conftest import random_hamiltonian
 from reference_generator import build_generator_rowwise
 
 

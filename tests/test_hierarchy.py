@@ -6,8 +6,9 @@ import pytest
 from corrdyn import oracle
 from corrdyn.density import extract_correlators
 from corrdyn.errors import SizeCapError
-from corrdyn.hamiltonian import SpinHamiltonian, random_hamiltonian, restrict, transverse_pair
+from corrdyn.hamiltonian import SpinHamiltonian, restrict, transverse_pair
 from corrdyn.hierarchy import (
+    Generator,
     antisymmetry_defect,
     block_structure,
     build_generator,
@@ -16,7 +17,7 @@ from corrdyn.hierarchy import (
     split_sectors,
 )
 from corrdyn.pauli import PauliString
-from conftest import random_mixed_state
+from conftest import random_hamiltonian, random_mixed_state
 from reference_generator import (
     decompose_blocks_dense,
     reassemble,
@@ -113,6 +114,14 @@ def test_antisymmetry(rng):
     for n in (2, 3, 4, 6):
         h = random_hamiltonian(n, rng)
         assert antisymmetry_defect(build_generator(h)) < 1e-12
+
+
+def test_antisymmetry_defect_reads_one_injected_entry(rng):
+    gen = build_generator(random_hamiltonian(2, rng))
+    m = gen.matrix.tolil()
+    m[1, 2] += 1e-3
+    bad = Generator(2, m.tocsr(), gen.hamiltonian)
+    assert abs(antisymmetry_defect(bad) - 1e-3) < 1e-12
 
 
 def test_row_zero_and_column_zero_empty(rng):

@@ -4,8 +4,8 @@ import pytest
 from corrdyn import oracle, states
 from corrdyn.density import purity
 from corrdyn.errors import SizeCapError
-from corrdyn.hamiltonian import SpinHamiltonian, random_hamiltonian, transverse_pair
-from conftest import random_mixed_state
+from corrdyn.hamiltonian import SpinHamiltonian, transverse_pair
+from conftest import random_hamiltonian, random_mixed_state
 
 
 def test_single_spin_matrix():
@@ -61,12 +61,6 @@ def test_group_property(rng):
     first = oracle.evolve_exact(h, rho0, [t1])[0]
     second = oracle.evolve_exact(h, first, [t2])[0]
     assert np.max(np.abs(direct.data - second.data)) < 1e-12
-
-
-def test_propagator_is_unitary(rng):
-    h = random_hamiltonian(2, rng)
-    u = oracle.eigensystem(h).propagator(1.3)
-    assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-12
 
 
 def test_cat_state_phase_rotation():

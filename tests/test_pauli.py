@@ -34,7 +34,7 @@ def test_single_site_products():
     assert phase == 1j
     assert res == PauliString.from_axes(1, {0: "z"})
 
-    ident = PauliString.identity(1)
+    ident = PauliString(1, 0)
     phase, res = multiply(ident, y)
     assert phase == 1.0 and res == y
 
@@ -43,7 +43,7 @@ def test_involution():
     s = PauliString.from_axes(2, {0: "x", 1: "z"})
     phase, res = multiply(s, s)
     assert phase == 1.0
-    assert res == PauliString.identity(2)
+    assert res == PauliString(2, 0)
 
 
 @settings(max_examples=60)
@@ -110,7 +110,7 @@ def test_index_round_trip():
     for code in range(4**2):
         s = string_of(code, 2)
         assert index_of(s) == code
-    assert index_of(PauliString.identity(2)) == 0
+    assert index_of(PauliString(2, 0)) == 0
     assert index_of(PauliString.from_axes(2, {0: "x"})) == 1
     assert index_of(PauliString.from_axes(2, {0: "z", 1: "y"})) == 3 + 2 * 4
 
@@ -167,7 +167,7 @@ def test_ladder_table_round_trip(rng):
     values = rng.uniform(-1, 1, size=16)
     values[0] = 1.0
     table = pauli.to_ladder(values)
-    back = pauli.from_ladder(table)
+    back = pauli._apply_site_map(table, np.linalg.inv(pauli._TO_LADDER))
     assert np.max(np.abs(back - values)) < 1e-14
     assert np.max(np.abs(back.imag)) < 1e-14
 

@@ -1,5 +1,6 @@
 """The example scripts run against the current API and report no disagreement."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -86,3 +87,14 @@ def test_output_digests_runs_its_own_checkout(tmp_path):
     proc = _digests(lone, str(decoy))
     assert proc.returncode != 0 and not proc.stdout
     assert proc.stderr.startswith(f"error: corrdyn imported from {decoy / 'corrdyn'}")
+
+
+def test_each_mutant_applies_to_this_checkout():
+    # the mutants themselves run only in scripts/mutants.py, on copies
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert len(mutants.MUTANTS) == 6
+    for file, old, new in mutants.MUTANTS:
+        assert (ROOT / file).read_text().count(old) == 1, (file, old)
+        assert new != old

@@ -18,9 +18,10 @@ from corrdyn import cli, dynamics, oracle
 from corrdyn.density import pauli_coefficients
 from corrdyn.dynamics import _apply_real, eigenpair_residual, resolvent, spectrum
 from corrdyn.errors import PoleProximityError
-from corrdyn.hamiltonian import SpinHamiltonian, random_hamiltonian
+from corrdyn.hamiltonian import SpinHamiltonian
 from corrdyn.hierarchy import Generator, build_generator
 from corrdyn.pauli import PauliString
+from conftest import random_hamiltonian
 from reference_pauli import kron_hamiltonian, kron_matrix
 
 
@@ -131,6 +132,15 @@ def test_certificates_reject_a_flipped_entry(rng):
     assert eigenpair_residual(gen) > 1e-3
     with pytest.raises(PoleProximityError, match="residual"):
         resolvent(gen, 0.5 + 0.5j)
+
+
+def test_resolvent_certificate_rejects_a_1e_6_perturbation(rng):
+    # G comes from the eigensystem of H, so it misses M's defect by about 1e-6
+    gen = build_generator(random_hamiltonian(2, rng))
+    d = sp.csr_matrix(([1e-6, -1e-6], ([1, 2], [2, 1])), shape=(gen.dim,) * 2)
+    bad = Generator(2, (gen.matrix + d).tocsr(), gen.hamiltonian)
+    with pytest.raises(PoleProximityError, match="residual"):
+        resolvent(bad, 0.5 + 0.5j)
 
 
 def test_validate_fails_on_a_flipped_entry(tmp_path, monkeypatch):
