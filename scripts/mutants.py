@@ -5,8 +5,13 @@ A mutant is one (file, old, new) text replacement in src/, where `old`
 occurs exactly once.  For each mutant the checkout is copied to a temporary
 directory, the checkout itself is never edited, the replacement is made in
 the copy, and the copy's tests run with bytecode writing off.  A mutant
-that makes a test fail is CAUGHT; one that leaves every test passing
-SURVIVED.  The exit status is the number of survivors.
+that makes a test fail is CAUGHT, and the first failing test is named; one
+that leaves every test passing SURVIVED.  The exit status is the number of
+survivors.
+
+The copy's run leaves out SELF_TEST, which checks this list against the
+files it lies in: in a mutated copy it would fail for every mutant and
+report each one CAUGHT whatever the other tests do.
 
 Usage: python scripts/mutants.py
 """
@@ -37,6 +42,9 @@ MUTANTS = [
     ),
 ]
 
+# checks that each `old` occurs once; it cannot hold in a mutated copy
+SELF_TEST = "tests/test_scripts.py::test_each_mutant_applies_to_this_checkout"
+
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
 
 
@@ -48,8 +56,9 @@ def mutate(root: Path, file: str, old: str, new: str) -> None:
     path.write_text(text.replace(old, new))
 
 
-def caught(file: str, old: str, new: str) -> bool:
-    """Whether tier-1 fails on a copy of the checkout with this mutant applied."""
+def first_failure(file: str, old: str, new: str) -> str | None:
+    """The first test that fails on a copy of the checkout with this mutant
+    applied, or None when tier-1 passes there."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "checkout"
         shutil.copytree(ROOT, copy, ignore=_SKIP)
@@ -62,20 +71,32 @@ def caught(file: str, old: str, new: str) -> bool:
             "OPENBLAS_NUM_THREADS": "1",
         }
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
+            [
+                sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
+                "-p", "no:cacheprovider", "--deselect", SELF_TEST,
+            ],
             cwd=copy,
             env=env,
             capture_output=True,
+            text=True,
         )
-    return proc.returncode != 0
+    if proc.returncode == 0:
+        return None
+    failed = [
+        line.split()[1]
+        for line in proc.stdout.splitlines()
+        if line.startswith(("FAILED ", "ERROR "))
+    ]
+    return failed[0] if failed else f"pytest exit {proc.returncode}"
 
 
 def main() -> int:
     survived = 0
     for file, old, new in MUTANTS:
-        hit = caught(file, old, new)
-        survived += not hit
-        print(f"{'CAUGHT' if hit else 'SURVIVED'} {file}: {old!r} -> {new!r}", flush=True)
+        failure = first_failure(file, old, new)
+        survived += failure is None
+        verdict = "SURVIVED" if failure is None else f"CAUGHT by {failure}"
+        print(f"{verdict}: {file}: {old!r} -> {new!r}", flush=True)
     print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} caught")
     return survived
 
