@@ -40,6 +40,19 @@ MUTANTS = [
         "return float(np.max(np.abs(d.data))) if d.nnz else 0.0",
         "return 0.0",
     ),
+    ("src/corrdyn/dynamics.py", "if work > WORK_CAP:", "if work > 2 * WORK_CAP:"),
+    ("src/corrdyn/dynamics.py", "matvecs = 4 * n_steps", "matvecs = 2 * n_steps"),
+    (
+        "src/corrdyn/hierarchy.py",
+        "np.abs(h.fields).sum() + sum(np.abs(v).sum() for v in h.couplings.values())",
+        "np.abs(h.fields).sum()",
+    ),
+    (
+        "src/corrdyn/hierarchy.py",
+        "    admit_generator(h)\n    import scipy.sparse as sp",
+        "    import scipy.sparse as sp",
+    ),
+    ("src/corrdyn/cli.py", "if not math.isfinite(x):", "if False:"),
 ]
 
 # checks that each `old` occurs once; it cannot hold in a mutated copy

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 config/parse failure, 3 numeric failure (pole
 proximity, step too large, divergent series, numbers beyond the double
-range), 4 size cap exceeded (checked before anything 4**N-sized is
-allocated).  A run that exits nonzero writes no file: each task returns its
-files' text, and they are written only once the last task has returned.
+range), 4 size cap exceeded (checked in closed form before anything
+4**N-sized is allocated or any task runs).  A run that exits nonzero
+writes no file: each task returns its files' text, and they are written
+only once the last task has returned.
 Every error path prints a single line starting with "error:".  Outputs are
 deterministic: floats carry 17 significant digits and no wall-clock or RNG
 state enters any file.
@@ -256,10 +257,7 @@ def _initial_correlators(cfg: RunConfig):
         except ValueError as exc:
             raise ConfigError(f"bad initial correlators: {exc}") from exc
     if init.kind == "product":
-        try:
-            rho = states.bloch_product(init.bloch)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        rho = states.bloch_product(init.bloch)
     elif init.kind == "cat":
         rho = states.cat_state(n, init.phase)
     else:
@@ -375,13 +373,14 @@ def _task_validate(cfg, gen, x0) -> dict[str, str]:
     return {"validate.txt": "\n".join(lines) + "\n"}
 
 
-# every task, in the order it runs whatever the config's order
+# every task, in the order it runs whatever the config's order: the timed
+# tasks first, since their step check is the one refusal that needs M
 _TASKS = {
     "evolve": _task_evolve,
+    "validate": _task_validate,
     "spectrum": _task_spectrum,
     "resolvent": _task_resolvent,
     "decompose": _task_decompose,
-    "validate": _task_validate,
 }
 # the tasks that step along the config's time grid
 _TIMED = ("evolve", "validate")
@@ -392,22 +391,17 @@ def _execute(config_path, out_dir, tasks) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    # size caps before anything 4**N-sized is allocated or any task runs
-    needs_generator = bool(set(cfg.tasks) - {"decompose"})  # the others all use M
-    if needs_generator:
-        methods = {cfg.method} if "evolve" in cfg.tasks else set()
-        if "validate" in cfg.tasks:
-            methods.add("expm")
-        hierarchy.admit_generator(cfg.hamiltonian, methods)
+    # every size cap before anything 4**N-sized is allocated or any task runs
+    grid, methods = cfg.time, {"evolve": cfg.method, "validate": "expm"}
+    for method in dict.fromkeys(methods[t] for t in _TIMED if t in cfg.tasks):
+        dynamics.admit_evolution(cfg.hamiltonian, grid.t_max, grid.dt, grid.stride, method)
     if "decompose" in cfg.tasks:
         decomposition.admit_decompose(cfg.sites)
     if {"spectrum", "resolvent", "validate"} & set(cfg.tasks):
         hierarchy.admit_dense(cfg.sites)
-    if set(_TIMED) & set(cfg.tasks):
-        dynamics.admit_grid(cfg.sites, cfg.time.t_max, cfg.time.dt, cfg.time.stride)
     x0 = _initial_correlators(cfg)
 
-    gen = hierarchy.build_generator(cfg.hamiltonian) if needs_generator else None
+    gen = hierarchy.build_generator(cfg.hamiltonian) if set(cfg.tasks) != {"decompose"} else None
     files = {}
     for name, task in _TASKS.items():
         if name in cfg.tasks:

@@ -50,7 +50,9 @@ import numpy as np
 
 from .density import CorrelatorVector, pauli_coefficients
 from .errors import DivergentSeriesError, PoleProximityError, SizeCapError, StepTooLargeError
-from .hierarchy import CoupledSplit, Generator, _coupling_split, admit_dense, build_generator
+from .hamiltonian import SpinHamiltonian
+from .hierarchy import CoupledSplit, Generator, _coupling_split, admit_dense, admit_generator
+from .hierarchy import build_generator, generator_nnz, norm_bound
 from .pauli import Observable, PauliString
 
 if TYPE_CHECKING:
@@ -140,26 +142,29 @@ def _one_norm(a: sp.csr_matrix) -> float:
     return float(sums.max())
 
 
-def _taylor_plan(m, h: float) -> _TaylorPlan:
-    """Scale M by h and pick (m_star, s) minimising m_star * s by the 1-norm.
+def _plan_size(norm: float) -> tuple[int, int]:
+    """(m_star, s) minimising m_star * s, s = ceil(||hM||_1 / theta_m).
 
-    s = ceil(||hM||_1 / theta_m), the rule scipy's expm_multiply applies while
-    ||hM||_1 <= 63.36 (condition (3.13) of Al-Mohy & Higham); above that it
-    costs more matvecs than scipy's power-norm estimates, for the same error
-    bound.  M is antisymmetric with zero trace, so no shift is needed.
-    The scaled matrix shares M's index arrays; only its values are new.
+    scipy's expm_multiply applies this rule while ||hM||_1 <= 63.36
+    (condition (3.13) of Al-Mohy & Higham); above, it costs more matvecs
+    than scipy's power-norm estimates, for the same error bound.  m_star * s
+    never decreases as the norm grows, so a bound on the norm bounds it.
     """
-    import scipy.sparse as sp
-
-    a = sp.csr_matrix((m.data * h, m.indices, m.indptr), shape=m.shape)
-    norm = _one_norm(a)
     if norm == 0:
-        return _TaylorPlan(a, 0, 1)
-    m_star, s = min(
+        return 0, 1
+    return min(
         ((k, math.ceil(norm / theta)) for k, theta in _THETA.items()),
         key=lambda ks: ks[0] * ks[1],
     )
-    return _TaylorPlan(a, m_star, s)
+
+
+def _taylor_plan(m, h: float) -> _TaylorPlan:
+    """hM, sharing M's index arrays, and _plan_size(||hM||_1); M is
+    antisymmetric with zero trace, so no shift is needed."""
+    import scipy.sparse as sp
+
+    a = sp.csr_matrix((m.data * h, m.indices, m.indptr), shape=m.shape)
+    return _TaylorPlan(a, *_plan_size(_one_norm(a)))
 
 
 def _taylor_action(plan: _TaylorPlan, x: np.ndarray) -> np.ndarray:
@@ -224,19 +229,46 @@ def default_step(gen: Generator) -> float:
     return _budget_step(gen.infinity_norm())
 
 
-def admit_grid(n_sites: int, t_max: float, dt: float, stride: int) -> int:
-    """round(t_max / dt) steps, at least 1; SizeCapError past STEP_CAP or SAMPLE_BYTES_CAP."""
+def admit_evolution(h: SpinHamiltonian, t_max: float, dt: float, stride: int, method: str):
+    """{interval length: count} of the grid, or SizeCapError, from H alone.
+
+    In order: past STEP_CAP steps or SAMPLE_BYTES_CAP bytes of samples; M
+    and what `method` builds next to it past GENERATOR_BYTES_CAP; matvecs
+    times generator_nnz(h) + MATVEC_OVERHEAD past WORK_CAP.  rk4 takes 4
+    matvecs a step; expm, per interval of n steps, the m_star * s of
+    _plan_size(n * dt * norm_bound(h)), at least what its plan takes.
+    """
     if not t_max / dt <= STEP_CAP:
         raise SizeCapError(
             f"time grid capped at {STEP_CAP} steps, t_max/dt = {t_max / dt:.3g}"
         )
     n_steps = max(1, int(round(t_max / dt)))
-    sample_bytes = (n_steps // stride + 2) * 4**n_sites * 8
+    sample_bytes = (n_steps // stride + 2) * 4**h.n_sites * 8
     if sample_bytes > SAMPLE_BYTES_CAP:
         raise SizeCapError(
             f"recorded samples capped at {SAMPLE_BYTES_CAP} bytes, need {sample_bytes}"
         )
-    return n_steps
+    admit_generator(h, {method})
+    # a stride past the last step records only t = 0 and the end
+    step = min(stride, n_steps)
+    counts = {step: n_steps // step}
+    if n_steps % step:
+        counts[n_steps % step] = 1
+    if method == "rk4":
+        matvecs = 4 * n_steps
+    else:
+        bound = norm_bound(h)
+        try:
+            matvecs = sum(k * math.prod(_plan_size(n * dt * bound)) for n, k in counts.items())
+        except OverflowError:  # an infinite norm: no plan ends
+            matvecs = math.inf
+    work = matvecs * (generator_nnz(h) + MATVEC_OVERHEAD)
+    if work > WORK_CAP:
+        raise SizeCapError(
+            f"run time capped at {WORK_CAP:.3g} nonzero-equivalents of matvec work, "
+            f"need {work:.3g}"
+        )
+    return counts
 
 
 def evolve(
@@ -257,10 +289,10 @@ def evolve(
     before the last sample); expm scales M and chooses its Taylor degree
     and scaling once per length, so each sample costs only its matvecs.
     t_max > 0 is rounded to a whole number of steps; a t_max or dt that is
-    a bool, Python's or numpy's, raises ValueError.  Raises SizeCapError
-    before allocating when admit_grid refuses the grid, and before stepping
-    when the matvecs (4 per rk4 step; m_star * s per expm interval, from
-    its plan) times nnz(M) + MATVEC_OVERHEAD exceed WORK_CAP.
+    a bool, Python's or numpy's, raises ValueError.  A step with
+    dt * ||M||_inf > 1 raises StepTooLargeError; then admit_evolution, the
+    check the CLI makes before it builds M, raises SizeCapError before any
+    sample or Taylor plan is allocated.
     """
     if x0.n_sites != gen.n_sites:
         raise ValueError("state and generator site counts differ")
@@ -277,27 +309,9 @@ def evolve(
         raise ValueError(f"unknown method {method!r}")
     if dt * norm > 1.0:
         raise StepTooLargeError(f"step too large: dt*||M|| = {dt * norm:.3g} > 1")
-    n_steps = admit_grid(gen.n_sites, t_max, dt, stride)
-    # a stride past the last step records only t = 0 and the end
-    step = min(stride, n_steps)
-    counts = {step: n_steps // step}  # interval length -> how many
-    if n_steps % step:
-        counts[n_steps % step] = 1
-    m = gen.matrix
-    if method == "rk4":
-        matvecs = 4 * n_steps
-    else:
-        plans = {n: _taylor_plan(m, n * dt) for n in counts}
-        matvecs = sum(k * plans[n].m_star * plans[n].s for n, k in counts.items())
-    work = matvecs * (m.nnz + MATVEC_OVERHEAD)
-    if work > WORK_CAP:
-        raise SizeCapError(
-            f"run time capped at {WORK_CAP:.3g} nonzero-equivalents of matvec work, "
-            f"need {work:.3g}"
-        )
-    rec = np.arange(0, n_steps + 1, step)
-    if rec[-1] != n_steps:
-        rec = np.append(rec, n_steps)
+    counts = admit_evolution(gen.hamiltonian, t_max, dt, stride, method)
+    step, n_steps = max(counts), sum(n * k for n, k in counts.items())
+    rec = np.append(np.arange(0, n_steps, step), n_steps)
     times = rec * dt
     lengths = np.diff(rec)
 
@@ -310,6 +324,7 @@ def evolve(
                 x = _rk4_step(gen.apply, x, dt)
             out[row] = x
     else:
+        plans = {n: _taylor_plan(gen.matrix, n * dt) for n in counts}
         for row, n in enumerate(lengths, start=1):
             x = _taylor_action(plans[n], x)
             out[row] = x

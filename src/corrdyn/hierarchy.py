@@ -19,15 +19,16 @@ at once; each term reaches its column by a constant code shift.  The
 row-by-row reading of the rules is kept in the test suite as the reference
 the build must match bit for bit.  Every nonzero field component or
 coupling entry adds 4**N / 2 entries, so the size of M is known before it
-is built (generator_nnz, admit_generator), and the rows are built in
-chunks of ROW_CHUNK codes that share their top digits: a rule that tests
-only low digits selects the same low codes in every chunk, and one that
-tests a top digit selects a whole chunk or none of it.  Codes and indices
-are int32 throughout, so scipy's COO-to-CSR conversion copies none of
-them, and only one chunk's temporaries exist next to the finished CSR.
-build_generator imports scipy.sparse itself: it is the one place here that
-constructs a sparse matrix, so a process that never builds M (a decompose
-run, a config refused at load) never loads scipy.
+is built (generator_nnz), and build_generator first refuses an M past
+GENERATOR_BYTES_CAP (admit_generator).  The rows are built in chunks of
+ROW_CHUNK codes that share their top digits: a rule that tests only low
+digits selects the same low codes in every chunk, and one that tests a top
+digit selects a whole chunk or none of it.  Codes and indices are int32
+throughout, so scipy's COO-to-CSR conversion copies none of them, and only
+one chunk's temporaries exist next to the finished CSR.  build_generator
+imports scipy.sparse itself: it is the one place here that constructs a
+sparse matrix, so a process that never builds M (a decompose run, a config
+refused at load) never loads scipy.
 
 Split the sites into system 1 and the rest, system 2, and H into H_0, H
 without the couplings across the split, and H_V, those couplings alone.
@@ -76,8 +77,8 @@ SPLIT_MIN_SITES = 5
 # build peak is 29 MB for a 21 MB M (82 MB in one piece)
 ROW_CHUNK = 4**6
 
-# admit_generator refuses an M, with what the run's evolution methods build
-# next to it, of more than this many bytes (exit 4)
+# admit_generator refuses an M, with what an evolution method builds next
+# to it, of more than this many bytes (exit 4)
 GENERATOR_BYTES_CAP = 2 * 1024**3
 
 # admit_dense refuses work on dense arrays over more than this many
@@ -198,6 +199,14 @@ def generator_nnz(h: SpinHamiltonian) -> int:
     return int(terms) * 4**h.n_sites // 2
 
 
+def norm_bound(h: SpinHamiltonian) -> float:
+    """(sum |h_i^a| + sum |V_ij^ab|) (1 + 1e-12) >= ||M||_inf = ||M||_1: a row
+    of M holds each field component and coupling entry at most once, and the
+    factor covers the rounding of either sum."""
+    terms = np.abs(h.fields).sum() + sum(np.abs(v).sum() for v in h.couplings.values())
+    return float(terms) * (1 + 1e-12)
+
+
 def generator_bytes(h: SpinHamiltonian) -> int:
     """Bytes of the CSR M: float64 data, int32 column indices and row pointers."""
     return 12 * generator_nnz(h) + 4 * (4**h.n_sites + 1)
@@ -226,14 +235,16 @@ def admit_generator(h: SpinHamiltonian, methods=()) -> None:
 def build_generator(h: SpinHamiltonian) -> Generator:
     """Assemble M by applying rules (a)-(c) to all 4**N row codes at once.
 
-    Each rule picks its rows by digit masks on the row code and reaches its
-    column by one constant code shift, so every (site, axis, partner,
-    epsilon term) adds a whole block of entries; a zero coefficient adds none.
-    The rows are filled in chunks of ROW_CHUNK, split on the top digits: a
-    rule selects the same low codes in every chunk whose top digits it
-    accepts.  Each chunk goes through scipy's COO-to-CSR conversion and is
-    copied into the CSR arrays, allocated once from generator_nnz.
+    Raises SizeCapError first when admit_generator refuses M's bytes.  Each
+    rule picks its rows by digit masks on the row code and reaches its column
+    by one constant code shift, so every (site, axis, partner, epsilon term)
+    adds a whole block of entries; a zero coefficient adds none.  The rows
+    are filled in chunks of ROW_CHUNK, split on the top digits: a rule
+    selects the same low codes in every chunk whose top digits it accepts.
+    Each chunk goes through scipy's COO-to-CSR conversion and is copied into
+    the CSR arrays, allocated once from generator_nnz.
     """
+    admit_generator(h)
     import scipy.sparse as sp
 
     n = h.n_sites

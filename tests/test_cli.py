@@ -575,3 +575,91 @@ def test_failing_task_leaves_no_earlier_task_output(
     assert cli.run(cfg, out) == status
     assert message in _one_error_line(capsys)
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "field, time, status, message, built",
+    [
+        # refused in closed form, before M is built
+        (0.5, {"t_max": 1e9, "dt": 1e-3, "stride": 10**9}, 4, "run time capped", []),
+        # the step check needs ||M||_inf, so M is built, but validate runs first
+        (100.0, {"t_max": 1.0, "dt": 0.1}, 3, "step too large", ["build_generator"]),
+    ],
+    ids=["work-cap", "step-too-large"],
+)
+def test_refused_evolution_enters_no_other_task(
+    tmp_path, capsys, monkeypatch, field, time, status, message, built
+):
+    from corrdyn import dynamics, hierarchy
+
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(dynamics, "spectrum")
+    spy(hierarchy, "build_generator")
+    larmor = {**_LARMOR, "fields": [[0.0, 0.0, field]]}
+    cfg = write_config(
+        tmp_path / "c.json", **larmor, time=time, tasks=["spectrum", "validate"]
+    )
+    out = tmp_path / "out"
+    assert cli.run(cfg, out) == status
+    assert message in _one_error_line(capsys)
+    assert calls == built
+    assert not any(out.iterdir())
+
+
+def test_bloch_vector_longer_than_one_exits_2(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "c.json", **{**_LARMOR, "initial_state": {"product": [[0.8, 0.8, 0.0]]}},
+        time={"t_max": 1.0, "dt": 0.1},
+    )
+    out = tmp_path / "out"
+    assert cli.run(cfg, out) == 2
+    assert capsys.readouterr().err == "error: Bloch vectors must have length <= 1\n"
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
+def test_fmt_refuses_a_value_that_is_not_finite(x):
+    from corrdyn.errors import NumericError
+
+    with pytest.raises(NumericError, match="non-finite value"):
+        cli._fmt(x)
+
+
+def test_expm_norm_past_the_double_range_exits_4(tmp_path, capsys):
+    # n * dt * norm_bound(h) overflows to inf: no Taylor plan of it ends
+    cfg = write_config(
+        tmp_path / "c.json", **{**_LARMOR, "fields": [[1e308, 0.0, 0.0]]},
+        time={"t_max": 10.0, "dt": 1.0, "stride": 10}, method="expm",
+    )
+    out = tmp_path / "out"
+    assert cli.run(cfg, out) == 4
+    assert "run time capped" in _one_error_line(capsys)
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("n_steps, status", [(29_000_000, 0), (40_000_000, 4)])
+def test_rk4_work_cap_boundary(n_steps, status):
+    """4 matvecs a step of 2 + MATVEC_OVERHEAD nonzero-equivalents on one
+    precessing spin: 1.16e12 is admitted, and 1.6e12, past WORK_CAP = 1.2e12
+    but under twice it, and twice 2 matvecs a step, is refused."""
+    from corrdyn import dynamics
+    from corrdyn.errors import SizeCapError
+    from corrdyn.hamiltonian import SpinHamiltonian
+
+    h = SpinHamiltonian(1, np.array([[0.0, 0.0, 1.0]]))
+    dt, stride = 1e-3, 10**9
+    if status:
+        with pytest.raises(SizeCapError, match="run time capped"):
+            dynamics.admit_evolution(h, n_steps * dt, dt, stride, "rk4")
+    else:
+        assert dynamics.admit_evolution(h, n_steps * dt, dt, stride, "rk4") == {n_steps: 1}

@@ -10,8 +10,10 @@ entries, at any depth, are replaced by a wrong type, NaN, an infinity, a
 bool or an extreme number, or deleted.
 
 A second strategy draws only configs past an exit-4 cap, up to 64 sites:
-each must exit 4 with one error line before it writes a file or allocates
-1 MiB.
+each must exit 4 with one error line before it writes a file, enters a task
+or allocates 1 MiB.  Its "work" kind also draws a step too large for M next
+to a task that needs M or the state: that exits 3 in the first timed task,
+before any other task.
 """
 
 import contextlib
@@ -22,6 +24,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -167,7 +170,11 @@ def refused_configs(draw, kind):
       recording more than SAMPLE_BYTES_CAP;
     - "split": an rk4 evolve of 12 sites whose 12-20 zz couplings all join
       the low and the high half: M fits under GENERATOR_BYTES_CAP, M with
-      rk4's half split does not.
+      rk4's half split does not;
+    - "work": 1-3 sites with a timed task on 1e11-1e12 steps, whose samples
+      a stride of 1e7-1e9 keeps under SAMPLE_BYTES_CAP, past WORK_CAP; or,
+      refused by the step check (exit 3) instead, fields of 100 and
+      dt = 0.1 next to spectrum, resolvent or decompose.
     """
     tasks = draw(st.lists(st.sampled_from(list(cli._TASKS)), min_size=1, unique=True))
     method = draw(st.sampled_from(["rk4", "expm"]))
@@ -175,6 +182,7 @@ def refused_configs(draw, kind):
     n = draw({
         "sites": st.integers(13, 64), "generator": st.integers(10, 12), "dense": st.integers(7, 8),
         "decompose": st.integers(10, 12), "grid": st.integers(1, 3), "split": st.just(12),
+        "work": st.integers(1, 3),
     }[kind])
     fields = [[0.0, 0.0, 1.0]] * n
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -205,6 +213,15 @@ def refused_configs(draw, kind):
         fields, couplings = [[0.0, 0.0, 0.0]] * n, [_coupling(i, j, tensor) for i, j in chosen]
         tasks, method = ["evolve"], "rk4"  # any other task is refused by another cap
         t_max, stride = 1.0, draw(st.integers(100, 1000))
+    elif kind == "work":
+        if not {"evolve", "validate"} & set(tasks):
+            tasks.append(draw(st.sampled_from(["evolve", "validate"])))
+        if draw(st.booleans()):  # rk4: 4e11 matvecs or more; expm: 5.6e8 or more
+            t_max, stride = 10.0 ** draw(st.integers(8, 9)), draw(st.integers(10**7, 10**9))
+        else:  # dt * ||M||_inf >= 10
+            fields, t_max, dt = [[0.0, 0.0, 100.0]] * n, 1.0, 0.1
+            if not {"spectrum", "resolvent", "decompose"} & set(tasks):
+                tasks.append(draw(st.sampled_from(["spectrum", "resolvent", "decompose"])))
     cartesian = "resolvent" in tasks
     max_tokens = n if kind == "sites" else min(n, 6)  # never parsed past 12 sites
     return {
@@ -224,12 +241,28 @@ def refused_configs(draw, kind):
     }
 
 
-@pytest.mark.parametrize("kind", ["sites", "generator", "dense", "decompose", "grid", "split"])
+def _spied_tasks(entered: list) -> dict:
+    """cli._TASKS with each task appending its name to `entered` when it runs."""
+
+    def spy(name, task):
+        def run(*args):
+            entered.append(name)
+            return task(*args)
+
+        return run
+
+    return {name: spy(name, task) for name, task in cli._TASKS.items()}
+
+
+@pytest.mark.parametrize(
+    "kind", ["sites", "generator", "dense", "decompose", "grid", "split", "work"]
+)
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_configs_past_a_cap_exit_4_before_allocating(kind, data):
     cfg = data.draw(refused_configs(kind))
-    with tempfile.TemporaryDirectory() as tmp:
+    entered = []
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(cli._TASKS, _spied_tasks(entered)):
         path, out = Path(tmp) / "c.json", Path(tmp) / "out"
         path.write_text(json.dumps(cfg))
         err = io.StringIO()
@@ -242,7 +275,13 @@ def test_configs_past_a_cap_exit_4_before_allocating(kind, data):
             tracemalloc.stop()
         written = sorted(p.name for p in out.iterdir()) if out.exists() else []
     lines = err.getvalue().splitlines()
-    assert status == 4, lines
-    assert len(lines) == 1 and lines[0].startswith("error:") and "capped" in lines[0], lines
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
     assert not written, written
-    assert peak < 1 << 20, peak
+    if status == 3 and kind == "work":  # the step check, in the first timed task
+        assert "step too large" in lines[0], lines
+        assert len(entered) == 1 and entered[0] in cli._TIMED, entered
+    else:
+        assert status == 4, lines
+        assert "capped" in lines[0], lines
+        assert not entered, entered
+        assert peak < 1 << 20, peak

@@ -177,3 +177,51 @@ def test_dyson_series_matches_the_dense_solve_series(rng, n, system1):
         ref = dyson_series_dense(diag, inter, z, order)
         rel = np.max(np.abs(dyson_series(gen, split, z, order) - ref)) / np.max(np.abs(ref))
         assert rel < 1e-12, (order, rel)
+
+
+def _sparse_hamiltonian(n: int, rng: np.random.Generator) -> SpinHamiltonian:
+    """Gaussian fields and couplings at a random scale, each entry zero with
+    probability 1/2 and each pair coupled with probability 1/2."""
+    scale = 10.0 ** rng.uniform(-2, 2)
+    fields = scale * rng.normal(size=(n, 3)) * (rng.random((n, 3)) < 0.5)
+    couplings = {
+        (i, j): scale * rng.normal(size=(3, 3)) * (rng.random((3, 3)) < 0.5)
+        for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5
+    }
+    return SpinHamiltonian(n, fields, couplings)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_expm_work_estimate_bounds_the_planned_matvecs(rng, monkeypatch, n):
+    """norm_bound(h) >= ||M||_inf and ||M||_1, so admit_evolution's expm
+    work, counted in closed form before M exists, is at least the work of
+    the plans evolve then builds: a cap one below the planned work refuses
+    the run.  With a single field component the bound is attained and a cap
+    equal to the planned work admits it."""
+    from corrdyn import dynamics
+    from corrdyn.errors import SizeCapError
+    from corrdyn.hierarchy import generator_nnz, norm_bound
+
+    single = []
+    for _ in range(3):
+        fields = np.zeros((n, 3))
+        fields[rng.integers(n), rng.integers(3)] = 10.0 ** rng.uniform(-2, 2)
+        single.append(SpinHamiltonian(n, fields))
+    for case in range(60):
+        h = single[case] if case < len(single) else _sparse_hamiltonian(n, rng)
+        gen = build_generator(h)
+        assert norm_bound(h) >= gen.infinity_norm()
+        assert norm_bound(h) >= _one_norm(gen.matrix)
+        dt = 10.0 ** rng.uniform(-3, -0.5)
+        t_max, stride = dt * rng.integers(1, 200), int(rng.integers(1, 60))
+        counts = dynamics.admit_evolution(h, t_max, dt, stride, "expm")
+        plans = [(k, _taylor_plan(gen.matrix, length * dt)) for length, k in counts.items()]
+        matvecs = sum(k * plan.m_star * plan.s for k, plan in plans)
+        work = matvecs * (generator_nnz(h) + dynamics.MATVEC_OVERHEAD)
+        monkeypatch.setattr(dynamics, "WORK_CAP", work - 1)
+        with pytest.raises(SizeCapError, match="run time capped"):
+            dynamics.admit_evolution(h, t_max, dt, stride, "expm")
+        if case < len(single):
+            monkeypatch.setattr(dynamics, "WORK_CAP", work)
+            assert dynamics.admit_evolution(h, t_max, dt, stride, "expm") == counts
+        monkeypatch.undo()

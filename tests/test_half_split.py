@@ -120,6 +120,7 @@ def test_rk4_admission_counts_the_bytes_of_the_split(rng, monkeypatch, n):
     """admit_generator(h, {"rk4"}) needs M's bytes plus, from SPLIT_MIN_SITES
     sites on, exactly the bytes of the split that apply caches."""
     for name, h in split_hamiltonians(n, rng).items():
+        monkeypatch.undo()  # half_split's builds admit themselves against the cap
         need = hierarchy.generator_bytes(h)
         if n >= SPLIT_MIN_SITES:
             m_a, m_b, v = half_split(h)

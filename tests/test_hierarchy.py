@@ -403,3 +403,21 @@ def test_split_sectors_refuses_a_mask_that_is_not_an_integer(system1):
 def test_split_sectors_takes_a_numpy_integer_mask():
     split = split_sectors(3, np.int64(1))
     assert type(split.system1) is int and split == split_sectors(3, 1)
+
+
+def test_build_generator_refuses_past_the_byte_cap_before_allocating(monkeypatch):
+    from corrdyn import hierarchy
+
+    dense = np.full((3, 3), 0.5)
+    h = SpinHamiltonian(3, np.ones((3, 3)), {(0, 1): dense, (1, 2): dense})
+    monkeypatch.setattr(hierarchy, "GENERATOR_BYTES_CAP", hierarchy.generator_bytes(h) - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match="generator capped"):
+            build_generator(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    monkeypatch.setattr(hierarchy, "GENERATOR_BYTES_CAP", hierarchy.generator_bytes(h))
+    assert build_generator(h).matrix.nnz == hierarchy.generator_nnz(h)
