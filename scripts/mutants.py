@@ -49,10 +49,21 @@ MUTANTS = [
     ),
     (
         "src/corrdyn/hierarchy.py",
-        "    admit_generator(h)\n    import scipy.sparse as sp",
-        "    import scipy.sparse as sp",
+        "    admit_generator(h)\n    return Generator(h.n_sites, None, h)",
+        "    return Generator(h.n_sites, None, h)",
     ),
     ("src/corrdyn/cli.py", "if not math.isfinite(x):", "if False:"),
+    (
+        "src/corrdyn/dynamics.py",
+        "if not dt * norm_bound(h) <= 1.0:",
+        "if not dt * norm_bound(h) <= 2.0:",
+    ),
+    ("src/corrdyn/dynamics.py", "if low > 1.0:", "if low > 0.5:"),
+    (
+        "src/corrdyn/hierarchy.py",
+        "        if c:\n            blocks.append",
+        "        if scale * c:\n            blocks.append",
+    ),
 ]
 
 # checks that each `old` occurs once; it cannot hold in a mutated copy

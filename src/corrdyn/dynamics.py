@@ -11,17 +11,19 @@ same product, scaling and sum as scipy's, made in place with one |.| pass,
 and the partial sum's infinity norm is computed only when a running upper
 bound on it lets scipy's stopping test pass, which then decides on the
 exact norm, so every sub-step ends at scipy's term.  That identity is why
-expm multiplies by the assembled CSR M, while RK4 applies M through
+expm multiplies by the assembled CSR hM, while RK4 applies M through
 Generator.apply: from five sites on, the Kronecker sum of the generators of
 the two halves of the sites plus their sparse interaction, the same M
 summed in another order (below, the CSR product, which is faster there).
 From five sites on the backends therefore also check that split against
-the CSR M.  The scaled hM shares M's index arrays, and its 1-norm, like
-||M||_inf, is summed from the arrays in scipy's order rather than from a
-second matrix abs(hM), so a plan copies only M's values.  Building that
-plan is the only place here that constructs a sparse matrix, so it alone
-imports scipy.sparse; everything else multiplies by the M that
-build_generator made.
+the CSR M.  A grid with one interval length and a generator whose CSR M
+is not yet built takes its hM from hierarchy's assembly with scale h, the
+same arrays bit for bit, so that run never holds M; otherwise the scaled
+hM shares M's index arrays and a plan copies only M's values.  Its
+1-norm, like ||M||_inf, is summed from the arrays in scipy's order rather
+than from a second matrix abs(hM).  Copying a plan is the only place here
+that constructs a sparse matrix, so it alone imports scipy.sparse;
+everything else multiplies by the M or hM that hierarchy assembled.
 
 M is the Pauli-basis form of the commutator -i[H, .], so its eigenvalues
 are i(E_n - E_m) over all pairs of levels of H, with eigenvectors the Pauli
@@ -51,8 +53,9 @@ import numpy as np
 from .density import CorrelatorVector, pauli_coefficients
 from .errors import DivergentSeriesError, PoleProximityError, SizeCapError, StepTooLargeError
 from .hamiltonian import SpinHamiltonian
-from .hierarchy import CoupledSplit, Generator, _coupling_split, admit_dense, admit_generator
-from .hierarchy import build_generator, generator_nnz, norm_bound
+from .hierarchy import CoupledSplit, Generator, _assemble, _coupling_split, admit_dense
+from .hierarchy import admit_generator, build_generator, generator_nnz, largest_coefficient
+from .hierarchy import norm_bound
 from .pauli import Observable, PauliString
 
 if TYPE_CHECKING:
@@ -233,7 +236,8 @@ def admit_evolution(h: SpinHamiltonian, t_max: float, dt: float, stride: int, me
     """{interval length: count} of the grid, or SizeCapError, from H alone.
 
     In order: past STEP_CAP steps or SAMPLE_BYTES_CAP bytes of samples; M
-    and what `method` builds next to it past GENERATOR_BYTES_CAP; matvecs
+    and what `method` builds next to it past GENERATOR_BYTES_CAP (for expm,
+    one Taylor plan per distinct interval length); matvecs
     times generator_nnz(h) + MATVEC_OVERHEAD past WORK_CAP.  rk4 takes 4
     matvecs a step; expm, per interval of n steps, the m_star * s of
     _plan_size(n * dt * norm_bound(h)), at least what its plan takes.
@@ -248,12 +252,12 @@ def admit_evolution(h: SpinHamiltonian, t_max: float, dt: float, stride: int, me
         raise SizeCapError(
             f"recorded samples capped at {SAMPLE_BYTES_CAP} bytes, need {sample_bytes}"
         )
-    admit_generator(h, {method})
     # a stride past the last step records only t = 0 and the end
     step = min(stride, n_steps)
     counts = {step: n_steps // step}
     if n_steps % step:
         counts[n_steps % step] = 1
+    admit_generator(h, {method}, len(counts))
     if method == "rk4":
         matvecs = 4 * n_steps
     else:
@@ -283,38 +287,60 @@ def evolve(
 
     method "rk4" is the fixed-step integrator, with M applied by
     gen.apply; "expm" applies the matrix exponential action from one
-    recorded sample to the next with products on the CSR M, and conserves
+    recorded sample to the next with products on the CSR hM, and conserves
     the sector norm to near machine precision.  The intervals between
     samples take at most two lengths (stride steps, and the remainder
     before the last sample); expm scales M and chooses its Taylor degree
     and scaling once per length, so each sample costs only its matvecs.
-    t_max > 0 is rounded to a whole number of steps; a t_max or dt that is
-    a bool, Python's or numpy's, raises ValueError.  A step with
-    dt * ||M||_inf > 1 raises StepTooLargeError; then admit_evolution, the
-    check the CLI makes before it builds M, raises SizeCapError before any
-    sample or Taylor plan is allocated.
+    With one length and no CSR M built yet, that hM is assembled directly
+    from the Hamiltonian and M is never built; otherwise each plan copies
+    M's values times h.  t_max > 0 is rounded to a whole number of steps; a
+    t_max or dt that is a bool, Python's or numpy's, raises ValueError.  A
+    step with dt * ||M||_inf > 1 raises StepTooLargeError: at once when dt
+    times H's largest coefficient, a lower bound on ||M||_inf, is past 1,
+    and without reading M when dt * norm_bound(h) <= 1 admits it; only
+    between the two bounds, or with dt None (dt * ||M||_inf = 0.1), is
+    ||M||_inf computed from M.  Then admit_evolution, the check the CLI
+    makes before any task, raises SizeCapError before any sample or Taylor
+    plan is allocated.
     """
     if x0.n_sites != gen.n_sites:
         raise ValueError("state and generator site counts differ")
     if _is_bool(t_max) or not t_max > 0:
         raise ValueError("t_max must be a positive number")
-    norm = gen.infinity_norm()
     if dt is None:
-        dt = _budget_step(norm)
+        dt = _budget_step(gen.infinity_norm())
     if _is_bool(dt) or not dt > 0:
         raise ValueError("dt must be a positive number")
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError("stride must be an integer >= 1")
     if method not in ("rk4", "expm"):
         raise ValueError(f"unknown method {method!r}")
-    if dt * norm > 1.0:
-        raise StepTooLargeError(f"step too large: dt*||M|| = {dt * norm:.3g} > 1")
-    counts = admit_evolution(gen.hamiltonian, t_max, dt, stride, method)
+    h = gen.hamiltonian
+    # largest_coefficient(h) <= ||M||_inf <= norm_bound(h), and rounding is
+    # monotone, so neither shortcut decides otherwise than dt * ||M||_inf
+    low = dt * largest_coefficient(h)
+    if low > 1.0:
+        raise StepTooLargeError(f"step too large: dt*||M|| >= {low:.3g} > 1")
+    if not dt * norm_bound(h) <= 1.0:
+        norm = gen.infinity_norm()
+        if dt * norm > 1.0:
+            raise StepTooLargeError(f"step too large: dt*||M|| = {dt * norm:.3g} > 1")
+    counts = admit_evolution(h, t_max, dt, stride, method)
     step, n_steps = max(counts), sum(n * k for n, k in counts.items())
     rec = np.append(np.arange(0, n_steps, step), n_steps)
     times = rec * dt
     lengths = np.diff(rec)
 
+    # the plans are made before the samples are allocated: made after them,
+    # a 6-site expm run raised the process's peak RSS by 3 MB more
+    if method == "expm":
+        if len(counts) == 1 and not gen.has_matrix:
+            (n,) = counts
+            a = _assemble(h, n * dt)  # the arrays of _taylor_plan(M, n * dt).a
+            plans = {n: _TaylorPlan(a, *_plan_size(_one_norm(a)))}
+        else:
+            plans = {n: _taylor_plan(gen.matrix, n * dt) for n in counts}
     out = np.empty((rec.size, gen.dim))
     x = np.array(x0.values, dtype=float)
     out[0] = x
@@ -324,7 +350,6 @@ def evolve(
                 x = _rk4_step(gen.apply, x, dt)
             out[row] = x
     else:
-        plans = {n: _taylor_plan(gen.matrix, n * dt) for n in counts}
         for row, n in enumerate(lengths, start=1):
             x = _taylor_action(plans[n], x)
             out[row] = x

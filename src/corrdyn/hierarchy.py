@@ -13,21 +13,25 @@ antisymmetric (norm conservation of the nonidentity sector, equivalently
 purity conservation).  Row and column 0 stay empty: the identity slot is
 inert and pinned to 1.
 
-The rules depend only on the base-4 digits of the row code, so
-build_generator applies (a), (b) and (c) as digit masks over all 4**N codes
-at once; each term reaches its column by a constant code shift.  The
+The rules depend only on the base-4 digits of the row code, so the
+assembly applies (a), (b) and (c) as digit masks over all 4**N codes at
+once; each term reaches its column by a constant code shift.  The
 row-by-row reading of the rules is kept in the test suite as the reference
-the build must match bit for bit.  Every nonzero field component or
+the assembly must match bit for bit.  Every nonzero field component or
 coupling entry adds 4**N / 2 entries, so the size of M is known before it
 is built (generator_nnz), and build_generator first refuses an M past
-GENERATOR_BYTES_CAP (admit_generator).  The rows are built in chunks of
-ROW_CHUNK codes that share their top digits: a rule that tests only low
-digits selects the same low codes in every chunk, and one that tests a top
-digit selects a whole chunk or none of it.  Codes and indices are int32
-throughout, so scipy's COO-to-CSR conversion copies none of them, and only
-one chunk's temporaries exist next to the finished CSR.  build_generator
-imports scipy.sparse itself: it is the one place here that constructs a
-sparse matrix, so a process that never builds M (a decompose run, a config
+GENERATOR_BYTES_CAP (admit_generator).  It assembles nothing itself: the
+Generator assembles its CSR M on the first access to matrix, so a run that
+only needs M x through the half split, or exp(hM) x through one scaled
+copy of M (dynamics.evolve assembles that hM directly, with scale = h),
+never holds M.  The rows are built in chunks of ROW_CHUNK codes that share
+their top digits: a rule that tests only low digits selects the same low
+codes in every chunk, and one that tests a top digit selects a whole chunk
+or none of it.  Codes and indices are int32 throughout, so scipy's
+COO-to-CSR conversion copies none of them, and only one chunk's
+temporaries exist next to the finished CSR.  The assembly imports
+scipy.sparse itself: it is the one place here that constructs a sparse
+matrix, so a process that never assembles M (a decompose run, a config
 refused at load) never loads scipy.
 
 Split the sites into system 1 and the rest, system 2, and H into H_0, H
@@ -40,9 +44,10 @@ to each system.  half_split takes the low N // 2 sites as system 1, so that
 M = kron(I, M_1) + kron(M_2, I) + V, and Generator caches it: from
 SPLIT_MIN_SITES sites on, apply computes M x from it as two small dense
 products and a sparse one with about half of M's nonzeros, faster than the
-CSR product, so rk4 reads the CSR M only for ||M||_inf and nnz.  The
-coupled-system sector blocks are slices in (X1, Y, X2) order: of M for
-block_structure, and of M_0 and V for decompose_blocks.  M_0 keeps every
+CSR product, so rk4 needs the CSR M only for the exact ||M||_inf, which
+evolve reads only when dt is None or norm_bound(h) cannot settle its step
+check.  The coupled-system sector blocks are slices in (X1, Y, X2) order:
+of M for block_structure, and of M_0 and V for decompose_blocks.  M_0 keeps every
 sector to itself, so the X1 <-> X2 blocks of M are those of V, which are
 zero: a coupling across the split adds or removes one of its two sites and
 keeps the other in the support, so no support passes between the systems.
@@ -50,7 +55,7 @@ keeps the other in the support, so no support passes between the systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -121,23 +126,36 @@ def half_split(h: SpinHamiltonian) -> HalfSplit:
     return HalfSplit(m_a, m_b, build_generator(_coupling_split(h, system1)[1]).matrix)
 
 
-@dataclass
 class Generator:
     """Sparse generator matrix over the 4**N correlator slots.
 
     It keeps the Hamiltonian it was built from: M is the Pauli-basis form of
     -i[H, .], so its spectral data come from the eigensystem of H, which is
-    computed once on first use and cached.  The split of M into its two
-    halves' Kronecker sum and their interaction, which apply uses from
+    computed once on first use and cached.  The CSR M is the one passed in,
+    or, given None, assembled from the Hamiltonian on the first access to
+    matrix and cached the same way.  The split of M into its two halves'
+    Kronecker sum and their interaction, which apply uses from
     SPLIT_MIN_SITES sites on, is built from the Hamiltonian's terms on the
-    first such apply and cached the same way.
+    first such apply and cached as well.
     """
 
-    n_sites: int
-    matrix: sp.csr_matrix
-    hamiltonian: SpinHamiltonian = field(repr=False)
-    _eigensystem: EigenSystem | None = field(default=None, init=False, repr=False, compare=False)
-    _split: HalfSplit | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, n_sites: int, matrix: sp.csr_matrix | None, hamiltonian: SpinHamiltonian):
+        self.n_sites = n_sites
+        self.hamiltonian = hamiltonian
+        self._matrix = matrix
+        self._eigensystem: EigenSystem | None = None
+        self._split: HalfSplit | None = None
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        if self._matrix is None:
+            self._matrix = _assemble(self.hamiltonian, 1.0)
+        return self._matrix
+
+    @property
+    def has_matrix(self) -> bool:
+        """True once the CSR M exists, passed in or assembled."""
+        return self._matrix is not None
 
     @property
     def dim(self) -> int:
@@ -207,23 +225,31 @@ def norm_bound(h: SpinHamiltonian) -> float:
     return float(terms) * (1 + 1e-12)
 
 
+def largest_coefficient(h: SpinHamiltonian) -> float:
+    """max |h_i^a|, |V_ij^ab| <= ||M||_inf: each nonzero one is an entry of M,
+    and a rounded sum of nonnegative terms is at least its largest term."""
+    return float(max([np.abs(h.fields).max()] + [np.abs(v).max() for v in h.couplings.values()]))
+
+
 def generator_bytes(h: SpinHamiltonian) -> int:
     """Bytes of the CSR M: float64 data, int32 column indices and row pointers."""
     return 12 * generator_nnz(h) + 4 * (4**h.n_sites + 1)
 
 
-def admit_generator(h: SpinHamiltonian, methods=()) -> None:
+def admit_generator(h: SpinHamiltonian, methods=(), lengths: int = 2) -> None:
     """Raise SizeCapError when M and what the evolution `methods` ("rk4",
     "expm") build next to it would take more than GENERATOR_BYTES_CAP bytes.
 
-    With "expm", the count adds 16 bytes per nonzero: an expm evolution
-    holds up to two Taylor plans next to M, each a scaled copy of M's
-    values.  With "rk4" from SPLIT_MIN_SITES sites on, it adds the half
-    split that apply caches: V's CSR and the dense M_A and M_B.
+    With "expm", the count adds 8 bytes per nonzero for each of the
+    `lengths` distinct interval lengths of the time grid (at most two): an
+    expm evolution holds one Taylor plan per length, each a scaled copy of
+    M's values, or, with one length and no M yet, the scaled M alone, which
+    M's own count covers.  With "rk4" from SPLIT_MIN_SITES sites on, it adds
+    the half split that apply caches: V's CSR and the dense M_A and M_B.
     """
     need = generator_bytes(h)
     if "expm" in methods:
-        need += 16 * generator_nnz(h)
+        need += 8 * lengths * generator_nnz(h)
     if "rk4" in methods and h.n_sites >= SPLIT_MIN_SITES:
         n_a = h.n_sites // 2  # as in half_split
         need += generator_bytes(_coupling_split(h, (1 << n_a) - 1)[1])
@@ -233,18 +259,29 @@ def admit_generator(h: SpinHamiltonian, methods=()) -> None:
 
 
 def build_generator(h: SpinHamiltonian) -> Generator:
-    """Assemble M by applying rules (a)-(c) to all 4**N row codes at once.
+    """The generator of H, whose CSR M is assembled on first use.
 
-    Raises SizeCapError first when admit_generator refuses M's bytes.  Each
-    rule picks its rows by digit masks on the row code and reaches its column
-    by one constant code shift, so every (site, axis, partner, epsilon term)
-    adds a whole block of entries; a zero coefficient adds none.  The rows
-    are filled in chunks of ROW_CHUNK, split on the top digits: a rule
-    selects the same low codes in every chunk whose top digits it accepts.
-    Each chunk goes through scipy's COO-to-CSR conversion and is copied into
-    the CSR arrays, allocated once from generator_nnz.
+    Raises SizeCapError first when admit_generator refuses M's bytes; it
+    allocates nothing 4**N-sized itself.
     """
     admit_generator(h)
+    return Generator(h.n_sites, None, h)
+
+
+def _assemble(h: SpinHamiltonian, scale: float) -> sp.csr_matrix:
+    """scale * M, applying rules (a)-(c) to all 4**N row codes at once.
+
+    Each rule picks its rows by digit masks on the row code and reaches its
+    column by one constant code shift, so every (site, axis, partner,
+    epsilon term) adds a whole block of entries, each s * (scale * c) for
+    the term's sign s and coefficient c.  A block is left out when c is
+    zero, not scale * c, so the arrays are those of scale times M's values
+    on M's index arrays bit for bit, also where scale * c underflows to 0.
+    The rows are filled in chunks of ROW_CHUNK, split on the top digits: a
+    rule selects the same low codes in every chunk whose top digits it
+    accepts.  Each chunk goes through scipy's COO-to-CSR conversion and is
+    copied into the CSR arrays, allocated once from generator_nnz.
+    """
     import scipy.sparse as sp
 
     n = h.n_sites
@@ -264,9 +301,9 @@ def build_generator(h: SpinHamiltonian) -> Generator:
     # (column shift, low codes, coeff, chunk-index mask, value)
     blocks: list[tuple[int, np.ndarray, float, int, int]] = []
 
-    def add(sel: tuple, shift: int, coeff: float) -> None:
-        if coeff:
-            blocks.append((shift, sel[0], coeff, sel[1], sel[2]))
+    def add(sel: tuple, shift: int, s: float, c: float) -> None:
+        if c:
+            blocks.append((shift, sel[0], s * (scale * c), sel[1], sel[2]))
 
     def both(a: tuple, b: tuple) -> tuple:
         """The rows that pass the digit tests a and b."""
@@ -278,19 +315,19 @@ def build_generator(h: SpinHamiltonian) -> Generator:
             terms = _EPS_TERMS[mu]
             sel = (codes[on[0]], on[1], on[2])  # (a) field: mu -> nu at i
             for alpha, nu, s in terms:
-                add(sel, (nu - mu) << 2 * i, s * h.fields[i, alpha - 1])
+                add(sel, (nu - mu) << 2 * i, s, h.fields[i, alpha - 1])
             for j in h.partners(i):
                 v = h.coupling(i, j)
                 for muj in (1, 2, 3):  # (b) intra-subset: j leaves the support
                     sel = both(on, digit[j][muj])
                     for alpha, nu, s in terms:
                         shift = ((nu - mu) << 2 * i) - (muj << 2 * j)
-                        add(sel, shift, s * v[alpha - 1, muj - 1])
+                        add(sel, shift, s, v[alpha - 1, muj - 1])
                 sel = both(on, digit[j][0])  # (c) growth: j joins as lam
                 for alpha, nu, s in terms:
                     for lam in (1, 2, 3):
                         shift = ((nu - mu) << 2 * i) + (lam << 2 * j)
-                        add(sel, shift, s * v[alpha - 1, lam - 1])
+                        add(sel, shift, s, v[alpha - 1, lam - 1])
 
     # blocks in ascending shift list each row's columns in ascending order,
     # so the CSR conversion finds them canonical and skips its per-row sort
@@ -328,8 +365,7 @@ def build_generator(h: SpinHamiltonian) -> Generator:
         ends += start
         del csr  # before the next chunk is built
     assert end == nnz, "chunks disagree with generator_nnz"
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
-    return Generator(n, matrix, h)
+    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 
 def _pair_operator(h: SpinHamiltonian, sites: list[int], j: int, ell: int) -> np.ndarray:

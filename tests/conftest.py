@@ -48,3 +48,21 @@ def up_right_mixture() -> DensityMatrix:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def assemblies(monkeypatch) -> list:
+    """(Hamiltonian, scale) of every CSR assembly of scale * M that the test
+    makes: scale 1.0 is a generator's M, any other an expm plan's hM."""
+    from corrdyn import dynamics, hierarchy
+
+    calls = []
+    real = hierarchy._assemble
+
+    def spy(h, scale):
+        calls.append((h, scale))
+        return real(h, scale)
+
+    monkeypatch.setattr(hierarchy, "_assemble", spy)
+    monkeypatch.setattr(dynamics, "_assemble", spy)
+    return calls

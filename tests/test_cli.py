@@ -484,8 +484,9 @@ def test_expm_plans_count_towards_generator_admission(
 
     cfg = write_config(tmp_path / "c.json", tasks=tasks, method=method)
     h = cli.load_config(cfg).hamiltonian
-    # room for M, not for M and the scaled values of two Taylor plans
-    cap = hierarchy.generator_bytes(h) + 8 * hierarchy.generator_nnz(h)
+    # room for M, not for M and the scaled values of the one Taylor plan of
+    # the grid's one interval length (200 steps, stride 50)
+    cap = hierarchy.generator_bytes(h) + 8 * hierarchy.generator_nnz(h) - 1
     monkeypatch.setattr(hierarchy, "GENERATOR_BYTES_CAP", cap)
     out = tmp_path / "out"
     assert cli.run(cfg, out) == status
@@ -494,6 +495,53 @@ def test_expm_plans_count_towards_generator_admission(
         assert not any(out.iterdir())
     else:
         assert any(out.iterdir())
+
+
+def test_expm_admission_counts_one_plan_per_interval_length(tmp_path, capsys, monkeypatch):
+    from corrdyn import hierarchy
+
+    # 200 steps: a stride of 50 leaves one interval length, one of 30 two
+    one = write_config(tmp_path / "one.json", method="expm")
+    two = write_config(
+        tmp_path / "two.json", method="expm", time={"t_max": 2.0, "dt": 0.01, "stride": 30}
+    )
+    h = cli.load_config(one).hamiltonian
+    # room for M and one plan's scaled values, not for a second plan's
+    cap = hierarchy.generator_bytes(h) + 12 * hierarchy.generator_nnz(h)
+    monkeypatch.setattr(hierarchy, "GENERATOR_BYTES_CAP", cap)
+    assert cli.run(one, tmp_path / "out") == 0
+    _refused_in_small_memory(capsys, two, tmp_path / "refused")
+
+
+def test_expm_evolve_run_assembles_only_the_scaled_m(tmp_path, assemblies):
+    cfg = write_config(tmp_path / "c.json", method="expm")
+    assert cli.run(cfg, tmp_path / "out") == 0
+    assert [scale for _, scale in assemblies] == [50 * 0.01]
+
+
+def test_spectral_config_assembles_m_once(tmp_path, assemblies):
+    cfg = write_config(
+        tmp_path / "c.json",
+        tasks=["spectrum", "resolvent", "validate"],
+        resolvent={"z": [[0.5, 0.25]]},
+    )
+    assert cli.run(cfg, tmp_path / "out") == 0
+    assert [scale for _, scale in assemblies] == [1.0]
+
+
+@pytest.mark.parametrize("method", ["rk4", "expm"])
+def test_step_refused_by_the_largest_coefficient_never_assembles_m(
+    tmp_path, capsys, assemblies, method
+):
+    larmor = {**_LARMOR, "fields": [[0.0, 0.0, 100.0]]}
+    cfg = write_config(
+        tmp_path / "c.json", **larmor, method=method, time={"t_max": 1.0, "dt": 0.1}
+    )
+    out = tmp_path / "out"
+    assert cli.run(cfg, out) == 3
+    assert _one_error_line(capsys) == "error: step too large: dt*||M|| >= 10 > 1"
+    assert assemblies == []
+    assert not any(out.iterdir())
 
 
 def _cross_coupled_twelve(pairs: int = 20) -> dict:
@@ -582,7 +630,9 @@ def test_failing_task_leaves_no_earlier_task_output(
     [
         # refused in closed form, before M is built
         (0.5, {"t_max": 1e9, "dt": 1e-3, "stride": 10**9}, 4, "run time capped", []),
-        # the step check needs ||M||_inf, so M is built, but validate runs first
+        # largest_coefficient(h) already refuses the step before M is
+        # assembled; build_generator only admits M's bytes, and validate runs
+        # first
         (100.0, {"t_max": 1.0, "dt": 0.1}, 3, "step too large", ["build_generator"]),
     ],
     ids=["work-cap", "step-too-large"],

@@ -17,7 +17,8 @@ from corrdyn.errors import (
     StepTooLargeError,
 )
 from corrdyn.hamiltonian import SpinHamiltonian, transverse_pair
-from corrdyn.hierarchy import build_generator, decompose_blocks, split_sectors
+from corrdyn.hierarchy import build_generator, decompose_blocks, largest_coefficient
+from corrdyn.hierarchy import norm_bound, split_sectors
 from conftest import random_hamiltonian, random_mixed_state
 
 
@@ -53,6 +54,84 @@ def test_step_too_large():
     x0 = unit_vector(1)
     with pytest.raises(StepTooLargeError, match="step too large"):
         evolve(gen, x0, 1.0, dt=1.0)
+
+
+@pytest.mark.parametrize("method", ["rk4", "expm"])
+@pytest.mark.parametrize(
+    "field", [[0.0, 0.0, 3.0], [1.0, 0.0, 1.0]], ids=["one-axis", "two-axes"]
+)
+def test_step_check_boundaries(assemblies, field, method):
+    """dt * ||M||_inf <= 1 passes and just above it raises, also where
+    largest_coefficient(h) <= ||M||_inf <= norm_bound(h) cannot decide: along
+    one axis the largest coefficient is ||M||_inf, along two it is half of it,
+    and norm_bound(h) is ||M||_inf (1 + 1e-12) either way."""
+    h = SpinHamiltonian(1, [field])
+    norm = build_generator(h).infinity_norm()
+    bound, low = norm_bound(h), largest_coefficient(h)
+    assert low == (norm if field[0] == 0 else norm / 2)
+    x0 = unit_vector(1, **{"1": 1.0})
+    # settled by norm_bound: expm assembles only its hM (rk4 multiplies by M
+    # below SPLIT_MIN_SITES)
+    del assemblies[:]
+    dt = 0.9 / bound
+    evolve(build_generator(h), x0, 3 * dt, dt=dt, method=method)
+    assert [scale for _, scale in assemblies] == ([1.0] if method == "rk4" else [dt])
+    # between the bounds: ||M||_inf decides, and admits
+    dt = np.nextafter(1.0 / norm, 0.0)
+    assert dt * bound > 1.0 >= dt * norm
+    evolve(build_generator(h), x0, 3 * dt, dt=dt, method=method)
+    # just above 1 / ||M||_inf: refused, by the largest coefficient alone along
+    # one axis, so M is never assembled there, and by ||M||_inf along two
+    dt = (1.0 / norm) * (1 + 1e-9)
+    del assemblies[:]
+    with pytest.raises(StepTooLargeError, match="step too large"):
+        evolve(build_generator(h), x0, 3 * dt, dt=dt, method=method)
+    assert [scale for _, scale in assemblies] == ([] if field[0] == 0 else [1.0])
+
+
+def test_six_site_rk4_evolve_never_assembles_m(rng, assemblies):
+    h = random_hamiltonian(6, rng, 0.8, 0.6)
+    gen = build_generator(h)
+    x0 = extract_correlators(random_mixed_state(rng, 6))
+    traj = evolve(gen, x0, 0.003, dt=0.001, method="rk4")
+    assert traj.times.size == 4
+    assert not gen.has_matrix
+    # the half split assembles the two halves and V, never M itself
+    assert len(assemblies) == 3 and all(ham is not h for ham, _ in assemblies)
+
+
+def test_expm_on_one_interval_length_assembles_only_hm(rng, assemblies):
+    h = random_hamiltonian(3, rng)
+    gen = build_generator(h)
+    x0 = extract_correlators(random_mixed_state(rng, 3))
+    direct = evolve(gen, x0, 0.3, dt=0.01, stride=10, method="expm")
+    assert [(ham is h, scale) for ham, scale in assemblies] == [(True, 10 * 0.01)]
+    assert not gen.has_matrix
+    gen.matrix  # once M is built, the plan copies its values
+    copied = evolve(gen, x0, 0.3, dt=0.01, stride=10, method="expm")
+    assert [scale for _, scale in assemblies] == [10 * 0.01, 1.0]
+    assert np.array_equal(direct.values, copied.values)
+
+
+def test_expm_on_two_interval_lengths_assembles_m_once_and_copies_it(
+    rng, assemblies, monkeypatch
+):
+    from corrdyn import dynamics
+
+    lengths = []
+    real = dynamics._taylor_plan
+
+    def recording_plan(m, h):
+        lengths.append(h)
+        return real(m, h)
+
+    monkeypatch.setattr(dynamics, "_taylor_plan", recording_plan)
+    h = random_hamiltonian(3, rng)
+    gen = build_generator(h)
+    x0 = extract_correlators(random_mixed_state(rng, 3))
+    evolve(gen, x0, 0.3, dt=0.01, stride=7, method="expm")
+    assert [(ham is h, scale) for ham, scale in assemblies] == [(True, 1.0)]
+    assert sorted(lengths) == [2 * 0.01, 7 * 0.01]
 
 
 @pytest.mark.parametrize("t_max", [0.0, -1.0, float("nan")])

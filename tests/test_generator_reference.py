@@ -71,7 +71,7 @@ def test_generator_nnz_is_the_built_nnz(rng, n):
 def test_seven_site_build_peak_is_at_most_twice_the_csr(rng):
     h = random_hamiltonian(7, rng, 0.8, 0.6)
     assert generator_nnz(h) == 1_720_320
-    build_generator(random_hamiltonian(2, rng))  # first-call allocations
+    build_generator(random_hamiltonian(2, rng)).matrix  # first-call allocations
     tracemalloc.start()
     try:
         m = build_generator(h).matrix
@@ -80,3 +80,35 @@ def test_seven_site_build_peak_is_at_most_twice_the_csr(rng):
         tracemalloc.stop()
     assert m.nnz == 1_720_320
     assert peak <= 2 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+
+
+# 5e-324, the least subnormal, takes every |c| < 0.5 to a signed zero, and
+# 1e-200 the planted 1e-150 coupling entry
+_SCALES = (0.37, 1e-3, 5.0, 1e-200, 5e-324)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_scaled_assembly_is_the_scaled_copy_bit_for_bit(rng, n):
+    """scale * M assembled from H has the arrays of M's values times scale on
+    M's index arrays, compared as bit patterns: a term is skipped by its
+    coefficient, not by the scaled one, so an entry that underflows stays."""
+    fields = rng.normal(size=(n, 3))
+    fields[rng.random((n, 3)) < 0.3] = 0.0
+    couplings = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.7:
+                v = rng.normal(size=(3, 3))
+                v[rng.random((3, 3)) < 0.3] = 0.0
+                couplings[i, j] = v
+    if couplings:
+        next(iter(couplings.values()))[0, 0] = 1e-150
+    h = SpinHamiltonian(n, fields, couplings)
+    m = build_generator(h).matrix
+    for scale in _SCALES:
+        a = hierarchy._assemble(h, scale)
+        assert np.array_equal(a.indptr, m.indptr) and np.array_equal(a.indices, m.indices)
+        assert a.data.dtype == np.float64
+        assert np.array_equal(a.data.view(np.uint64), (m.data * scale).view(np.uint64)), scale
+    assert m.nnz == 0 or not np.all(a.data)  # the least subnormal left zeros
+

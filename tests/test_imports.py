@@ -1,9 +1,9 @@
-"""scipy is loaded by the first generator build, and by nothing before it.
+"""scipy is loaded by the first generator assembly, and by nothing before it.
 
-Only build_generator and the expm plan construct a CSR matrix, so importing
-corrdyn, a decompose-only run and a config refused at load never pay for
-scipy.sparse.  Each case runs in a fresh interpreter, whose sys.modules
-shows what the run imported.
+Only the assembly of M or of an expm plan's hM, and the copy of an expm
+plan, construct a CSR matrix, so importing corrdyn, a decompose-only run
+and a config refused at load never pay for scipy.sparse.  Each case runs in
+a fresh interpreter, whose sys.modules shows what the run imported.
 """
 
 import json
