@@ -49,8 +49,8 @@ MUTANTS = [
     ),
     (
         "src/corrdyn/hierarchy.py",
-        "    admit_generator(h)\n    return Generator(h.n_sites, None, h)",
-        "    return Generator(h.n_sites, None, h)",
+        "    admit_generator(h)\n    return Generator(h)",
+        "    return Generator(h)",
     ),
     ("src/corrdyn/cli.py", "if not math.isfinite(x):", "if False:"),
     (
@@ -63,6 +63,22 @@ MUTANTS = [
         "src/corrdyn/hierarchy.py",
         "        if c:\n            blocks.append",
         "        if scale * c:\n            blocks.append",
+    ),
+    ("src/corrdyn/hierarchy.py", "csr_matrix((m.data * h,", "csr_matrix((m.data,"),
+    (
+        "src/corrdyn/hierarchy.py",
+        "return _assemble(self.hamiltonian, h)",
+        "return _assemble(self.hamiltonian, 1.0)",
+    ),
+    (
+        "src/corrdyn/hierarchy.py",
+        "        need += lengths * (8 * generator_nnz(h) + 4 * (4**h.n_sites + 1))",
+        "        pass",
+    ),
+    (
+        "src/corrdyn/hierarchy.py",
+        "lengths * (8 * generator_nnz(h) + 4 * (4**h.n_sites + 1))",
+        "lengths * 8 * generator_nnz(h)",
     ),
 ]
 

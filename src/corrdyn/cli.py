@@ -349,8 +349,8 @@ def _task_decompose(cfg, gen, x0) -> dict[str, str]:
 
 
 def _task_validate(cfg, gen, x0) -> dict[str, str]:
-    # before the evolution, so that its Taylor plan copies the M built here
-    # rather than assembling a scaled M next to it
+    # before the evolution, so that Generator.scaled copies the M built here
+    # rather than assembling hM next to it
     defect = hierarchy.antisymmetry_defect(gen)
     traj = dynamics.evolve(
         gen, x0, cfg.time.t_max, cfg.time.dt, stride=cfg.time.stride, method="expm"

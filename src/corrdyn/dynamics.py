@@ -16,14 +16,11 @@ Generator.apply: from five sites on, the Kronecker sum of the generators of
 the two halves of the sites plus their sparse interaction, the same M
 summed in another order (below, the CSR product, which is faster there).
 From five sites on the backends therefore also check that split against
-the CSR M.  A grid with one interval length and a generator whose CSR M
-is not yet built takes its hM from hierarchy's assembly with scale h, the
-same arrays bit for bit, so that run never holds M; otherwise the scaled
-hM shares M's index arrays and a plan copies only M's values.  Its
+the CSR M.  Each plan takes its hM from Generator.scaled, which copies a
+built M's values and otherwise assembles hM without building M; its
 1-norm, like ||M||_inf, is summed from the arrays in scipy's order rather
-than from a second matrix abs(hM).  Copying a plan is the only place here
-that constructs a sparse matrix, so it alone imports scipy.sparse;
-everything else multiplies by the M or hM that hierarchy assembled.
+than from a second matrix abs(hM), and nothing here constructs a sparse
+matrix.
 
 M is the Pauli-basis form of the commutator -i[H, .], so its eigenvalues
 are i(E_n - E_m) over all pairs of levels of H, with eigenvectors the Pauli
@@ -53,7 +50,7 @@ import numpy as np
 from .density import CorrelatorVector, pauli_coefficients
 from .errors import DivergentSeriesError, PoleProximityError, SizeCapError, StepTooLargeError
 from .hamiltonian import SpinHamiltonian
-from .hierarchy import CoupledSplit, Generator, _assemble, _coupling_split, admit_dense
+from .hierarchy import CoupledSplit, Generator, _coupling_split, admit_dense
 from .hierarchy import admit_generator, build_generator, generator_nnz, largest_coefficient
 from .hierarchy import norm_bound
 from .pauli import Observable, PauliString
@@ -161,12 +158,10 @@ def _plan_size(norm: float) -> tuple[int, int]:
     )
 
 
-def _taylor_plan(m, h: float) -> _TaylorPlan:
-    """hM, sharing M's index arrays, and _plan_size(||hM||_1); M is
-    antisymmetric with zero trace, so no shift is needed."""
-    import scipy.sparse as sp
-
-    a = sp.csr_matrix((m.data * h, m.indices, m.indptr), shape=m.shape)
+def _taylor_plan(gen: Generator, h: float) -> _TaylorPlan:
+    """gen.scaled(h) and _plan_size(||hM||_1); M is antisymmetric with zero
+    trace, so no shift is needed."""
+    a = gen.scaled(h)
     return _TaylorPlan(a, *_plan_size(_one_norm(a)))
 
 
@@ -222,14 +217,11 @@ def _is_bool(value) -> bool:
     return isinstance(value, (bool, np.bool_))
 
 
-def _budget_step(norm: float) -> float:
-    return 0.1 / norm if norm > 0 else 1.0
-
-
 def default_step(gen: Generator) -> float:
     """Step size with dt * ||M||_inf = 0.1 (1.0 if M vanishes): the step
     evolve takes when dt is None, which perfbench's tracer reads back."""
-    return _budget_step(gen.infinity_norm())
+    norm = gen.infinity_norm()
+    return 0.1 / norm if norm > 0 else 1.0
 
 
 def admit_evolution(h: SpinHamiltonian, t_max: float, dt: float, stride: int, method: str):
@@ -257,7 +249,7 @@ def admit_evolution(h: SpinHamiltonian, t_max: float, dt: float, stride: int, me
     counts = {step: n_steps // step}
     if n_steps % step:
         counts[n_steps % step] = 1
-    admit_generator(h, {method}, len(counts))
+    admit_generator(h, method, len(counts))
     if method == "rk4":
         matvecs = 4 * n_steps
     else:
@@ -291,25 +283,23 @@ def evolve(
     the sector norm to near machine precision.  The intervals between
     samples take at most two lengths (stride steps, and the remainder
     before the last sample); expm scales M and chooses its Taylor degree
-    and scaling once per length, so each sample costs only its matvecs.
-    With one length and no CSR M built yet, that hM is assembled directly
-    from the Hamiltonian and M is never built; otherwise each plan copies
-    M's values times h.  t_max > 0 is rounded to a whole number of steps; a
-    t_max or dt that is a bool, Python's or numpy's, raises ValueError.  A
-    step with dt * ||M||_inf > 1 raises StepTooLargeError: at once when dt
-    times H's largest coefficient, a lower bound on ||M||_inf, is past 1,
-    and without reading M when dt * norm_bound(h) <= 1 admits it; only
-    between the two bounds, or with dt None (dt * ||M||_inf = 0.1), is
-    ||M||_inf computed from M.  Then admit_evolution, the check the CLI
-    makes before any task, raises SizeCapError before any sample or Taylor
-    plan is allocated.
+    and scaling once per length, so each sample costs only its matvecs;
+    each hM comes from Generator.scaled, so the plans never build M.
+    t_max > 0 is rounded to a whole number of steps; a t_max or dt that is
+    a bool, Python's or numpy's, raises ValueError.  A step with
+    dt * ||M||_inf > 1 raises StepTooLargeError: at once when dt times H's
+    largest coefficient, a lower bound on ||M||_inf, is past 1, and without
+    reading M when dt * norm_bound(h) <= 1 admits it; only between the two
+    bounds, or with dt None (dt * ||M||_inf = 0.1), is ||M||_inf computed
+    from M.  Then admit_evolution, the check the CLI makes before any task,
+    raises SizeCapError before any sample or Taylor plan is allocated.
     """
     if x0.n_sites != gen.n_sites:
         raise ValueError("state and generator site counts differ")
     if _is_bool(t_max) or not t_max > 0:
         raise ValueError("t_max must be a positive number")
     if dt is None:
-        dt = _budget_step(gen.infinity_norm())
+        dt = default_step(gen)
     if _is_bool(dt) or not dt > 0:
         raise ValueError("dt must be a positive number")
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
@@ -335,12 +325,7 @@ def evolve(
     # the plans are made before the samples are allocated: made after them,
     # a 6-site expm run raised the process's peak RSS by 3 MB more
     if method == "expm":
-        if len(counts) == 1 and not gen.has_matrix:
-            (n,) = counts
-            a = _assemble(h, n * dt)  # the arrays of _taylor_plan(M, n * dt).a
-            plans = {n: _TaylorPlan(a, *_plan_size(_one_norm(a)))}
-        else:
-            plans = {n: _taylor_plan(gen.matrix, n * dt) for n in counts}
+        plans = {n: _taylor_plan(gen, n * dt) for n in counts}
     out = np.empty((rec.size, gen.dim))
     x = np.array(x0.values, dtype=float)
     out[0] = x

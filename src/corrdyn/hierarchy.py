@@ -21,18 +21,18 @@ the assembly must match bit for bit.  Every nonzero field component or
 coupling entry adds 4**N / 2 entries, so the size of M is known before it
 is built (generator_nnz), and build_generator first refuses an M past
 GENERATOR_BYTES_CAP (admit_generator).  It assembles nothing itself: the
-Generator assembles its CSR M on the first access to matrix, so a run that
-only needs M x through the half split, or exp(hM) x through one scaled
-copy of M (dynamics.evolve assembles that hM directly, with scale = h),
-never holds M.  The rows are built in chunks of ROW_CHUNK codes that share
-their top digits: a rule that tests only low digits selects the same low
-codes in every chunk, and one that tests a top digit selects a whole chunk
-or none of it.  Codes and indices are int32 throughout, so scipy's
-COO-to-CSR conversion copies none of them, and only one chunk's
-temporaries exist next to the finished CSR.  The assembly imports
-scipy.sparse itself: it is the one place here that constructs a sparse
-matrix, so a process that never assembles M (a decompose run, a config
-refused at load) never loads scipy.
+Generator assembles its CSR M on the first access to matrix, and
+Generator.scaled(h) assembles hM with scale h unless M exists, so a run
+that only needs M x through the half split, or exp(hM) x, never holds M.
+The rows are built in chunks of ROW_CHUNK codes that share their top
+digits: a rule that tests only low digits selects the same low codes in
+every chunk, and one that tests a top digit selects a whole chunk or none
+of it.  Codes and indices are int32 throughout, so scipy's COO-to-CSR
+conversion copies none of them, and only one chunk's temporaries exist
+next to the finished CSR.  The assembly and scaled, the places here that
+construct a sparse matrix, import scipy.sparse themselves, so a process
+that never assembles M (a decompose run, a config refused at load) never
+loads scipy.
 
 Split the sites into system 1 and the rest, system 2, and H into H_0, H
 without the couplings across the split, and H_V, those couplings alone.
@@ -139,12 +139,15 @@ class Generator:
     first such apply and cached as well.
     """
 
-    def __init__(self, n_sites: int, matrix: sp.csr_matrix | None, hamiltonian: SpinHamiltonian):
-        self.n_sites = n_sites
+    def __init__(self, hamiltonian: SpinHamiltonian, matrix: sp.csr_matrix | None = None):
         self.hamiltonian = hamiltonian
         self._matrix = matrix
         self._eigensystem: EigenSystem | None = None
         self._split: HalfSplit | None = None
+
+    @property
+    def n_sites(self) -> int:
+        return self.hamiltonian.n_sites
 
     @property
     def matrix(self) -> sp.csr_matrix:
@@ -152,10 +155,15 @@ class Generator:
             self._matrix = _assemble(self.hamiltonian, 1.0)
         return self._matrix
 
-    @property
-    def has_matrix(self) -> bool:
-        """True once the CSR M exists, passed in or assembled."""
-        return self._matrix is not None
+    def scaled(self, h: float) -> sp.csr_matrix:
+        """hM: M's values times h on M's index arrays if M exists, else the
+        same arrays bit for bit assembled with scale h, without building M."""
+        m = self._matrix
+        if m is None:
+            return _assemble(self.hamiltonian, h)
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((m.data * h, m.indices, m.indptr), shape=m.shape)
 
     @property
     def dim(self) -> int:
@@ -236,21 +244,21 @@ def generator_bytes(h: SpinHamiltonian) -> int:
     return 12 * generator_nnz(h) + 4 * (4**h.n_sites + 1)
 
 
-def admit_generator(h: SpinHamiltonian, methods=(), lengths: int = 2) -> None:
-    """Raise SizeCapError when M and what the evolution `methods` ("rk4",
-    "expm") build next to it would take more than GENERATOR_BYTES_CAP bytes.
+def admit_generator(h: SpinHamiltonian, method: str | None = None, lengths: int = 2) -> None:
+    """Raise SizeCapError when M and what the evolution `method` ("rk4",
+    "expm") builds next to it would take more than GENERATOR_BYTES_CAP bytes.
 
-    With "expm", the count adds 8 bytes per nonzero for each of the
-    `lengths` distinct interval lengths of the time grid (at most two): an
-    expm evolution holds one Taylor plan per length, each a scaled copy of
-    M's values, or, with one length and no M yet, the scaled M alone, which
-    M's own count covers.  With "rk4" from SPLIT_MIN_SITES sites on, it adds
-    the half split that apply caches: V's CSR and the dense M_A and M_B.
+    With "expm", the count adds 8 bytes per nonzero and 4 per row for each
+    of the `lengths` distinct interval lengths of the time grid (at most
+    two): each holds a Taylor plan's Generator.scaled hM, a copy of a built
+    M's values or else a whole CSR, one of which M's own count covers.  With
+    "rk4" from SPLIT_MIN_SITES sites on, it adds the half split that apply
+    caches: V's CSR and the dense M_A and M_B.
     """
     need = generator_bytes(h)
-    if "expm" in methods:
-        need += 8 * lengths * generator_nnz(h)
-    if "rk4" in methods and h.n_sites >= SPLIT_MIN_SITES:
+    if method == "expm":
+        need += lengths * (8 * generator_nnz(h) + 4 * (4**h.n_sites + 1))
+    if method == "rk4" and h.n_sites >= SPLIT_MIN_SITES:
         n_a = h.n_sites // 2  # as in half_split
         need += generator_bytes(_coupling_split(h, (1 << n_a) - 1)[1])
         need += 8 * (16**n_a + 16 ** (h.n_sites - n_a))
@@ -265,7 +273,7 @@ def build_generator(h: SpinHamiltonian) -> Generator:
     allocates nothing 4**N-sized itself.
     """
     admit_generator(h)
-    return Generator(h.n_sites, None, h)
+    return Generator(h)
 
 
 def _assemble(h: SpinHamiltonian, scale: float) -> sp.csr_matrix:
@@ -383,7 +391,8 @@ def reduced_eom_residual(
     Checks i d/dt rbar_A = [Hbar_A, rbar_A] + sum_{l not in A} tr_l
     sum_{j in A} [Vhat_jl, rbar_{A+l}] along a uniformly sampled exact
     trajectory; the result is O(dt^2) purely from the finite difference.
-    Needs one state per time and at least 3 of them.
+    Needs one state per time and at least 3 of them, at finite times with a
+    nonzero step.
     """
     subset = check_mask(subset)
     times = np.asarray(times, dtype=float)
@@ -391,10 +400,12 @@ def reduced_eom_residual(
         raise ValueError("need at least 3 trajectory points")
     if len(rhos) != len(times):
         raise ValueError(f"{len(rhos)} states for {len(times)} times")
+    if not np.isfinite(times).all():
+        raise ValueError("trajectory times must be finite")
     steps = np.diff(times)
     dt = steps[0]
-    if np.max(np.abs(steps - dt)) > 1e-12 * max(abs(dt), 1.0):
-        raise ValueError("trajectory must be uniformly sampled")
+    if not (dt and np.max(np.abs(steps - dt)) <= 1e-12 * max(abs(dt), 1.0)):
+        raise ValueError("trajectory must be uniformly sampled with a nonzero step")
     if subset == 0 or subset >> h.n_sites:
         raise ValueError("bad subset")
 

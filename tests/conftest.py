@@ -54,7 +54,7 @@ def rng() -> np.random.Generator:
 def assemblies(monkeypatch) -> list:
     """(Hamiltonian, scale) of every CSR assembly of scale * M that the test
     makes: scale 1.0 is a generator's M, any other an expm plan's hM."""
-    from corrdyn import dynamics, hierarchy
+    from corrdyn import hierarchy
 
     calls = []
     real = hierarchy._assemble
@@ -64,5 +64,4 @@ def assemblies(monkeypatch) -> list:
         return real(h, scale)
 
     monkeypatch.setattr(hierarchy, "_assemble", spy)
-    monkeypatch.setattr(dynamics, "_assemble", spy)
     return calls

@@ -84,7 +84,7 @@ def build_generator_rowwise(h: SpinHamiltonian) -> Generator:
         shape=(dim, dim),
     ).tocsr()
     matrix.sum_duplicates()
-    return Generator(n, matrix, h)
+    return Generator(h, matrix)
 
 
 def single_site_row(h: SpinHamiltonian, i: int) -> dict[str, list[tuple[float, int]]]:

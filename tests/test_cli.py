@@ -573,7 +573,7 @@ def test_rk4_half_split_counts_towards_generator_admission(tmp_path, capsys):
     h = cli.load_config(cfg).hamiltonian
     hierarchy.admit_generator(h)  # M alone fits
     with pytest.raises(SizeCapError, match="need 4429185032"):
-        hierarchy.admit_generator(h, {"rk4"})  # V 2.08 GB, M_A and M_B 0.27 GB
+        hierarchy.admit_generator(h, "rk4")  # V 2.08 GB, M_A and M_B 0.27 GB
     _refused_in_small_memory(capsys, cfg, tmp_path / "out")
 
 

@@ -95,7 +95,6 @@ def test_six_site_rk4_evolve_never_assembles_m(rng, assemblies):
     x0 = extract_correlators(random_mixed_state(rng, 6))
     traj = evolve(gen, x0, 0.003, dt=0.001, method="rk4")
     assert traj.times.size == 4
-    assert not gen.has_matrix
     # the half split assembles the two halves and V, never M itself
     assert len(assemblies) == 3 and all(ham is not h for ham, _ in assemblies)
 
@@ -106,32 +105,73 @@ def test_expm_on_one_interval_length_assembles_only_hm(rng, assemblies):
     x0 = extract_correlators(random_mixed_state(rng, 3))
     direct = evolve(gen, x0, 0.3, dt=0.01, stride=10, method="expm")
     assert [(ham is h, scale) for ham, scale in assemblies] == [(True, 10 * 0.01)]
-    assert not gen.has_matrix
     gen.matrix  # once M is built, the plan copies its values
     copied = evolve(gen, x0, 0.3, dt=0.01, stride=10, method="expm")
     assert [scale for _, scale in assemblies] == [10 * 0.01, 1.0]
     assert np.array_equal(direct.values, copied.values)
 
 
-def test_expm_on_two_interval_lengths_assembles_m_once_and_copies_it(
+def test_expm_on_two_interval_lengths_assembles_each_hm_once_and_never_m(
     rng, assemblies, monkeypatch
 ):
     from corrdyn import dynamics
 
-    lengths = []
+    plans = {}
     real = dynamics._taylor_plan
 
-    def recording_plan(m, h):
-        lengths.append(h)
-        return real(m, h)
+    def recording_plan(gen, h):
+        plans[h] = real(gen, h)
+        return plans[h]
 
     monkeypatch.setattr(dynamics, "_taylor_plan", recording_plan)
     h = random_hamiltonian(3, rng)
     gen = build_generator(h)
     x0 = extract_correlators(random_mixed_state(rng, 3))
     evolve(gen, x0, 0.3, dt=0.01, stride=7, method="expm")
-    assert [(ham is h, scale) for ham, scale in assemblies] == [(True, 1.0)]
-    assert sorted(lengths) == [2 * 0.01, 7 * 0.01]
+    # the stride's hM, then the remainder's, each from H
+    assert [(ham is h, scale) for ham, scale in assemblies] == [(True, 7 * 0.01), (True, 2 * 0.01)]
+    assert sorted(plans) == [2 * 0.01, 7 * 0.01]
+    m = build_generator(h).matrix
+    for step, plan in plans.items():
+        assert np.array_equal(plan.a.indptr, m.indptr)
+        assert np.array_equal(plan.a.indices, m.indices)
+        assert np.array_equal(plan.a.data.view(np.uint64), (m.data * step).view(np.uint64))
+
+
+@pytest.mark.parametrize("built", [False, True], ids=["unbuilt", "built"])
+@pytest.mark.parametrize("stride", [10, 7], ids=["one-length", "two-lengths"])
+@pytest.mark.parametrize("terms", ["none", "one", "many"])
+def test_expm_admission_counts_at_least_the_bytes_held(
+    rng, monkeypatch, assemblies, terms, stride, built
+):
+    """admit_generator(h, "expm", L) >= the bytes of M, if built, and of
+    every plan array that shares no memory with M: a cap one byte below
+    what the run holds refuses it."""
+    from corrdyn import dynamics, hierarchy
+
+    fields = np.zeros((3, 3))
+    fields[1, 2] = 0.7 if terms == "one" else 0.0
+    h = random_hamiltonian(3, rng) if terms == "many" else SpinHamiltonian(3, fields)
+    gen = build_generator(h)
+    held = [gen.matrix.data, gen.matrix.indices, gen.matrix.indptr] if built else []
+    plans = []
+    real = dynamics._taylor_plan
+
+    def recording_plan(gen, h):
+        plans.append(real(gen, h))
+        return plans[-1]
+
+    monkeypatch.setattr(dynamics, "_taylor_plan", recording_plan)
+    evolve(gen, unit_vector(3, **{"3": 1.0}), 0.3, dt=0.01, stride=stride, method="expm")
+    assert len(plans) == (1 if stride == 10 else 2)
+    assert [scale for _, scale in assemblies].count(1.0) == built  # M only if built here
+    for plan in plans:
+        for x in (plan.a.data, plan.a.indices, plan.a.indptr):
+            if not any(np.shares_memory(x, y) for y in held):
+                held.append(x)
+    monkeypatch.setattr(hierarchy, "GENERATOR_BYTES_CAP", sum(x.nbytes for x in held) - 1)
+    with pytest.raises(SizeCapError, match="generator capped"):
+        hierarchy.admit_generator(h, "expm", len(plans))
 
 
 @pytest.mark.parametrize("t_max", [0.0, -1.0, float("nan")])

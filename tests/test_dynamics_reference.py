@@ -43,7 +43,7 @@ def test_expm_is_bit_identical_to_per_sample_scipy(rng, n, stride):
 
 def test_zero_generator_plans_no_taylor_terms():
     gen = build_generator(SpinHamiltonian(2, np.zeros((2, 3))))
-    plan = _taylor_plan(gen.matrix, 0.5)
+    plan = _taylor_plan(gen, 0.5)
     assert (plan.m_star, plan.s) == (0, 1)
 
 
@@ -53,9 +53,9 @@ def test_plan_is_chosen_once_per_interval_length(rng, monkeypatch):
     seen = []
     real = dynamics._taylor_plan
 
-    def recording_plan(m, h):
+    def recording_plan(gen, h):
         seen.append(h)
-        return real(m, h)
+        return real(gen, h)
 
     monkeypatch.setattr(dynamics, "_taylor_plan", recording_plan)
     gen = build_generator(random_hamiltonian(3, rng))
@@ -71,7 +71,7 @@ def test_large_step_beyond_the_one_norm_range(rng):
     gen = build_generator(h)
     dt = 0.9 / gen.infinity_norm()
     stride = 100
-    plan = _taylor_plan(gen.matrix, stride * dt)
+    plan = _taylor_plan(gen, stride * dt)
     assert float(abs(plan.a).sum(axis=0).max()) > _ONE_NORM_RANGE
     x0 = extract_correlators(random_mixed_state(rng, 3))
     traj = evolve(gen, x0, 5 * stride * dt, dt=dt, stride=stride, method="expm")
@@ -98,7 +98,7 @@ def test_norms_equal_scipy_expressions(rng, n):
         m = gen.matrix
         assert gen.infinity_norm() == float(abs(m).sum(axis=1).max()), name
         for step in (1e-3, 0.37, 5.0):
-            plan = _taylor_plan(m, step)
+            plan = _taylor_plan(gen, step)
             assert_same_csr(plan.a, m * step)
             assert np.shares_memory(plan.a.indptr, m.indptr)
             assert m.nnz == 0 or np.shares_memory(plan.a.indices, m.indices)
@@ -120,7 +120,7 @@ def test_taylor_action_is_bit_identical_to_scipy(rng, n):
     covered = set()
     for target in _SCALED_NORMS:
         h = target / norm
-        plan = _taylor_plan(m, h)
+        plan = _taylor_plan(gen, h)
         assert _one_norm(plan.a) <= _ONE_NORM_RANGE
         covered.add(plan.s)
         assert np.array_equal(_taylor_action(plan, x), spla.expm_multiply(m * h, x)), target
@@ -130,7 +130,7 @@ def test_taylor_action_is_bit_identical_to_scipy(rng, n):
 @pytest.mark.parametrize("zero", [False, True], ids=["random", "zero"])
 def test_taylor_action_leaves_its_input_unchanged(rng, zero):
     h = SpinHamiltonian(3, np.zeros((3, 3))) if zero else random_hamiltonian(3, rng)
-    plan = _taylor_plan(build_generator(h).matrix, 0.7)
+    plan = _taylor_plan(build_generator(h), 0.7)
     x = product_state(3, rng).values
     before = x.copy()
     f = _taylor_action(plan, x)
@@ -215,7 +215,7 @@ def test_expm_work_estimate_bounds_the_planned_matvecs(rng, monkeypatch, n):
         dt = 10.0 ** rng.uniform(-3, -0.5)
         t_max, stride = dt * rng.integers(1, 200), int(rng.integers(1, 60))
         counts = dynamics.admit_evolution(h, t_max, dt, stride, "expm")
-        plans = [(k, _taylor_plan(gen.matrix, length * dt)) for length, k in counts.items()]
+        plans = [(k, _taylor_plan(gen, length * dt)) for length, k in counts.items()]
         matvecs = sum(k * plan.m_star * plan.s for k, plan in plans)
         work = matvecs * (generator_nnz(h) + dynamics.MATVEC_OVERHEAD)
         monkeypatch.setattr(dynamics, "WORK_CAP", work - 1)

@@ -117,7 +117,7 @@ def test_expm_evolution_leaves_the_split_unbuilt(rng):
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_rk4_admission_counts_the_bytes_of_the_split(rng, monkeypatch, n):
-    """admit_generator(h, {"rk4"}) needs M's bytes plus, from SPLIT_MIN_SITES
+    """admit_generator(h, "rk4") needs M's bytes plus, from SPLIT_MIN_SITES
     sites on, exactly the bytes of the split that apply caches."""
     for name, h in split_hamiltonians(n, rng).items():
         monkeypatch.undo()  # half_split's builds admit themselves against the cap
@@ -126,7 +126,7 @@ def test_rk4_admission_counts_the_bytes_of_the_split(rng, monkeypatch, n):
             m_a, m_b, v = half_split(h)
             need += m_a.nbytes + m_b.nbytes + v.data.nbytes + v.indices.nbytes + v.indptr.nbytes
         monkeypatch.setattr(hierarchy, "GENERATOR_BYTES_CAP", need)
-        hierarchy.admit_generator(h, {"rk4"})
+        hierarchy.admit_generator(h, "rk4")
         monkeypatch.setattr(hierarchy, "GENERATOR_BYTES_CAP", need - 1)
         with pytest.raises(SizeCapError):
-            hierarchy.admit_generator(h, {"rk4"})
+            hierarchy.admit_generator(h, "rk4")

@@ -120,7 +120,7 @@ def test_antisymmetry_defect_reads_one_injected_entry(rng):
     gen = build_generator(random_hamiltonian(2, rng))
     m = gen.matrix.tolil()
     m[1, 2] += 1e-3
-    bad = Generator(2, m.tocsr(), gen.hamiltonian)
+    bad = Generator(gen.hamiltonian, m.tocsr())
     assert abs(antisymmetry_defect(bad) - 1e-3) < 1e-12
 
 
@@ -367,6 +367,16 @@ def test_reduced_eom_needs_one_state_per_time(rng):
         reduced_eom_residual(h, times[:3], rhos, 0b01)
     with pytest.raises(ValueError, match="mask must be an integer"):
         reduced_eom_residual(h, times, rhos, 1.0)
+
+
+@pytest.mark.parametrize(
+    "times", [[0.0, 0.0, 0.0], [0.0, np.nan, 0.2], [0.0, 0.1, np.inf]], ids=["zero", "nan", "inf"]
+)
+def test_reduced_eom_refuses_a_zero_step_or_a_non_finite_time(rng, times):
+    h = transverse_pair(1.0, 0.7, 0.4)
+    rhos = oracle.evolve_exact(h, random_mixed_state(rng, 2), [0.0, 0.1, 0.2])
+    with pytest.raises(ValueError, match="finite|nonzero step"):
+        reduced_eom_residual(h, times, rhos, 0b01)
 
 
 def test_spectrum_matches_energy_differences(rng):

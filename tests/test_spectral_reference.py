@@ -73,7 +73,7 @@ def flipped(gen: Generator) -> Generator:
     """The generator with the sign of its first nonzero entry flipped."""
     m = gen.matrix.copy()
     m.data[0] = -m.data[0]
-    return Generator(gen.n_sites, m, gen.hamiltonian)
+    return Generator(gen.hamiltonian, m)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -122,7 +122,7 @@ def test_probe_tracks_the_pair_sweep_on_a_small_defect(rng, n):
     for eps in (1e-6, 1e-9):
         for i, j in ((1, 2), (3, gen.dim - 1), (gen.dim // 2, gen.dim // 3 + 1)):
             d = sp.csr_matrix(([eps, -eps], ([i, j], [j, i])), shape=(gen.dim,) * 2)
-            bad = Generator(n, (gen.matrix + d).tocsr(), h)
+            bad = Generator(h, (gen.matrix + d).tocsr())
             ratio = eigenpair_residual(bad) / pairwise_eigenpair_residual(bad)
             assert 0.25 <= ratio <= 4.0, (eps, i, j, ratio)
 
@@ -138,7 +138,7 @@ def test_resolvent_certificate_rejects_a_1e_6_perturbation(rng):
     # G comes from the eigensystem of H, so it misses M's defect by about 1e-6
     gen = build_generator(random_hamiltonian(2, rng))
     d = sp.csr_matrix(([1e-6, -1e-6], ([1, 2], [2, 1])), shape=(gen.dim,) * 2)
-    bad = Generator(2, (gen.matrix + d).tocsr(), gen.hamiltonian)
+    bad = Generator(gen.hamiltonian, (gen.matrix + d).tocsr())
     with pytest.raises(PoleProximityError, match="residual"):
         resolvent(bad, 0.5 + 0.5j)
 
