@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Apply each listed mutant to a copy of this checkout and run tier-1 on it.
 
-A mutant is one (file, old, new) text replacement in src/, where `old`
-occurs exactly once.  For each mutant the checkout is copied to a temporary
-directory, the checkout itself is never edited, the replacement is made in
-the copy, and the copy's tests run with bytecode writing off.  A mutant
-that makes a test fail is CAUGHT, and the first failing test is named; one
-that leaves every test passing SURVIVED.  The exit status is the number of
-survivors.
+A mutant is one (file, old, new, tests) entry: a text replacement in src/,
+where `old` occurs exactly once, and the test file expected to catch it.
+For each mutant the checkout is copied to a temporary directory, the
+checkout itself is never edited, the replacement is made in the copy, and
+the copy's tests run with bytecode writing off: the named file first, and
+the rest of tier-1 only if that file passes, so a mutant caught where it
+is expected to be costs one file's run.  A mutant that makes a test fail
+is CAUGHT, and the first failing test is named; one that leaves every test
+passing SURVIVED.  The exit status is the number of survivors.
 
 The copy's run leaves out SELF_TEST, which checks this list against the
 files it lies in: in a mutated copy it would fail for every mutant and
@@ -26,59 +28,104 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 MUTANTS = [
-    ("src/corrdyn/density.py", "TRACE_TOL = 1e-12", "TRACE_TOL = 1e-6"),
-    ("src/corrdyn/density.py", "HERMITICITY_TOL = 1e-12", "HERMITICITY_TOL = 1e-6"),
+    ("src/corrdyn/density.py", "TRACE_TOL = 1e-12", "TRACE_TOL = 1e-6", "tests/test_density.py"),
+    (
+        "src/corrdyn/density.py",
+        "HERMITICITY_TOL = 1e-12",
+        "HERMITICITY_TOL = 1e-6",
+        "tests/test_density.py",
+    ),
     (
         "src/corrdyn/density.py",
         "if np.max(np.abs(coef.imag)) > 1e-10:",
         "if np.max(np.abs(coef.imag)) > 1e-3:",
+        "tests/test_density.py",
     ),
-    ("src/corrdyn/dynamics.py", "if not residual <= 1e-10:", "if not residual <= 1e-2:"),
-    ("src/corrdyn/dynamics.py", "if dist.min() <= 1e-10:", "if dist.min() <= 1e-14:"),
+    (
+        "src/corrdyn/dynamics.py",
+        "if not residual <= 1e-10:",
+        "if not residual <= 1e-2:",
+        "tests/test_spectral_reference.py",
+    ),
+    (
+        "src/corrdyn/dynamics.py",
+        "if dist.min() <= 1e-10:",
+        "if dist.min() <= 1e-14:",
+        "tests/test_dynamics.py",
+    ),
     (
         "src/corrdyn/hierarchy.py",
         "return float(np.max(np.abs(d.data))) if d.nnz else 0.0",
         "return 0.0",
+        "tests/test_hierarchy.py",
     ),
-    ("src/corrdyn/dynamics.py", "if work > WORK_CAP:", "if work > 2 * WORK_CAP:"),
-    ("src/corrdyn/dynamics.py", "matvecs = 4 * n_steps", "matvecs = 2 * n_steps"),
+    (
+        "src/corrdyn/dynamics.py",
+        "if work > WORK_CAP:",
+        "if work > 2 * WORK_CAP:",
+        "tests/test_cli.py",
+    ),
+    (
+        "src/corrdyn/dynamics.py",
+        "matvecs = 4 * n_steps",
+        "matvecs = 2 * n_steps",
+        "tests/test_cli.py",
+    ),
     (
         "src/corrdyn/hierarchy.py",
         "np.abs(h.fields).sum() + sum(np.abs(v).sum() for v in h.couplings.values())",
         "np.abs(h.fields).sum()",
+        "tests/test_dynamics_reference.py",
     ),
     (
         "src/corrdyn/hierarchy.py",
         "    admit_generator(h)\n    return Generator(h)",
         "    return Generator(h)",
+        "tests/test_hierarchy.py",
     ),
-    ("src/corrdyn/cli.py", "if not math.isfinite(x):", "if False:"),
+    ("src/corrdyn/cli.py", "if not math.isfinite(x):", "if False:", "tests/test_cli.py"),
     (
         "src/corrdyn/dynamics.py",
         "if not dt * norm_bound(h) <= 1.0:",
         "if not dt * norm_bound(h) <= 2.0:",
+        "tests/test_dynamics.py",
     ),
-    ("src/corrdyn/dynamics.py", "if low > 1.0:", "if low > 0.5:"),
+    ("src/corrdyn/dynamics.py", "if low > 1.0:", "if low > 0.5:", "tests/test_dynamics.py"),
     (
         "src/corrdyn/hierarchy.py",
         "        if c:\n            blocks.append",
         "        if scale * c:\n            blocks.append",
+        "tests/test_generator_reference.py",
     ),
-    ("src/corrdyn/hierarchy.py", "csr_matrix((m.data * h,", "csr_matrix((m.data,"),
+    (
+        "src/corrdyn/hierarchy.py",
+        "csr_matrix((m.data * h,",
+        "csr_matrix((m.data,",
+        "tests/test_cli.py",
+    ),
     (
         "src/corrdyn/hierarchy.py",
         "return _assemble(self.hamiltonian, h)",
         "return _assemble(self.hamiltonian, 1.0)",
+        "tests/test_cli.py",
     ),
     (
         "src/corrdyn/hierarchy.py",
         "        need += lengths * (8 * generator_nnz(h) + 4 * (4**h.n_sites + 1))",
         "        pass",
+        "tests/test_cli.py",
     ),
     (
         "src/corrdyn/hierarchy.py",
         "lengths * (8 * generator_nnz(h) + 4 * (4**h.n_sites + 1))",
         "lengths * 8 * generator_nnz(h)",
+        "tests/test_dynamics.py",
+    ),
+    (
+        "src/corrdyn/hierarchy.py",
+        "ROW_CHUNK = 4**4",
+        "ROW_CHUNK = 4**6",
+        "tests/test_generator_reference.py",
     ),
 ]
 
@@ -96,9 +143,35 @@ def mutate(root: Path, file: str, old: str, new: str) -> None:
     path.write_text(text.replace(old, new))
 
 
-def first_failure(file: str, old: str, new: str) -> str | None:
+def _pytest(copy: Path, env: dict, *args: str) -> str | None:
+    """The first test that fails in a pytest run with -x on the copy, or
+    None when every test passes."""
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
+            "-p", "no:cacheprovider", "--deselect", SELF_TEST, *args,
+        ],
+        cwd=copy,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode == 0:
+        return None
+    if proc.returncode in (4, 5):  # a bad path or nothing collected: no verdict
+        raise SystemExit(f"error: pytest exit {proc.returncode} on {args}")
+    failed = [
+        line.split()[1]
+        for line in proc.stdout.splitlines()
+        if line.startswith(("FAILED ", "ERROR "))
+    ]
+    return failed[0] if failed else f"pytest exit {proc.returncode}"
+
+
+def first_failure(file: str, old: str, new: str, tests: str) -> str | None:
     """The first test that fails on a copy of the checkout with this mutant
-    applied, or None when tier-1 passes there."""
+    applied, in the file `tests` or else in the rest of tier-1, or None when
+    tier-1 passes there."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "checkout"
         shutil.copytree(ROOT, copy, ignore=_SKIP)
@@ -110,30 +183,13 @@ def first_failure(file: str, old: str, new: str) -> str | None:
             "OMP_NUM_THREADS": "1",
             "OPENBLAS_NUM_THREADS": "1",
         }
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
-                "-p", "no:cacheprovider", "--deselect", SELF_TEST,
-            ],
-            cwd=copy,
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-    if proc.returncode == 0:
-        return None
-    failed = [
-        line.split()[1]
-        for line in proc.stdout.splitlines()
-        if line.startswith(("FAILED ", "ERROR "))
-    ]
-    return failed[0] if failed else f"pytest exit {proc.returncode}"
+        return _pytest(copy, env, tests) or _pytest(copy, env, "--ignore", tests)
 
 
 def main() -> int:
     survived = 0
-    for file, old, new in MUTANTS:
-        failure = first_failure(file, old, new)
+    for file, old, new, tests in MUTANTS:
+        failure = first_failure(file, old, new, tests)
         survived += failure is None
         verdict = "SURVIVED" if failure is None else f"CAUGHT by {failure}"
         print(f"{verdict}: {file}: {old!r} -> {new!r}", flush=True)

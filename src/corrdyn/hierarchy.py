@@ -24,15 +24,16 @@ GENERATOR_BYTES_CAP (admit_generator).  It assembles nothing itself: the
 Generator assembles its CSR M on the first access to matrix, and
 Generator.scaled(h) assembles hM with scale h unless M exists, so a run
 that only needs M x through the half split, or exp(hM) x, never holds M.
-The rows are built in chunks of ROW_CHUNK codes that share their top
-digits: a rule that tests only low digits selects the same low codes in
-every chunk, and one that tests a top digit selects a whole chunk or none
-of it.  Codes and indices are int32 throughout, so scipy's COO-to-CSR
-conversion copies none of them, and only one chunk's temporaries exist
-next to the finished CSR.  The assembly and scaled, the places here that
-construct a sparse matrix, import scipy.sparse themselves, so a process
-that never assembles M (a decompose run, a config refused at load) never
-loads scipy.
+The rows are built in chunks of at most ROW_CHUNK = 256 codes that share
+their top digits: a rule that tests only low digits selects the same low
+codes in every chunk, and one that tests a top digit selects a whole chunk
+or none of it.  So each chunk is one vector test over the blocks and a few
+np.repeat calls, and scipy's COO-to-CSR kernel sorts it straight into its
+slices of the CSR arrays.  Codes and indices are int32 throughout, and a
+chunk's temporaries stay in cache and are all that exists next to the
+finished CSR.  The assembly and scaled, the places here that construct a
+sparse matrix, import scipy.sparse themselves, so a process that never
+assembles M (a decompose run, a config refused at load) never loads scipy.
 
 Split the sites into system 1 and the rest, system 2, and H into H_0, H
 without the couplings across the split, and H_V, those couplings alone.
@@ -77,10 +78,11 @@ if TYPE_CHECKING:
 # sites, where the split's three products cost more than M's nonzeros.
 SPLIT_MIN_SITES = 5
 
-# build_generator fills M in chunks of at most this many rows, so that only
-# one chunk's temporaries exist next to the CSR M: at 7 sites the traced
-# build peak is 29 MB for a 21 MB M (82 MB in one piece)
-ROW_CHUNK = 4**6
+# _assemble fills M in chunks of at most this many rows, so that only one
+# chunk's temporaries, which stay in cache, exist next to the CSR M: at 7
+# sites the build takes 10 ms with a traced peak of 22 MB for a 20.7 MB M,
+# against 15 ms and 32 MB in chunks of 4**6 rows, 21 ms and 58 MB in one
+ROW_CHUNK = 4**4
 
 # admit_generator refuses an M, with what an evolution method builds next
 # to it, of more than this many bytes (exit 4)
@@ -287,10 +289,13 @@ def _assemble(h: SpinHamiltonian, scale: float) -> sp.csr_matrix:
     on M's index arrays bit for bit, also where scale * c underflows to 0.
     The rows are filled in chunks of ROW_CHUNK, split on the top digits: a
     rule selects the same low codes in every chunk whose top digits it
-    accepts.  Each chunk goes through scipy's COO-to-CSR conversion and is
-    copied into the CSR arrays, allocated once from generator_nnz.
+    accepts.  scipy's coo_tocsr kernel, the one coo_matrix.tocsr calls,
+    without its checks and copies, writes each chunk's COO straight into its
+    slices of the CSR arrays, allocated once from generator_nnz.  It is
+    private to scipy: tests/test_generator_reference.py pins its output.
     """
     import scipy.sparse as sp
+    from scipy.sparse._sparsetools import coo_tocsr
 
     n = h.n_sites
     dim = 4**n
@@ -338,40 +343,34 @@ def _assemble(h: SpinHamiltonian, scale: float) -> sp.csr_matrix:
                         add(sel, shift, s, v[alpha - 1, lam - 1])
 
     # blocks in ascending shift list each row's columns in ascending order,
-    # so the CSR conversion finds them canonical and skips its per-row sort
+    # which the counting sort into CSR keeps: M comes out canonical
     blocks.sort(key=lambda b: b[0])
-
-    def chunk(k: int, part: list, cols: np.ndarray, vals: np.ndarray) -> sp.csr_matrix:
-        """Rows k * step ... (k + 1) * step - 1 of M, from the blocks in part.
-
-        The COO columns and values are written into cols and vals, which
-        hold exactly the chunk's entries.
-        """
-        sizes = [b[1].size for b in part]
-        rows = np.concatenate([np.empty(0, dtype=np.int32)] + [b[1] for b in part])
-        shifts = np.array([b[0] + k * step for b in part], dtype=np.int32)
-        np.add(rows, np.repeat(shifts, sizes), out=cols)
-        vals[:] = np.repeat(np.array([b[2] for b in part], dtype=float), sizes)
-        return sp.coo_matrix((vals, (rows, cols)), shape=(step, dim)).tocsr()
+    shift = np.array([b[0] for b in blocks], dtype=np.int32)
+    value = np.array([b[2] for b in blocks], dtype=float)
+    k_mask = np.array([b[3] for b in blocks], dtype=int)
+    k_value = np.array([b[4] for b in blocks], dtype=int)
+    count = np.array([b[1].size for b in blocks], dtype=int)
+    lows = np.concatenate([np.empty(0, dtype=np.int32)] + [b[1] for b in blocks])
 
     nnz = generator_nnz(h)
     indices = np.empty(nnz, dtype=np.int32)
     data = np.empty(nnz)
-    # each chunk's COO goes into the slices of indices and data that its CSR
-    # entries then overwrite, so a chunk holds only its rows and the CSR
-    # conversion's output next to M
     indptr = np.zeros(dim + 1, dtype=np.int32)
     end = 0
     for k in range(dim // step):
-        part = [b for b in blocks if k & b[3] == b[4]]
-        start, end = end, end + sum(b[1].size for b in part)
-        csr = chunk(k, part, indices[start:end], data[start:end])
-        indices[start:end] = csr.indices
-        data[start:end] = csr.data
-        ends = indptr[k * step + 1 : (k + 1) * step + 1]
-        ends[:] = csr.indptr[1:]
-        ends += start
-        del csr  # before the next chunk is built
+        hit = k & k_mask == k_value  # the blocks with rows in chunk k
+        sizes = count[hit]
+        rows = lows[np.repeat(hit, count)]
+        cols = rows + np.repeat(shift[hit] + k * step, sizes)
+        start, end = end, end + rows.size
+        if end > nnz:  # the kernel would write past the ends of indices and data
+            raise RuntimeError("chunks disagree with generator_nnz")
+        ptr = indptr[k * step : (k + 1) * step + 1]
+        coo_tocsr(
+            step, dim, rows.size, rows, cols, np.repeat(value[hit], sizes),
+            ptr, indices[start:end], data[start:end],
+        )
+        ptr += start  # ptr[0] was the previous chunk's end, which the kernel zeroed
     assert end == nnz, "chunks disagree with generator_nnz"
     return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
@@ -391,11 +390,14 @@ def reduced_eom_residual(
     Checks i d/dt rbar_A = [Hbar_A, rbar_A] + sum_{l not in A} tr_l
     sum_{j in A} [Vhat_jl, rbar_{A+l}] along a uniformly sampled exact
     trajectory; the result is O(dt^2) purely from the finite difference.
-    Needs one state per time and at least 3 of them, at finite times with a
-    nonzero step.
+    Needs a 1-d grid of at least 3 finite times, one state per time, with a
+    nonzero step that every step matches to 1e-12 of it and the rounding of
+    the times.
     """
     subset = check_mask(subset)
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("trajectory times must be a 1-d sequence")
     if len(times) < 3:
         raise ValueError("need at least 3 trajectory points")
     if len(rhos) != len(times):
@@ -404,7 +406,10 @@ def reduced_eom_residual(
         raise ValueError("trajectory times must be finite")
     steps = np.diff(times)
     dt = steps[0]
-    if not (dt and np.max(np.abs(steps - dt)) <= 1e-12 * max(abs(dt), 1.0)):
+    # relative to the step, plus what rounding each time moves a step by,
+    # so np.arange(k) * dt passes and sub-1e-12 uneven steps do not
+    tol = 1e-12 * abs(dt) + 4 * np.spacing(np.max(np.abs(times)))
+    if not (dt and np.max(np.abs(steps - dt)) <= tol):
         raise ValueError("trajectory must be uniformly sampled with a nonzero step")
     if subset == 0 or subset >> h.n_sites:
         raise ValueError("bad subset")

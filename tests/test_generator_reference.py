@@ -68,7 +68,9 @@ def test_generator_nnz_is_the_built_nnz(rng, n):
         assert generator_bytes(h) == m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
 
 
-def test_seven_site_build_peak_is_at_most_twice_the_csr(rng):
+def test_seven_site_build_peak_is_within_a_quarter_of_the_csr(rng):
+    """256-row chunks keep the build near 21 MiB for a 19.75 MiB CSR; chunks
+    of 4**6 rows take about 31 MiB, over the bound."""
     h = random_hamiltonian(7, rng, 0.8, 0.6)
     assert generator_nnz(h) == 1_720_320
     build_generator(random_hamiltonian(2, rng)).matrix  # first-call allocations
@@ -79,7 +81,7 @@ def test_seven_site_build_peak_is_at_most_twice_the_csr(rng):
     finally:
         tracemalloc.stop()
     assert m.nnz == 1_720_320
-    assert peak <= 2 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+    assert peak <= 1.25 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
 
 
 # 5e-324, the least subnormal, takes every |c| < 0.5 to a signed zero, and

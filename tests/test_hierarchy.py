@@ -17,6 +17,7 @@ from corrdyn.hierarchy import (
     split_sectors,
 )
 from corrdyn.pauli import PauliString
+from corrdyn.states import bloch_product
 from conftest import random_hamiltonian, random_mixed_state
 from reference_generator import (
     decompose_blocks_dense,
@@ -377,6 +378,29 @@ def test_reduced_eom_refuses_a_zero_step_or_a_non_finite_time(rng, times):
     rhos = oracle.evolve_exact(h, random_mixed_state(rng, 2), [0.0, 0.1, 0.2])
     with pytest.raises(ValueError, match="finite|nonzero step"):
         reduced_eom_residual(h, times, rhos, 0b01)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [[0.0, 1e-14, 3e-14], [[0.0, 0.1], [0.2, 0.3], [0.4, 0.5]]],
+    ids=["uneven-below-1e-12", "two-d"],
+)
+def test_reduced_eom_refuses_a_grid_that_is_not_uniform(times):
+    h = transverse_pair(1.0, 0.7, 0.4)
+    rhos = oracle.evolve_exact(h, bloch_product([[0, 0, 0.9], [0.3, 0, 0]]), [0.0, 0.1, 0.2])
+    with pytest.raises(ValueError, match="uniformly sampled|1-d"):
+        reduced_eom_residual(h, times, rhos, 0b01)
+
+
+@pytest.mark.parametrize("dt", [1e-12, 3e-9, 1e-3, 0.1, 7.0])
+@pytest.mark.parametrize("t0", [0.0, -2.5, 100.0])
+def test_reduced_eom_admits_rounded_uniform_grids(dt, t0):
+    """t0 + arange(k) * dt and linspace grids pass however their times round,
+    down to a step of 70 units in the last place of t0 = 100."""
+    h = transverse_pair(1.0, 0.7, 0.4)
+    rho = bloch_product([[0, 0, 0.9], [0.3, 0, 0]])
+    for times in (t0 + np.arange(400) * dt, np.linspace(t0, t0 + 399 * dt, 400)):
+        assert reduced_eom_residual(h, times, [rho] * 400, 0b01) >= 0.0
 
 
 def test_spectrum_matches_energy_differences(rng):

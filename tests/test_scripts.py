@@ -97,6 +97,7 @@ def test_each_mutant_applies_to_this_checkout():
     assert mutants.MUTANTS
     # the name the mutant runs deselect, so a rename here must follow there
     assert mutants.SELF_TEST == f"tests/test_scripts.py::{test_each_mutant_applies_to_this_checkout.__name__}"
-    for file, old, new in mutants.MUTANTS:
+    for file, old, new, tests in mutants.MUTANTS:
         assert (ROOT / file).read_text().count(old) == 1, (file, old)
         assert new != old
+        assert (ROOT / tests).is_file(), tests
