@@ -60,13 +60,13 @@ MUTANTS = [
         "tests/test_hierarchy.py",
     ),
     (
-        "src/corrdyn/dynamics.py",
-        "if work > WORK_CAP:",
-        "if work > 2 * WORK_CAP:",
+        "src/corrdyn/hierarchy.py",
+        "check(work, WORK_CAP,",
+        "check(work, 2 * WORK_CAP,",
         "tests/test_cli.py",
     ),
     (
-        "src/corrdyn/dynamics.py",
+        "src/corrdyn/hierarchy.py",
         "matvecs = 4 * n_steps",
         "matvecs = 2 * n_steps",
         "tests/test_cli.py",
@@ -79,7 +79,7 @@ MUTANTS = [
     ),
     (
         "src/corrdyn/hierarchy.py",
-        "    admit_generator(h)\n    return Generator(h)",
+        '    admit(h.n_sites, ["generator"], h)\n    return Generator(h)',
         "    return Generator(h)",
         "tests/test_hierarchy.py",
     ),
@@ -126,6 +126,18 @@ MUTANTS = [
         "ROW_CHUNK = 4**4",
         "ROW_CHUNK = 4**6",
         "tests/test_generator_reference.py",
+    ),
+    (
+        "src/corrdyn/hierarchy.py",
+        "check(need, DECOMPOSE_WORK_CAP,",
+        "check(need, DECOMPOSE_WORK_CAP / 20,",
+        "tests/test_cli.py",
+    ),
+    (
+        "src/corrdyn/hierarchy.py",
+        "check(4**n_sites, DENSE_DIM_CAP,",
+        "check(4**n_sites, DENSE_DIM_CAP // 4,",
+        "tests/test_hierarchy.py",
     ),
 ]
 

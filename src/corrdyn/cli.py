@@ -19,6 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +62,7 @@ def _vector3(v) -> bool:
     return isinstance(v, list) and len(v) == 3 and all(map(_finite, v))
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(NamedTuple):
     t_max: float
     dt: float
     stride: int = 1
@@ -395,13 +395,7 @@ def _execute(config_path, out_dir, tasks) -> None:
     out.mkdir(parents=True, exist_ok=True)
 
     # every size cap before anything 4**N-sized is allocated or any task runs
-    grid, methods = cfg.time, {"evolve": cfg.method, "validate": "expm"}
-    for method in dict.fromkeys(methods[t] for t in _TIMED if t in cfg.tasks):
-        dynamics.admit_evolution(cfg.hamiltonian, grid.t_max, grid.dt, grid.stride, method)
-    if "decompose" in cfg.tasks:
-        decomposition.admit_decompose(cfg.sites)
-    if {"spectrum", "resolvent", "validate"} & set(cfg.tasks):
-        hierarchy.admit_dense(cfg.sites)
+    hierarchy.admit(cfg.sites, cfg.tasks, cfg.hamiltonian, cfg.time, cfg.method)
     x0 = _initial_correlators(cfg)
 
     gen = hierarchy.build_generator(cfg.hamiltonian) if set(cfg.tasks) != {"decompose"} else None

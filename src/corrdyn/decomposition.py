@@ -38,8 +38,8 @@ one group of `_sum_of_products`, put in ascending order once, by one gather
 of rows and columns.  `max_trace_defect` traces cells out of all parts of
 one subset size at once.  The tests' reference sums dense reduced matrices
 with `np.kron` chains and transposes, all B_N partitions at full size.
-Every whole-state entry point refuses a state past DECOMPOSE_WORK_CAP before
-it allocates anything.
+Every whole-state entry point refuses a state past
+hierarchy.DECOMPOSE_WORK_CAP (hierarchy.admit) before it allocates anything.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ import numpy as np
 from . import pauli
 from .combinatorics import (
     as_int,
-    bell_number,
     bit_indices,
     check_mask,
     enumerate_partitions,
@@ -65,19 +64,9 @@ from .density import (
     extract_correlators,
     operator_matrix,
 )
-from .errors import SizeCapError
+from .hierarchy import admit
 
 TRACE_ZERO_TOL = 1e-12
-
-# admit_decompose refuses a state of N sites when B_N * 4**N exceeds this.
-# That bounds cumulant_reconstruct's work from above: it enumerates the B_N
-# partitions and sums each first block's tails on the other sites, B_{N-1}
-# tails of 4**(N-1) entries for the block {0} alone.  A `corrdyn run`
-# decompose of a W state took 0.40 s at 8 sites and 2.8 s at 9 (5.5e9) on one
-# x86-64 vCPU (medians of 10 and 5 runs; summing all B_N partitions at full
-# size took 1.17 s and 20.3 s).  The cap admits N <= 9: 10 sites need 1.2e11,
-# and their block {0} alone would sum B_9 = 21,147 tails of 4**9 entries.
-DECOMPOSE_WORK_CAP = 1e11
 
 
 @dataclass(frozen=True)
@@ -245,16 +234,6 @@ def _parts_by_size(blocks: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
     return {mask: mats[mask] for mask in blocks}
 
 
-def admit_decompose(n_sites: int) -> None:
-    """Raise SizeCapError when B_N * 4**N exceeds DECOMPOSE_WORK_CAP."""
-    work = bell_number(n_sites) * 4**n_sites
-    if work > DECOMPOSE_WORK_CAP:
-        raise SizeCapError(
-            f"decomposition of {n_sites} sites capped at {DECOMPOSE_WORK_CAP:.3g} "
-            f"partition-entries (B_N * 4**N), need {work:.3g}"
-        )
-
-
 def correlated_part(rho: DensityMatrix, subset: int) -> CorrelatedPart:
     """rho^C of a subset with at least two cells.
 
@@ -273,7 +252,7 @@ def correlated_part(rho: DensityMatrix, subset: int) -> CorrelatedPart:
 
 def correlated_parts(rho: DensityMatrix) -> dict[int, CorrelatedPart]:
     """rho^C for every subset with >= 2 cells, keyed by mask."""
-    admit_decompose(rho.n_sites)
+    admit(rho.n_sites, ["decompose"])
     n = rho.n_sites
     full = (1 << n) - 1
     c = _correlated_grid(_state_grid(rho, full))
@@ -299,7 +278,7 @@ def cumulant_part(rho: DensityMatrix, subset: int) -> CumulantPart:
 
 def cumulant_parts(rho: DensityMatrix) -> dict[int, CumulantPart]:
     """rho^CC for every nonempty subset, keyed by mask."""
-    admit_decompose(rho.n_sites)
+    admit(rho.n_sites, ["decompose"])
     full = (1 << rho.n_sites) - 1
     kappa = _cumulant_blocks(_state_grid(rho, full))
     blocks = {mask: kappa[mask] for mask in enumerate_subsets(full) if mask}
@@ -346,7 +325,7 @@ def reconstruct(
     reduced matrices of the cells outside A, ascending, and then rho^C_A.
     Every subset of two or more sites needs a part.
     """
-    admit_decompose(n_sites)
+    admit(n_sites, ["decompose"])
     if set(singles) != set(range(n_sites)):
         raise ValueError("need exactly one reduced matrix per site")
     _check_parts(parts, n_sites, 2, "correlated")
@@ -376,7 +355,7 @@ def cumulant_reconstruct(
     N first blocks {0}, {0, 1}, ..., S share an order, the ascending one.
     Every nonempty subset needs a part.
     """
-    admit_decompose(n_sites)
+    admit(n_sites, ["decompose"])
     _check_parts(parts, n_sites, 1, "cumulant")
     full = (1 << n_sites) - 1
     sites = {b: tuple(bit_indices(b)) for b in range(full + 1)}

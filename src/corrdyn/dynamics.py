@@ -48,11 +48,9 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .density import CorrelatorVector, pauli_coefficients
-from .errors import DivergentSeriesError, PoleProximityError, SizeCapError, StepTooLargeError
-from .hamiltonian import SpinHamiltonian
-from .hierarchy import CoupledSplit, Generator, _coupling_split, admit_dense
-from .hierarchy import admit_generator, build_generator, generator_nnz, largest_coefficient
-from .hierarchy import norm_bound
+from .errors import DivergentSeriesError, PoleProximityError, StepTooLargeError
+from .hierarchy import CoupledSplit, Generator, _coupling_split, _plan_size, admit
+from .hierarchy import build_generator, largest_coefficient, norm_bound
 from .pauli import Observable, PauliString
 
 if TYPE_CHECKING:
@@ -92,31 +90,7 @@ def _rk4_step(apply, x, dt):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-# theta_m: the largest ||A||_1 for which m Taylor terms give exp(A) to double
-# precision (Al-Mohy & Higham 2011, Table 3.1; m <= 30 from Higham & Al-Mohy
-# 2010, Table A.3).  Same values and order as scipy's expm_multiply.
-_THETA = {
-    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
-    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
-    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
-    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
-    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
-    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
-    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
-}
 _TAYLOR_TOL = 2.0**-53
-
-# recorded samples are refused beyond this many bytes (exit 4), and time
-# grids beyond this many steps, past which k * dt is no longer exact
-SAMPLE_BYTES_CAP = 2 * 1024**3
-STEP_CAP = 2**53
-# runs are refused beyond WORK_CAP nonzero-equivalents of matvec work, each
-# matvec costing nnz(M) + MATVEC_OVERHEAD: on a 2-vCPU x86-64 guest a CSR
-# matvec took about 1 ns per nonzero and rk4/Taylor steps 8-16 us per
-# matvec at N <= 2, so the cap is about 20 minutes of stepping
-MATVEC_OVERHEAD = 10_000
-WORK_CAP = 1.2e12
-
 
 # _one_norm reads this many entries of a matrix at a time
 _NORM_SLICE = 1 << 16
@@ -140,22 +114,6 @@ def _one_norm(a: sp.csr_matrix) -> float:
         hi = lo + _NORM_SLICE
         np.add.at(sums, a.indices[lo:hi], np.abs(a.data[lo:hi]))
     return float(sums.max())
-
-
-def _plan_size(norm: float) -> tuple[int, int]:
-    """(m_star, s) minimising m_star * s, s = ceil(||hM||_1 / theta_m).
-
-    scipy's expm_multiply applies this rule while ||hM||_1 <= 63.36
-    (condition (3.13) of Al-Mohy & Higham); above, it costs more matvecs
-    than scipy's power-norm estimates, for the same error bound.  m_star * s
-    never decreases as the norm grows, so a bound on the norm bounds it.
-    """
-    if norm == 0:
-        return 0, 1
-    return min(
-        ((k, math.ceil(norm / theta)) for k, theta in _THETA.items()),
-        key=lambda ks: ks[0] * ks[1],
-    )
 
 
 def _taylor_plan(gen: Generator, h: float) -> _TaylorPlan:
@@ -224,49 +182,6 @@ def default_step(gen: Generator) -> float:
     return 0.1 / norm if norm > 0 else 1.0
 
 
-def admit_evolution(h: SpinHamiltonian, t_max: float, dt: float, stride: int, method: str):
-    """{interval length: count} of the grid, or SizeCapError, from H alone.
-
-    In order: past STEP_CAP steps or SAMPLE_BYTES_CAP bytes of samples; M
-    and what `method` builds next to it past GENERATOR_BYTES_CAP (for expm,
-    one Taylor plan per distinct interval length); matvecs
-    times generator_nnz(h) + MATVEC_OVERHEAD past WORK_CAP.  rk4 takes 4
-    matvecs a step; expm, per interval of n steps, the m_star * s of
-    _plan_size(n * dt * norm_bound(h)), at least what its plan takes.
-    """
-    if not t_max / dt <= STEP_CAP:
-        raise SizeCapError(
-            f"time grid capped at {STEP_CAP} steps, t_max/dt = {t_max / dt:.3g}"
-        )
-    n_steps = max(1, int(round(t_max / dt)))
-    sample_bytes = (n_steps // stride + 2) * 4**h.n_sites * 8
-    if sample_bytes > SAMPLE_BYTES_CAP:
-        raise SizeCapError(
-            f"recorded samples capped at {SAMPLE_BYTES_CAP} bytes, need {sample_bytes}"
-        )
-    # a stride past the last step records only t = 0 and the end
-    step = min(stride, n_steps)
-    counts = {step: n_steps // step}
-    if n_steps % step:
-        counts[n_steps % step] = 1
-    admit_generator(h, method, len(counts))
-    if method == "rk4":
-        matvecs = 4 * n_steps
-    else:
-        bound = norm_bound(h)
-        try:
-            matvecs = sum(k * math.prod(_plan_size(n * dt * bound)) for n, k in counts.items())
-        except OverflowError:  # an infinite norm: no plan ends
-            matvecs = math.inf
-    work = matvecs * (generator_nnz(h) + MATVEC_OVERHEAD)
-    if work > WORK_CAP:
-        raise SizeCapError(
-            f"run time capped at {WORK_CAP:.3g} nonzero-equivalents of matvec work, "
-            f"need {work:.3g}"
-        )
-    return counts
-
-
 def evolve(
     gen: Generator,
     x0: CorrelatorVector,
@@ -291,7 +206,7 @@ def evolve(
     largest coefficient, a lower bound on ||M||_inf, is past 1, and without
     reading M when dt * norm_bound(h) <= 1 admits it; only between the two
     bounds, or with dt None (dt * ||M||_inf = 0.1), is ||M||_inf computed
-    from M.  Then admit_evolution, the check the CLI makes before any task,
+    from M.  Then hierarchy.admit, the check the CLI makes before any task,
     raises SizeCapError before any sample or Taylor plan is allocated.
     """
     if x0.n_sites != gen.n_sites:
@@ -316,7 +231,7 @@ def evolve(
         norm = gen.infinity_norm()
         if dt * norm > 1.0:
             raise StepTooLargeError(f"step too large: dt*||M|| = {dt * norm:.3g} > 1")
-    counts = admit_evolution(h, t_max, dt, stride, method)
+    counts = admit(h.n_sites, ["evolve"], h, (t_max, dt, stride), method)
     step, n_steps = max(counts), sum(n * k for n, k in counts.items())
     rec = np.append(np.arange(0, n_steps, step), n_steps)
     times = rec * dt
@@ -377,7 +292,7 @@ def resolvent(gen: Generator, z: complex, codes=None) -> np.ndarray:
         raise ValueError("codes must be nonempty")
     if not np.issubdtype(rows.dtype, np.integer):
         raise ValueError(f"codes must be integers, got dtype {rows.dtype}")
-    admit_dense(gen.n_sites)
+    admit(gen.n_sites, ["resolvent"])
     lam = np.concatenate(([0.0], _generator_eigenvalues(gen)))
     dist = np.abs(z - 1j * lam)
     nearest = lam[np.argmin(dist)]
@@ -472,7 +387,7 @@ def spectrum(gen: Generator, broadening: float | None = None) -> SpectralReport:
         _is_bool(broadening) or not (math.isfinite(broadening) and broadening > 0)
     ):
         raise ValueError("broadening must be a finite number > 0")
-    admit_dense(gen.n_sites)
+    admit(gen.n_sites, ["spectrum"])
     lam = _generator_eigenvalues(gen)
     scale = float(np.max(np.abs(lam))) if lam.size else 0.0
     tol = 1e-9 * max(scale, 1e-300)

@@ -20,10 +20,10 @@ row-by-row reading of the rules is kept in the test suite as the reference
 the assembly must match bit for bit.  Every nonzero field component or
 coupling entry adds 4**N / 2 entries, so the size of M is known before it
 is built (generator_nnz), and build_generator first refuses an M past
-GENERATOR_BYTES_CAP (admit_generator).  It assembles nothing itself: the
-Generator assembles its CSR M on the first access to matrix, and
-Generator.scaled(h) assembles hM with scale h unless M exists, so a run
-that only needs M x through the half split, or exp(hM) x, never holds M.
+BYTES_CAP (admit, every layer's one size check).  It assembles nothing
+itself: the Generator assembles its CSR M on the first access to matrix,
+and Generator.scaled(h) assembles hM with scale h unless M exists, so a
+run that only needs M x through the half split, or exp(hM) x, never holds M.
 The rows are built in chunks of at most ROW_CHUNK = 256 codes that share
 their top digits: a rule that tests only low digits selects the same low
 codes in every chunk, and one that tests a top digit selects a whole chunk
@@ -56,12 +56,13 @@ keeps the other in the support, so no support passes between the systems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .combinatorics import bit_indices, check_mask
+from .combinatorics import bell_number, bit_indices, check_mask
 from .density import DensityMatrix, partial_trace_array
 from .errors import SizeCapError
 from .hamiltonian import SpinHamiltonian, restrict
@@ -84,13 +85,43 @@ SPLIT_MIN_SITES = 5
 # against 15 ms and 32 MB in chunks of 4**6 rows, 21 ms and 58 MB in one
 ROW_CHUNK = 4**4
 
-# admit_generator refuses an M, with what an evolution method builds next
-# to it, of more than this many bytes (exit 4)
-GENERATOR_BYTES_CAP = 2 * 1024**3
-
-# admit_dense refuses work on dense arrays over more than this many
-# correlator slots (exit 4): the spectrum, the resolvent and the sector blocks
+# admit refuses (exit 4) a run past any of these caps.  Each estimate of
+# bytes, of M with what an evolution builds next to it and of the recorded
+# samples, is compared with BYTES_CAP on its own.  Time grids are refused
+# beyond STEP_CAP steps, past which k * dt is no longer exact.
+BYTES_CAP = 2 * 1024**3
+STEP_CAP = 2**53
+# runs are refused beyond WORK_CAP nonzero-equivalents of matvec work, each
+# matvec costing nnz(M) + MATVEC_OVERHEAD: on a 2-vCPU x86-64 guest a CSR
+# matvec took about 1 ns per nonzero and rk4/Taylor steps 8-16 us per
+# matvec at N <= 2, so the cap is about 20 minutes of stepping
+MATVEC_OVERHEAD = 10_000
+WORK_CAP = 1.2e12
+# a state of N sites is refused when B_N * 4**N exceeds this.  That bounds
+# cumulant_reconstruct's work from above: it enumerates the B_N partitions
+# and sums each first block's tails on the other sites, B_{N-1} tails of
+# 4**(N-1) entries for the block {0} alone.  A `corrdyn run` decompose of a
+# W state took 0.40 s at 8 sites and 2.8 s at 9 (5.5e9) on one x86-64 vCPU
+# (medians of 10 and 5 runs; summing all B_N partitions at full size took
+# 1.17 s and 20.3 s).  The cap admits N <= 9: 10 sites need 1.2e11, and
+# their block {0} alone would sum B_9 = 21,147 tails of 4**9 entries.
+DECOMPOSE_WORK_CAP = 1e11
+# work on dense arrays over more than this many correlator slots: the
+# spectrum, the resolvent and the sector blocks
 DENSE_DIM_CAP = 4**6
+
+# theta_m: the largest ||A||_1 for which m Taylor terms give exp(A) to double
+# precision (Al-Mohy & Higham 2011, Table 3.1; m <= 30 from Higham & Al-Mohy
+# 2010, Table A.3).  Same values and order as scipy's expm_multiply.
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
 
 
 class HalfSplit(NamedTuple):
@@ -246,17 +277,27 @@ def generator_bytes(h: SpinHamiltonian) -> int:
     return 12 * generator_nnz(h) + 4 * (4**h.n_sites + 1)
 
 
-def admit_generator(h: SpinHamiltonian, method: str | None = None, lengths: int = 2) -> None:
-    """Raise SizeCapError when M and what the evolution `method` ("rk4",
-    "expm") builds next to it would take more than GENERATOR_BYTES_CAP bytes.
+def _plan_size(norm: float) -> tuple[int, int]:
+    """(m_star, s) minimising m_star * s, s = ceil(||hM||_1 / theta_m).
 
-    With "expm", the count adds 8 bytes per nonzero and 4 per row for each
-    of the `lengths` distinct interval lengths of the time grid (at most
-    two): each holds a Taylor plan's Generator.scaled hM, a copy of a built
-    M's values or else a whole CSR, one of which M's own count covers.  With
-    "rk4" from SPLIT_MIN_SITES sites on, it adds the half split that apply
-    caches: V's CSR and the dense M_A and M_B.
+    scipy's expm_multiply applies this rule while ||hM||_1 <= 63.36
+    (condition (3.13) of Al-Mohy & Higham); above, it costs more matvecs
+    than scipy's power-norm estimates, for the same error bound.  m_star * s
+    never decreases as the norm grows, so a bound on the norm bounds it.
     """
+    if norm == 0:
+        return 0, 1
+    return min(
+        ((k, math.ceil(norm / theta)) for k, theta in _THETA.items()),
+        key=lambda ks: ks[0] * ks[1],
+    )
+
+
+def _evolution_bytes(h: SpinHamiltonian, method: str, lengths: int) -> int:
+    """Bytes of M and of what evolving by `method` adds: for expm, per interval
+    length, 8 per nonzero and 4 per row, a Taylor plan's copy of a built M's
+    values or else a whole CSR (one of which M's own count covers); for rk4
+    from SPLIT_MIN_SITES sites on, apply's half split, V and dense M_A, M_B."""
     need = generator_bytes(h)
     if method == "expm":
         need += lengths * (8 * generator_nnz(h) + 4 * (4**h.n_sites + 1))
@@ -264,17 +305,72 @@ def admit_generator(h: SpinHamiltonian, method: str | None = None, lengths: int 
         n_a = h.n_sites // 2  # as in half_split
         need += generator_bytes(_coupling_split(h, (1 << n_a) - 1)[1])
         need += 8 * (16**n_a + 16 ** (h.n_sites - n_a))
-    if need > GENERATOR_BYTES_CAP:
-        raise SizeCapError(f"generator capped at {GENERATOR_BYTES_CAP} bytes, need {need}")
+    return need
+
+
+def admit(n_sites: int, tasks, h: SpinHamiltonian | None = None, grid=None, method="rk4"):
+    """Raise SizeCapError at the first estimate for `tasks` (the CLI's five,
+    "generator" for build_generator, "dense" for split_sectors) past its cap,
+    from N, H and the grid (t_max, dt, stride) alone; else return the grid's
+    {interval length: count}, or None when no task steps along it.
+
+    Each estimate is formed once those before it pass: for "evolve"'s method,
+    then expm for "validate", steps past STEP_CAP, samples and
+    _evolution_bytes past BYTES_CAP, then matvecs times generator_nnz(h) +
+    MATVEC_OVERHEAD past WORK_CAP (rk4 4 a step; expm per interval of n steps
+    the m_star * s of _plan_size(n * dt * norm_bound(h)), at least its plan's);
+    then B_N * 4**N past DECOMPOSE_WORK_CAP, 4**N past DENSE_DIM_CAP, M alone
+    past BYTES_CAP.
+    """
+
+    def check(need, cap, message):
+        if not need <= cap:
+            raise SizeCapError(message)
+
+    counts = None
+    for m in dict.fromkeys(m for t, m in (("evolve", method), ("validate", "expm")) if t in tasks):
+        t_max, dt, stride = grid
+        ratio = t_max / dt
+        check(ratio, STEP_CAP, f"time grid capped at {STEP_CAP} steps, t_max/dt = {ratio:.3g}")
+        n_steps = max(1, int(round(ratio)))
+        need = (n_steps // stride + 2) * 4**n_sites * 8
+        check(need, BYTES_CAP, f"recorded samples capped at {BYTES_CAP} bytes, need {need}")
+        # a stride past the last step records only t = 0 and the end; the
+        # steps left after the last whole stride, if any, make one interval
+        step = min(stride, n_steps)
+        counts = {n: k for n, k in ((step, n_steps // step), (n_steps % step, 1)) if n}
+        need = _evolution_bytes(h, m, len(counts))
+        check(need, BYTES_CAP, f"generator capped at {BYTES_CAP} bytes, need {need}")
+        matvecs = 4 * n_steps  # rk4's
+        if m == "expm":
+            bound = norm_bound(h)
+            try:
+                matvecs = sum(k * math.prod(_plan_size(n * dt * bound)) for n, k in counts.items())
+            except OverflowError:  # an infinite norm: no plan ends
+                matvecs = math.inf
+        work = matvecs * (generator_nnz(h) + MATVEC_OVERHEAD)
+        check(work, WORK_CAP, f"run time capped at {WORK_CAP:.3g} nonzero-equivalents "
+              f"of matvec work, need {work:.3g}")
+    if "decompose" in tasks:
+        need = bell_number(n_sites) * 4**n_sites
+        check(need, DECOMPOSE_WORK_CAP, f"decomposition of {n_sites} sites capped at "
+              f"{DECOMPOSE_WORK_CAP:.3g} partition-entries (B_N * 4**N), need {need:.3g}")
+    if {"spectrum", "resolvent", "validate", "dense"} & set(tasks):
+        check(4**n_sites, DENSE_DIM_CAP, f"spectral tasks capped at dimension "
+              f"{DENSE_DIM_CAP}, need {4**n_sites}")
+    if "generator" in tasks:
+        need = generator_bytes(h)
+        check(need, BYTES_CAP, f"generator capped at {BYTES_CAP} bytes, need {need}")
+    return counts
 
 
 def build_generator(h: SpinHamiltonian) -> Generator:
     """The generator of H, whose CSR M is assembled on first use.
 
-    Raises SizeCapError first when admit_generator refuses M's bytes; it
-    allocates nothing 4**N-sized itself.
+    Raises SizeCapError first when admit refuses M's bytes; it allocates
+    nothing 4**N-sized itself.
     """
-    admit_generator(h)
+    admit(h.n_sites, ["generator"], h)
     return Generator(h)
 
 
@@ -390,9 +486,9 @@ def reduced_eom_residual(
     Checks i d/dt rbar_A = [Hbar_A, rbar_A] + sum_{l not in A} tr_l
     sum_{j in A} [Vhat_jl, rbar_{A+l}] along a uniformly sampled exact
     trajectory; the result is O(dt^2) purely from the finite difference.
-    Needs a 1-d grid of at least 3 finite times, one state per time, with a
-    nonzero step that every step matches to 1e-12 of it and the rounding of
-    the times.
+    Needs a 1-d grid of at least 3 finite times, one state of H's sites per
+    time, with a nonzero step that every step matches to 1e-12 of it and the
+    rounding of the times.
     """
     subset = check_mask(subset)
     times = np.asarray(times, dtype=float)
@@ -402,6 +498,8 @@ def reduced_eom_residual(
         raise ValueError("need at least 3 trajectory points")
     if len(rhos) != len(times):
         raise ValueError(f"{len(rhos)} states for {len(times)} times")
+    if any(r.n_sites != h.n_sites for r in rhos):
+        raise ValueError("state and Hamiltonian site counts differ")
     if not np.isfinite(times).all():
         raise ValueError("trajectory times must be finite")
     steps = np.diff(times)
@@ -471,20 +569,12 @@ class CoupledSplit:
         return np.array(self.x1_codes + self.y_codes + self.x2_codes)
 
 
-def admit_dense(n_sites: int) -> None:
-    """Raise SizeCapError when the 4**n_sites slots exceed DENSE_DIM_CAP."""
-    if 4**n_sites > DENSE_DIM_CAP:
-        raise SizeCapError(
-            f"spectral tasks capped at dimension {DENSE_DIM_CAP}, need {4**n_sites}"
-        )
-
-
 def split_sectors(n_sites: int, system1: int) -> CoupledSplit:
     system1 = check_mask(system1)
     full = (1 << n_sites) - 1
     if system1 == 0 or system1 & ~full or system1 == full:
         raise ValueError("system1 must be a nonempty proper subset of the sites")
-    admit_dense(n_sites)
+    admit(n_sites, ["dense"])
     x1 = []
     x2 = []
     for code in range(1, 4**n_sites):

@@ -379,9 +379,8 @@ def _dense_sites(n: int) -> dict:
 
 
 def test_generator_and_decompose_admission_thresholds(tmp_path):
-    from corrdyn.decomposition import admit_decompose
     from corrdyn.errors import SizeCapError
-    from corrdyn.hierarchy import GENERATOR_BYTES_CAP, admit_generator, generator_bytes
+    from corrdyn.hierarchy import BYTES_CAP, admit, generator_bytes
 
     hams = []
     for n in (9, 10):
@@ -390,18 +389,19 @@ def test_generator_and_decompose_admission_thresholds(tmp_path):
     nine, ten = hams
     # 12 bytes per nonzero and 4 per row pointer
     assert generator_bytes(nine) == 12 * 351 * 4**9 // 2 + 4 * (4**9 + 1)  # 0.55 GB
-    assert generator_bytes(ten) > 2.7e9 > GENERATOR_BYTES_CAP
-    admit_generator(nine)
+    assert generator_bytes(ten) > 2.7e9 > BYTES_CAP
+    admit(9, ["generator"], nine)
     with pytest.raises(SizeCapError):
-        admit_generator(ten)
+        admit(10, ["generator"], ten)
     for n in range(1, 10):
-        admit_decompose(n)
+        admit(n, ["decompose"])
     with pytest.raises(SizeCapError):
-        admit_decompose(10)
+        admit(10, ["decompose"])
 
 
-def _refused_in_small_memory(capsys, cfg, out) -> None:
-    """cfg exits 4 with one error line, no output file and a small heap peak."""
+def _refused_in_small_memory(capsys, cfg, out, message="capped") -> None:
+    """cfg exits 4 with one error line holding `message`, no output file and
+    a small heap peak."""
     tracemalloc.start()
     try:
         status = cli.run(cfg, out)
@@ -409,7 +409,7 @@ def _refused_in_small_memory(capsys, cfg, out) -> None:
     finally:
         tracemalloc.stop()
     assert status == 4
-    assert "capped" in _one_error_line(capsys)
+    assert message in _one_error_line(capsys)
     assert not out.exists() or not any(out.iterdir())
     assert peak < 1 << 20
 
@@ -471,6 +471,14 @@ def test_spectral_tasks_past_the_dense_cap_exit_4_before_the_build(
     _refused_in_small_memory(capsys, cfg, tmp_path / "out")
 
 
+# two sites with 7 nonzero field components and coupling entries: M's 56
+# nonzeros outweigh the 2-site config's few samples
+_SEVEN_TERMS = {
+    "fields": [[0.8, 0.3, 0.0], [0.6, 0.0, 0.2]],
+    "couplings": [{"i": 0, "j": 1, "tensor": [[0.2, 0, 0], [0, 0.3, 0], [0, 0, 1.0]]}],
+}
+
+
 @pytest.mark.parametrize(
     "tasks, method, status",
     [(["evolve"], "expm", 4), (["validate"], "rk4", 4),
@@ -482,16 +490,17 @@ def test_expm_plans_count_towards_generator_admission(
 ):
     from corrdyn import hierarchy
 
-    cfg = write_config(tmp_path / "c.json", tasks=tasks, method=method)
+    cfg = write_config(tmp_path / "c.json", **_SEVEN_TERMS, tasks=tasks, method=method)
     h = cli.load_config(cfg).hamiltonian
     # room for M, not for M and the scaled values of the one Taylor plan of
     # the grid's one interval length (200 steps, stride 50)
     cap = hierarchy.generator_bytes(h) + 8 * hierarchy.generator_nnz(h) - 1
-    monkeypatch.setattr(hierarchy, "GENERATOR_BYTES_CAP", cap)
+    assert 6 * 4**2 * 8 <= cap  # its 6 samples fit
+    monkeypatch.setattr(hierarchy, "BYTES_CAP", cap)
     out = tmp_path / "out"
     assert cli.run(cfg, out) == status
     if status:
-        assert "capped" in _one_error_line(capsys)
+        assert "error: generator capped" in _one_error_line(capsys)
         assert not any(out.iterdir())
     else:
         assert any(out.iterdir())
@@ -501,16 +510,19 @@ def test_expm_admission_counts_one_plan_per_interval_length(tmp_path, capsys, mo
     from corrdyn import hierarchy
 
     # 200 steps: a stride of 50 leaves one interval length, one of 30 two
-    one = write_config(tmp_path / "one.json", method="expm")
+    one = write_config(tmp_path / "one.json", **_SEVEN_TERMS, method="expm")
     two = write_config(
-        tmp_path / "two.json", method="expm", time={"t_max": 2.0, "dt": 0.01, "stride": 30}
+        tmp_path / "two.json", **_SEVEN_TERMS, method="expm",
+        time={"t_max": 2.0, "dt": 0.01, "stride": 30},
     )
     h = cli.load_config(one).hamiltonian
-    # room for M and one plan's scaled values, not for a second plan's
+    # room for M and one plan's scaled values, not for a second plan's, and
+    # for the 8 samples of the stride of 30
     cap = hierarchy.generator_bytes(h) + 12 * hierarchy.generator_nnz(h)
-    monkeypatch.setattr(hierarchy, "GENERATOR_BYTES_CAP", cap)
+    assert 8 * 4**2 * 8 <= cap
+    monkeypatch.setattr(hierarchy, "BYTES_CAP", cap)
     assert cli.run(one, tmp_path / "out") == 0
-    _refused_in_small_memory(capsys, two, tmp_path / "refused")
+    _refused_in_small_memory(capsys, two, tmp_path / "refused", "error: generator capped")
 
 
 def test_expm_evolve_run_assembles_only_the_scaled_m(tmp_path, assemblies):
@@ -547,7 +559,7 @@ def test_step_refused_by_the_largest_coefficient_never_assembles_m(
 def _cross_coupled_twelve(pairs: int = 20) -> dict:
     """12 sites, no fields, zz couplings that each join the low and the high half.
 
-    With 20 couplings M takes 2.08 GB, under GENERATOR_BYTES_CAP, and 1000
+    With 20 couplings M takes 2.08 GB, under BYTES_CAP, and 1000
     rk4 steps are 6.7e11 of WORK_CAP's 1.2e12; rk4's half split adds V
     (as large as M, since every coupling crosses) and the dense halves.
     """
@@ -571,9 +583,10 @@ def test_rk4_half_split_counts_towards_generator_admission(tmp_path, capsys):
 
     cfg = write_config(tmp_path / "c.json", **_cross_coupled_twelve())
     h = cli.load_config(cfg).hamiltonian
-    hierarchy.admit_generator(h)  # M alone fits
-    with pytest.raises(SizeCapError, match="need 4429185032"):
-        hierarchy.admit_generator(h, "rk4")  # V 2.08 GB, M_A and M_B 0.27 GB
+    hierarchy.admit(12, ["generator"], h)  # M alone fits
+    with pytest.raises(SizeCapError, match="^generator capped .* need 4429185032$"):
+        # V 2.08 GB, M_A and M_B 0.27 GB; the 3 samples take 0.40 GB
+        hierarchy.admit(12, ["evolve"], h, (1.0, 0.001, 1000), "rk4")
     _refused_in_small_memory(capsys, cfg, tmp_path / "out")
 
 
@@ -702,14 +715,86 @@ def test_rk4_work_cap_boundary(n_steps, status):
     """4 matvecs a step of 2 + MATVEC_OVERHEAD nonzero-equivalents on one
     precessing spin: 1.16e12 is admitted, and 1.6e12, past WORK_CAP = 1.2e12
     but under twice it, and twice 2 matvecs a step, is refused."""
-    from corrdyn import dynamics
     from corrdyn.errors import SizeCapError
     from corrdyn.hamiltonian import SpinHamiltonian
+    from corrdyn.hierarchy import admit
 
     h = SpinHamiltonian(1, np.array([[0.0, 0.0, 1.0]]))
-    dt, stride = 1e-3, 10**9
+    grid = (n_steps * 1e-3, 1e-3, 10**9)
     if status:
         with pytest.raises(SizeCapError, match="run time capped"):
-            dynamics.admit_evolution(h, n_steps * dt, dt, stride, "rk4")
+            admit(1, ["evolve"], h, grid, "rk4")
     else:
-        assert dynamics.admit_evolution(h, n_steps * dt, dt, stride, "rk4") == {n_steps: 1}
+        assert admit(1, ["evolve"], h, grid, "rk4") == {n_steps: 1}
+
+
+def _refusal(kind: str) -> dict:
+    """A config refused (exit 4) by the one estimate `kind` names."""
+    if kind == "sites":
+        return {**_dense_sites(13), "tasks": ["decompose"]}
+    if kind in ("time-grid", "samples", "run-time"):
+        grids = {"time-grid": (1e13, 1), "samples": (1e6, 1), "run-time": (4e4, 10**9)}
+        t_max, stride = grids[kind]
+        return {**_LARMOR, "time": {"t_max": t_max, "dt": 1e-3, "stride": stride}}
+    if kind == "generator-expm":
+        # 210 nonzero terms on 10 sites: M takes 1.33 GB, M with its one
+        # Taylor plan's hM 2.21 GB
+        dense = _dense_sites(10)
+        return {
+            **dense, "couplings": dense["couplings"][:20], "method": "expm",
+            "time": {"t_max": 0.05, "dt": 1e-3, "stride": 50}, "tasks": ["evolve"],
+        }
+    if kind == "generator-rk4":
+        return _cross_coupled_twelve()
+    if kind == "decomposition":
+        return {**_dense_sites(10), "tasks": ["decompose"]}
+    assert kind == "spectral-dimension"
+    return {**_dense_sites(7), "tasks": ["spectrum"]}
+
+
+@pytest.mark.parametrize(
+    "kind, line",
+    [
+        ("sites", "error: sites capped at 12, got 13"),
+        ("time-grid", "error: time grid capped at 9007199254740992 steps, t_max/dt = 1e+16"),
+        ("samples", "error: recorded samples capped at 2147483648 bytes, need 32000000064"),
+        ("generator-expm", "error: generator capped at 2147483648 bytes, need 2210398216"),
+        ("generator-rk4", "error: generator capped at 2147483648 bytes, need 4429185032"),
+        (
+            "run-time",
+            "error: run time capped at 1.2e+12 nonzero-equivalents of matvec work, "
+            "need 1.6e+12",
+        ),
+        (
+            "decomposition",
+            "error: decomposition of 10 sites capped at 1e+11 partition-entries "
+            "(B_N * 4**N), need 1.22e+11",
+        ),
+        ("spectral-dimension", "error: spectral tasks capped at dimension 4096, need 16384"),
+    ],
+)
+def test_every_refusal_prints_its_exact_message(tmp_path, capsys, kind, line):
+    cfg = write_config(tmp_path / "c.json", **_refusal(kind))
+    out = tmp_path / "out"
+    assert cli.run(cfg, out) == 4
+    assert _one_error_line(capsys) == line
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_size_cap_error_is_raised_in_two_functions_only():
+    """Every size check lives in hierarchy.admit, except density.admit_sites,
+    the input check of every dense constructor: no other function of
+    src/corrdyn raises SizeCapError, nested functions counted as their
+    top-level one's."""
+    import ast
+
+    src = Path(cli.__file__).resolve().parent
+    raisers = set()
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+                name = exc.func if isinstance(exc, ast.Call) else exc
+                if isinstance(name, ast.Name) and name.id == "SizeCapError":
+                    raisers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert raisers == {"density.admit_sites", "hierarchy.admit"}

@@ -163,16 +163,16 @@ def refused_configs(draw, kind):
 
     - "sites": more than DENSE_SITE_CAP = 12 sites, anything else drawn freely;
     - "generator": 10-12 sites with every field component and coupling entry
-      nonzero, past GENERATOR_BYTES_CAP (2.7 GB of M at 10 sites);
+      nonzero, past BYTES_CAP (2.7 GB of M at 10 sites);
     - "dense": 7-8 sites with a spectral task, past DENSE_DIM_CAP = 4**6;
     - "decompose": 10-12 sites with decompose, past DECOMPOSE_WORK_CAP;
     - "grid": 1-3 sites with a timed task on a grid past STEP_CAP, or
-      recording more than SAMPLE_BYTES_CAP;
+      recording more than BYTES_CAP;
     - "split": an rk4 evolve of 12 sites whose 12-20 zz couplings all join
-      the low and the high half: M fits under GENERATOR_BYTES_CAP, M with
+      the low and the high half: M fits under BYTES_CAP, M with
       rk4's half split does not;
     - "work": 1-3 sites with a timed task on 1e11-1e12 steps, whose samples
-      a stride of 1e7-1e9 keeps under SAMPLE_BYTES_CAP, past WORK_CAP; or,
+      a stride of 1e7-1e9 keeps under BYTES_CAP, past WORK_CAP; or,
       refused by the step check (exit 3) instead, fields of 100 and
       dt = 0.1 next to spectrum, resolvent or decompose.
     """

@@ -144,9 +144,12 @@ def test_expm_on_two_interval_lengths_assembles_each_hm_once_and_never_m(
 def test_expm_admission_counts_at_least_the_bytes_held(
     rng, monkeypatch, assemblies, terms, stride, built
 ):
-    """admit_generator(h, "expm", L) >= the bytes of M, if built, and of
-    every plan array that shares no memory with M: a cap one byte below
-    what the run holds refuses it."""
+    """_evolution_bytes(h, "expm", L), the estimate admit compares with
+    BYTES_CAP, >= the bytes of M, if built, and of every plan array that
+    shares no memory with M, so a cap one byte below what the run holds
+    refuses it.  The estimate is read directly: with no or one term, the
+    samples of any grid outweigh what M and its plans hold, and would
+    refuse first."""
     from corrdyn import dynamics, hierarchy
 
     fields = np.zeros((3, 3))
@@ -169,9 +172,12 @@ def test_expm_admission_counts_at_least_the_bytes_held(
         for x in (plan.a.data, plan.a.indices, plan.a.indptr):
             if not any(np.shares_memory(x, y) for y in held):
                 held.append(x)
-    monkeypatch.setattr(hierarchy, "GENERATOR_BYTES_CAP", sum(x.nbytes for x in held) - 1)
-    with pytest.raises(SizeCapError, match="generator capped"):
-        hierarchy.admit_generator(h, "expm", len(plans))
+    need = sum(x.nbytes for x in held)
+    assert hierarchy._evolution_bytes(h, "expm", len(plans)) >= need
+    if terms == "many":  # the samples fit under need - 1: admit refuses on M
+        monkeypatch.setattr(hierarchy, "BYTES_CAP", need - 1)
+        with pytest.raises(SizeCapError, match="^generator capped"):
+            hierarchy.admit(3, ["evolve"], h, (0.3, 0.01, stride), "expm")
 
 
 @pytest.mark.parametrize("t_max", [0.0, -1.0, float("nan")])

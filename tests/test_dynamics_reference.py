@@ -193,14 +193,14 @@ def _sparse_hamiltonian(n: int, rng: np.random.Generator) -> SpinHamiltonian:
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_expm_work_estimate_bounds_the_planned_matvecs(rng, monkeypatch, n):
-    """norm_bound(h) >= ||M||_inf and ||M||_1, so admit_evolution's expm
+    """norm_bound(h) >= ||M||_inf and ||M||_1, so hierarchy.admit's expm
     work, counted in closed form before M exists, is at least the work of
     the plans evolve then builds: a cap one below the planned work refuses
     the run.  With a single field component the bound is attained and a cap
     equal to the planned work admits it."""
-    from corrdyn import dynamics
+    from corrdyn import hierarchy
     from corrdyn.errors import SizeCapError
-    from corrdyn.hierarchy import generator_nnz, norm_bound
+    from corrdyn.hierarchy import admit, generator_nnz, norm_bound
 
     single = []
     for _ in range(3):
@@ -214,14 +214,15 @@ def test_expm_work_estimate_bounds_the_planned_matvecs(rng, monkeypatch, n):
         assert norm_bound(h) >= _one_norm(gen.matrix)
         dt = 10.0 ** rng.uniform(-3, -0.5)
         t_max, stride = dt * rng.integers(1, 200), int(rng.integers(1, 60))
-        counts = dynamics.admit_evolution(h, t_max, dt, stride, "expm")
+        grid = (t_max, dt, stride)
+        counts = admit(n, ["evolve"], h, grid, "expm")
         plans = [(k, _taylor_plan(gen, length * dt)) for length, k in counts.items()]
         matvecs = sum(k * plan.m_star * plan.s for k, plan in plans)
-        work = matvecs * (generator_nnz(h) + dynamics.MATVEC_OVERHEAD)
-        monkeypatch.setattr(dynamics, "WORK_CAP", work - 1)
+        work = matvecs * (generator_nnz(h) + hierarchy.MATVEC_OVERHEAD)
+        monkeypatch.setattr(hierarchy, "WORK_CAP", work - 1)
         with pytest.raises(SizeCapError, match="run time capped"):
-            dynamics.admit_evolution(h, t_max, dt, stride, "expm")
+            admit(n, ["evolve"], h, grid, "expm")
         if case < len(single):
-            monkeypatch.setattr(dynamics, "WORK_CAP", work)
-            assert dynamics.admit_evolution(h, t_max, dt, stride, "expm") == counts
+            monkeypatch.setattr(hierarchy, "WORK_CAP", work)
+            assert admit(n, ["evolve"], h, grid, "expm") == counts
         monkeypatch.undo()

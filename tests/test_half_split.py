@@ -117,16 +117,23 @@ def test_expm_evolution_leaves_the_split_unbuilt(rng):
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_rk4_admission_counts_the_bytes_of_the_split(rng, monkeypatch, n):
-    """admit_generator(h, "rk4") needs M's bytes plus, from SPLIT_MIN_SITES
-    sites on, exactly the bytes of the split that apply caches."""
+    """The rk4 estimate that admit compares with BYTES_CAP is M's bytes plus,
+    from SPLIT_MIN_SITES sites on, exactly the bytes of the split that apply
+    caches.  It is read from _evolution_bytes, since with H = 0 at 4 sites
+    the 2 samples any grid records (4096 bytes) outweigh M (1028 bytes) and
+    would refuse first; for the dense H, admit itself refuses one byte less
+    and admits that many."""
     for name, h in split_hamiltonians(n, rng).items():
-        monkeypatch.undo()  # half_split's builds admit themselves against the cap
         need = hierarchy.generator_bytes(h)
         if n >= SPLIT_MIN_SITES:
             m_a, m_b, v = half_split(h)
             need += m_a.nbytes + m_b.nbytes + v.data.nbytes + v.indices.nbytes + v.indptr.nbytes
-        monkeypatch.setattr(hierarchy, "GENERATOR_BYTES_CAP", need)
-        hierarchy.admit_generator(h, "rk4")
-        monkeypatch.setattr(hierarchy, "GENERATOR_BYTES_CAP", need - 1)
-        with pytest.raises(SizeCapError):
-            hierarchy.admit_generator(h, "rk4")
+        assert hierarchy._evolution_bytes(h, "rk4", 1) == need, name
+    h, grid = split_hamiltonians(n, rng)["dense"], (0.01, 0.01, 1)
+    need = hierarchy._evolution_bytes(h, "rk4", 1)
+    assert 3 * 4**n * 8 < need  # the 3 samples fit
+    monkeypatch.setattr(hierarchy, "BYTES_CAP", need)
+    hierarchy.admit(n, ["evolve"], h, grid, "rk4")
+    monkeypatch.setattr(hierarchy, "BYTES_CAP", need - 1)
+    with pytest.raises(SizeCapError, match="^generator capped"):
+        hierarchy.admit(n, ["evolve"], h, grid, "rk4")

@@ -392,6 +392,13 @@ def test_reduced_eom_refuses_a_grid_that_is_not_uniform(times):
         reduced_eom_residual(h, times, rhos, 0b01)
 
 
+def test_reduced_eom_refuses_states_of_another_site_count():
+    h = transverse_pair(1.0, 0.7, 0.4)
+    rho = bloch_product([[0, 0, 0.9], [0.3, 0, 0], [0, 0.5, 0]])
+    with pytest.raises(ValueError, match="^state and Hamiltonian site counts differ$"):
+        reduced_eom_residual(h, [0.0, 0.1, 0.2], [rho] * 3, 0b01)
+
+
 @pytest.mark.parametrize("dt", [1e-12, 3e-9, 1e-3, 0.1, 7.0])
 @pytest.mark.parametrize("t0", [0.0, -2.5, 100.0])
 def test_reduced_eom_admits_rounded_uniform_grids(dt, t0):
@@ -444,7 +451,7 @@ def test_build_generator_refuses_past_the_byte_cap_before_allocating(monkeypatch
 
     dense = np.full((3, 3), 0.5)
     h = SpinHamiltonian(3, np.ones((3, 3)), {(0, 1): dense, (1, 2): dense})
-    monkeypatch.setattr(hierarchy, "GENERATOR_BYTES_CAP", hierarchy.generator_bytes(h) - 1)
+    monkeypatch.setattr(hierarchy, "BYTES_CAP", hierarchy.generator_bytes(h) - 1)
     tracemalloc.start()
     try:
         with pytest.raises(SizeCapError, match="generator capped"):
@@ -453,5 +460,5 @@ def test_build_generator_refuses_past_the_byte_cap_before_allocating(monkeypatch
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    monkeypatch.setattr(hierarchy, "GENERATOR_BYTES_CAP", hierarchy.generator_bytes(h))
+    monkeypatch.setattr(hierarchy, "BYTES_CAP", hierarchy.generator_bytes(h))
     assert build_generator(h).matrix.nnz == hierarchy.generator_nnz(h)
