@@ -139,6 +139,12 @@ MUTANTS = [
         "check(4**n_sites, DENSE_DIM_CAP // 4,",
         "tests/test_hierarchy.py",
     ),
+    (
+        "src/corrdyn/decomposition.py",
+        "_pair_layout(singles[j], 1)",
+        "_pair_layout(np.transpose(singles[j]), 1)",
+        "tests/test_decomposition_reference.py",
+    ),
 ]
 
 # checks that each `old` occurs once; it cannot hold in a mutated copy

@@ -19,8 +19,8 @@ From five sites on the backends therefore also check that split against
 the CSR M.  Each plan takes its hM from Generator.scaled, which copies a
 built M's values and otherwise assembles hM without building M; its
 1-norm, like ||M||_inf, is summed from the arrays in scipy's order rather
-than from a second matrix abs(hM), and nothing here constructs a sparse
-matrix.
+than from a second matrix abs(hM), by scipy's compiled CSC matvec on the
+CSR arrays, and nothing here constructs a sparse matrix.
 
 M is the Pauli-basis form of the commutator -i[H, .], so its eigenvalues
 are i(E_n - E_m) over all pairs of levels of H, with eigenvectors the Pauli
@@ -49,8 +49,8 @@ import numpy as np
 
 from .density import CorrelatorVector, pauli_coefficients
 from .errors import DivergentSeriesError, PoleProximityError, StepTooLargeError
-from .hierarchy import CoupledSplit, Generator, _coupling_split, _plan_size, admit
-from .hierarchy import build_generator, largest_coefficient, norm_bound
+from .hierarchy import ROW_CHUNK, CoupledSplit, Generator, _coupling_split, _plan_size
+from .hierarchy import admit, build_generator, largest_coefficient, norm_bound
 from .pauli import Observable, PauliString
 
 if TYPE_CHECKING:
@@ -92,9 +92,6 @@ def _rk4_step(apply, x, dt):
 
 _TAYLOR_TOL = 2.0**-53
 
-# _one_norm reads this many entries of a matrix at a time
-_NORM_SLICE = 1 << 16
-
 
 class _TaylorPlan(NamedTuple):
     """exp(a) x as s sub-steps of at most m_star Taylor terms each."""
@@ -107,12 +104,20 @@ class _TaylorPlan(NamedTuple):
 def _one_norm(a: sp.csr_matrix) -> float:
     """max_c sum_r |a_rc|, each column summed in entry order as scipy sums abs(a).
 
-    The entries are taken _NORM_SLICE at a time, so no copy of a is made.
+    The rows are read ROW_CHUNK at a time, so no copy of a is made, and
+    their |entries| go through scipy's compiled CSC matvec with a vector of
+    ones: a's CSR arrays are those of its transpose in CSC, whose product
+    with ones adds each entry to its column's sum, one after another.
     """
+    # imported here: scipy loads with the first assembly of a matrix, not before
+    from scipy.sparse._sparsetools import csc_matvec
+
     sums = np.zeros(a.shape[1])
-    for lo in range(0, a.nnz, _NORM_SLICE):
-        hi = lo + _NORM_SLICE
-        np.add.at(sums, a.indices[lo:hi], np.abs(a.data[lo:hi]))
+    for r in range(0, a.shape[0], ROW_CHUNK):
+        ptr = a.indptr[r : r + ROW_CHUNK + 1]
+        rows, lo, hi = len(ptr) - 1, ptr[0], ptr[-1]
+        absolute = np.abs(a.data[lo:hi])
+        csc_matvec(a.shape[1], rows, ptr - lo, a.indices[lo:hi], absolute, np.ones(rows), sums)
     return float(sums.max())
 
 

@@ -4,7 +4,8 @@ The slow path that `corrdyn.decomposition` replaced: every part is a sum
 over subsets (rho^C) or set partitions (rho^CC) of Kronecker products of
 reduced 2**k x 2**k matrices.  The tests compare the correlator-basis route
 against it entry by entry at small N, and `corrdyn.decomposition.reconstruct`
-against its power-set sum bit for bit.  Its Kronecker products are an
+against its power-set sum, bit for bit where the inputs make every sum
+exact.  Its Kronecker products are an
 `np.kron` chain and its qubit reorders one 2N-axis transpose, so these sums
 share no helper with `corrdyn.decomposition`.
 """

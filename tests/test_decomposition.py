@@ -4,6 +4,8 @@ import pytest
 from corrdyn import states
 from corrdyn.combinatorics import enumerate_subsets
 from corrdyn.decomposition import (
+    CorrelatedPart,
+    CumulantPart,
     connected_pair,
     connected_triple,
     correlated_part,
@@ -141,6 +143,24 @@ def test_reconstructions_refuse_parts_past_the_site_count(rng):
             reconstruct(3, singles, {**parts, extra: parts[0b11]})
     with pytest.raises(ValueError, match="correlated part key must be an integer"):
         reconstruct(3, singles, {**parts, 3.5: parts[0b11]})
+
+
+def test_reconstructions_name_a_part_or_reduced_matrix_of_the_wrong_shape(rng):
+    rho = random_mixed_state(rng, 3)
+    singles = {i: partial_trace_array(rho.data, 3, 1 << i) for i in range(3)}
+    parts = correlated_parts(rho)
+    for bad in (np.array([0.5, 0.5]), np.eye(4) / 4, np.eye(2)[..., None] / 2):
+        with pytest.raises(ValueError, match="the reduced matrix of site 1 is not 2x2"):
+            reconstruct(3, {**singles, 1: bad}, parts)
+    for bad in (np.zeros((4, 1)), np.zeros((8, 8)), np.zeros(16)):
+        with pytest.raises(ValueError, match=r"the correlated part of subset \{0,2\} is not 4x4"):
+            reconstruct(3, singles, {**parts, 0b101: CorrelatedPart(0b101, bad)})
+    cparts = cumulant_parts(rho)
+    for mask, bad, dim in ((0b010, np.eye(4) / 4, 2), (0b111, np.zeros((8, 4)), 8)):
+        sites = ",".join(str(j) for j in range(3) if mask >> j & 1)
+        message = rf"the cumulant part of subset \{{{sites}\}} is not {dim}x{dim}"
+        with pytest.raises(ValueError, match=message):
+            cumulant_reconstruct(3, {**cparts, mask: CumulantPart(mask, bad)})
 
 
 def test_cumulant_reconstruction(rng):
