@@ -141,8 +141,14 @@ MUTANTS = [
     ),
     (
         "src/corrdyn/decomposition.py",
-        "_pair_layout(singles[j], 1)",
-        "_pair_layout(np.transpose(singles[j]), 1)",
+        "_pair_digits(singles[j])",
+        "_pair_digits(np.transpose(singles[j]))",
+        "tests/test_decomposition_reference.py",
+    ),
+    (
+        "src/corrdyn/decomposition.py",
+        "for b in p.blocks[1:]:",
+        "for b in p.blocks[2:]:",
         "tests/test_decomposition_reference.py",
     ),
 ]

@@ -26,23 +26,23 @@ subset.  The correlated coefficients are one per-site triangular transform
 of x, and the cumulant coefficients follow the moment-cumulant recursion
 over subsets; the matrices of all parts of one subset size are then formed
 from their coefficients in one batched transform.  The checks stay in matrix
-space and share nothing with that route.  `reconstruct` sums the power set
-as one depth-first recursion over the sites, in the site-pair layout where
-a tensor product with a matrix on a new highest site is an outer product of
-flat arrays: 2**N - 1 steps of about 5**N operations in all, not 2**N - N
-full-size Kronecker products.  One loop, `_sum_of_products`, forms and sums
-the Kronecker products of `cumulant_reconstruct` over the B_N set
-partitions.  They are grouped by their first block A, which holds site 0:
-the rest of the group's partitions are every partition of S - A once,
-summed on the space of S - A, so the group is one full-size product
+space and share nothing with that route.  Both reconstructions work on the
+pair-digit vectors of `density._pair_digits`, where each site's (row,
+column) bits form one base-4 digit.  Held as N-site grids with size-1
+axes off their sites, parts on disjoint subsets multiply by broadcasting,
+and the product already lands in site order.
+`reconstruct` sums the power set as one depth-first recursion over the
+sites: 2**N - 1 steps of about 5**N operations in all, not 2**N - N
+full-size Kronecker products.  `cumulant_reconstruct` enumerates the B_N
+set partitions once and files each under its first block A, which holds
+site 0: the rest of the group's partitions are every partition of S - A
+once, summed on the sites of S - A, so the group is one full-size product
 rho^CC_A (x) rho_{S-A} and the full-size sum has 2**(N-1) terms, not B_N.
-Terms that leave the sites in the same qubit order form one group of
-`_sum_of_products`, put in ascending order once, by one gather of rows and
-columns.  Both reconstructions refuse a part or reduced matrix of the wrong
-shape, naming its subset or site.  `max_trace_defect` traces cells out of
-all parts of one subset size at once.  The tests' reference sums dense
-reduced matrices with `np.kron` chains and transposes, term by term: the
-power set, and all B_N partitions at full size.
+Both reconstructions refuse a part or reduced matrix of the wrong shape,
+naming its subset or site, and so does `max_trace_defect`, which traces
+cells out of all parts of one subset size at once.  The tests' reference
+sums dense reduced matrices with `np.kron` chains and transposes, term by
+term: the power set, and all B_N partitions at full size.
 Every whole-state entry point refuses a state past
 hierarchy.DECOMPOSE_WORK_CAP (hierarchy.admit) before it allocates anything.
 """
@@ -66,6 +66,8 @@ from .combinatorics import (
 from .density import (
     CorrelatorVector,
     DensityMatrix,
+    _from_pair_digits,
+    _pair_digits,
     extract_correlators,
     operator_matrix,
 )
@@ -88,60 +90,6 @@ class CumulantPart:
 
     subset: int
     matrix: np.ndarray
-
-
-def permute_sites(
-    mat: np.ndarray, sites: list[int], buf: np.ndarray | None = None
-) -> np.ndarray:
-    """Reorder the qubits of `mat` from the given order to ascending order.
-
-    `sites[k]` is the site living on qubit k (least-significant first) of the
-    input matrix.  Rows and columns move by the same permutation of the 2**n
-    basis states, applied as one gather along each axis.  The row gather
-    goes into `buf` when it is given, so a caller permuting many matrices of
-    one size reuses one intermediate.
-    """
-    n = len(sites)
-    target = sorted(sites)
-    # qubit position of each site, most-significant axis first
-    src = [n - 1 - sites.index(s) for s in reversed(target)]
-    rows = np.arange(2**n).reshape((2,) * n).transpose(src).reshape(-1)
-    # the rows are a permutation, so "clip" never clips; under the default
-    # "raise" numpy would gather into a temporary and then copy it to `buf`
-    return np.take(mat, rows, 0, out=buf, mode="clip").take(rows, 1)
-
-
-def _kron_chain(mats: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
-    """Kronecker product of `mats`, the first on the least-significant qubits.
-
-    The last factor is multiplied straight into `out` when it is given, so a
-    caller summing many products of one size reuses one buffer.
-    """
-    mat = np.array([[1.0 + 0.0j]])
-    for k, block in enumerate(mats, 1):
-        # kron(block, mat) keeps the accumulated qubits on the low end
-        d, e = len(block), len(mat)
-        dest = out.reshape(d, e, d, e) if out is not None and k == len(mats) else None
-        mat = np.multiply(block[:, None, :, None], mat[None, :, None, :], out=dest)
-        mat = mat.reshape(d * e, d * e)
-    return mat
-
-
-def _sum_of_products(n_sites: int, groups: Iterable[tuple]) -> np.ndarray:
-    """Sum over groups (order, terms) of Kronecker products on N sites.
-
-    A group's terms, lists of blocks for `_kron_chain`, are formed in two
-    reused buffers and summed; `order[k]` is the site on qubit k of each, and
-    the sum is put in ascending order once, the term buffer its intermediate.
-    """
-    out = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
-    staged, term = np.empty_like(out), np.empty_like(out)
-    for order, terms in groups:
-        acc = _kron_chain(terms[0], staged)  # a fresh [[1]] for zero sites
-        for blocks in terms[1:]:
-            acc += _kron_chain(blocks, term)
-        out += permute_sites(acc, list(order), term)
-    return out
 
 
 def _marginal(values: np.ndarray, n_sites: int, subset: int) -> np.ndarray:
@@ -295,10 +243,12 @@ def max_trace_defect(parts: Iterable[CorrelatedPart]) -> float:
 
     The parts of one subset size are stacked and reshaped once, to a batch
     axis and one (row, column) axis pair per cell, and each cell is traced
-    out over its own pair for the whole stack.  No parts give 0.
+    out over its own pair for the whole stack.  No parts give 0.  A part
+    of a k-site subset that is not 2**k x 2**k is refused, naming it.
     """
     by_size: dict[int, list[np.ndarray]] = {}
     for part in parts:
+        _check_shape(part.subset, part.matrix, "correlated")
         by_size.setdefault(part.subset.bit_count(), []).append(part.matrix)
     worst = 0.0
     for n, mats in by_size.items():
@@ -308,32 +258,48 @@ def max_trace_defect(parts: Iterable[CorrelatedPart]) -> float:
     return worst
 
 
+def _part_name(mask: int, kind: str) -> str:
+    return f"{kind} part of subset {{{','.join(map(str, bit_indices(mask)))}}}"
+
+
+def _check_shape(mask: int, matrix: object, kind: str) -> None:
+    """Refuse the part of a k-site subset unless it is 2**k x 2**k."""
+    dim = 2 ** mask.bit_count()
+    if np.shape(matrix) != (dim, dim):
+        raise ValueError(f"the {_part_name(mask, kind)} is not {dim}x{dim}")
+
+
 def _check_parts(parts: Mapping[int, object], n_sites: int, least: int, kind: str) -> None:
     """Refuse any key but a subset of >= `least` of the N sites, and any part
     of a k-site subset that is not 2**k x 2**k; name any missing subset."""
     if any(as_int(m, f"{kind} part key") >> n_sites or m.bit_count() < least for m in parts):
         raise ValueError(f"{kind} parts inconsistent with site count")
-
-    def subset(mask: int) -> str:
-        return f"{kind} part of subset {{{','.join(map(str, bit_indices(mask)))}}}"
-
     for mask in range(1 << n_sites):
-        dim = 2 ** mask.bit_count()
         if mask.bit_count() >= least and mask not in parts:
-            raise ValueError(f"missing the {subset(mask)}")
-        if mask in parts and np.shape(parts[mask].matrix) != (dim, dim):
-            raise ValueError(f"the {subset(mask)} is not {dim}x{dim}")
+            raise ValueError(f"missing the {_part_name(mask, kind)}")
+        if mask in parts:
+            _check_shape(mask, parts[mask].matrix, kind)
 
 
-def _pair_layout(mat: np.ndarray, k: int) -> np.ndarray:
-    """The 4**k entries of a k-site matrix in the site-pair layout, flat.
-
-    They form a (4,)*k grid whose axis p holds the (row, column) bits of
-    site k-1-p, so a product with a matrix on a new highest site is an outer
-    product of the flat arrays.
-    """
-    w = np.reshape(mat, (2,) * (2 * k))
-    return w.transpose([a for p in range(k) for a in (p, k + p)]).reshape(-1)
+def _power_set_sum(
+    k: int, upper: int, rbar: Sequence[np.ndarray], parts: Mapping[int, CorrelatedPart]
+) -> np.ndarray | None:
+    """R(k, upper) of `reconstruct` on the k lowest sites and `upper`, as a
+    pair-digit vector; None when it is 0."""
+    if k == 0:
+        if upper.bit_count() == 1:
+            return None
+        return _pair_digits(parts[upper].matrix) if upper else np.ones(1, dtype=complex)
+    # the larger term first: holding the smaller one instead at every level
+    # of the recursion raises the traced peak at N=7 from 0.92 to 1.25 MB
+    high = _power_set_sum(k - 1, upper | 1 << (k - 1), rbar, parts)
+    low = _power_set_sum(k - 1, upper, rbar, parts)
+    if low is None:
+        return high
+    out = (low.reshape(4 ** upper.bit_count(), 1, -1) * rbar[k - 1]).reshape(-1)
+    if high is not None:
+        out += high
+    return out
 
 
 def reconstruct(
@@ -344,8 +310,10 @@ def reconstruct(
     """Reassemble rho from single-cell reduced matrices and all rho^C.
 
     The power-set sum rho = sum_A (prod_{j not in A} rbar_j) rho^C_A is one
-    depth-first recursion over the sites, highest first, in the site-pair
-    layout (`_pair_layout`).  For U a set of sites >= k, let
+    depth-first recursion over the sites, highest first (`_power_set_sum`),
+    on pair-digit vectors (`density._pair_digits`), where a product with a
+    matrix on a new highest site is an outer product.  For U a set of
+    sites >= k, let
 
         R(k, U) = sum_{B subset {0..k-1}} (prod_{j < k, j not in B} rbar_j) rho^C_{U+B},
 
@@ -366,30 +334,20 @@ def reconstruct(
         if np.shape(singles[j]) != (2, 2):
             raise ValueError(f"the reduced matrix of site {j} is not 2x2")
     _check_parts(parts, n_sites, 2, "correlated")
-    rbar = [_pair_layout(singles[j], 1)[:, None] for j in range(n_sites)]
-    one = np.ones(1, dtype=complex)
+    rbar = [_pair_digits(singles[j])[:, None] for j in range(n_sites)]
+    # one expression, so the pair-digit sum is freed before the check
+    return DensityMatrix(
+        n_sites, _from_pair_digits(_power_set_sum(n_sites, 0, rbar, parts), n_sites)
+    )
 
-    def total(k: int, upper: int) -> np.ndarray | None:
-        # R(k, upper) on the k lowest sites and `upper`; None when it is 0
-        if k == 0:
-            if upper.bit_count() == 1:
-                return None
-            return _pair_layout(parts[upper].matrix, upper.bit_count()) if upper else one
-        # the larger term first: holding the smaller one instead at every level
-        # of the recursion raises the traced peak at N=7 from 0.92 to 1.25 MB
-        high = total(k - 1, upper | 1 << (k - 1))
-        low = total(k - 1, upper)
-        if low is None:
-            return high
-        out = (low.reshape(4 ** upper.bit_count(), 1, -1) * rbar[k - 1]).reshape(-1)
-        if high is not None:
-            out += high
-        return out
 
-    n = n_sites
-    # one expression, so the sum in the site-pair layout is freed before the check
-    order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]  # row bits, then column bits
-    return DensityMatrix(n, total(n, 0).reshape((2,) * (2 * n)).transpose(order).reshape(2**n, -1))
+def _grid_shape(n_sites: int, mask: int) -> list[int]:
+    """Shape of a part on `mask` as an N-site pair-digit grid.
+
+    Axis p holds the pair digit of site N-1-p and has size 1 off the mask,
+    so grids on disjoint subsets multiply by broadcasting, in site order.
+    """
+    return [4 if mask >> (n_sites - 1 - p) & 1 else 1 for p in range(n_sites)]
 
 
 def cumulant_reconstruct(
@@ -397,35 +355,33 @@ def cumulant_reconstruct(
 ) -> DensityMatrix:
     """Reassemble rho as the sum over all B_N partitions of cumulant products.
 
-    Each of the B_N partitions is enumerated once and filed under its first
-    block A, the one holding site 0.  The other blocks of the partitions in
-    group A run once through every partition of S - A, so by the distributive
-    law the group sums to rho^CC_A (x) rho_{S-A}, where rho_{S-A} is the sum
-    of their products on the 2**(N-|A|)-row space of S - A ([[1]] for A = S).
-    Both sums, of the tails within a group and of the 2**(N-1) group terms
-    at full size, gather the terms that leave the sites in the same qubit
-    order and permute them to ascending order once; at full size only the
-    N first blocks {0}, {0, 1}, ..., S share an order, the ascending one.
-    Every nonempty subset needs a part.
+    Every part enters as an N-site pair-digit grid (`_grid_shape`), so a
+    product of blocks is one broadcast multiply that lands in site order.
+    Each of the B_N partitions is enumerated once, and the product of its
+    blocks after the first is added into rho_{S-A} of its first block A,
+    the one holding site 0.  The other blocks never hold site 0, so their
+    2**(N-1) - 1 grids are formed once, up front.  By the distributive law
+    rho is the sum of the 2**(N-1) full-size products rho^CC_A (x) rho_{S-A},
+    each A's grid formed where it is used, put in matrix order once.  Every
+    nonempty subset needs a part.
     """
     admit(n_sites, ["decompose"])
     _check_parts(parts, n_sites, 1, "cumulant")
-    full = (1 << n_sites) - 1
-    sites = {b: tuple(bit_indices(b)) for b in range(full + 1)}
-    mats = {b: parts[b].matrix for b in range(1, full + 1)}
-    # first block -> qubit order of the tail -> the tails' block matrices
-    groups: dict[int, dict[tuple[int, ...], list[list[np.ndarray]]]] = {}
+    n, full = n_sites, (1 << n_sites) - 1
+    tails = {
+        b: _pair_digits(parts[b].matrix).reshape(_grid_shape(n, b))
+        for b in range(2, full + 1, 2)
+    }
+    rests = {a: np.zeros(_grid_shape(n, full ^ a), complex) for a in range(1, full + 1, 2)}
     for p in enumerate_partitions(full):
-        head, tail = p.blocks[0], p.blocks[1:]
-        order = sum((sites[b] for b in tail), ())
-        groups.setdefault(head, {}).setdefault(order, []).append([mats[b] for b in tail])
-
-    # qubit order -> [rho^CC_A, rho_{S-A}] of the first blocks A leaving it
-    terms: dict[tuple[int, ...], list[list[np.ndarray]]] = {}
-    for head, tails in groups.items():
-        rest = _sum_of_products(n_sites - head.bit_count(), tails.items())
-        terms.setdefault(sites[head] + sites[full ^ head], []).append([mats[head], rest])
-    return DensityMatrix(n_sites, _sum_of_products(n_sites, terms.items()))
+        term = 1.0
+        for b in p.blocks[1:]:
+            term = term * tails[b]
+        rests[p.blocks[0]] += term
+    out = np.zeros((4,) * n, dtype=complex)
+    for a, rest in rests.items():
+        out += _pair_digits(parts[a].matrix).reshape(_grid_shape(n, a)) * rest
+    return DensityMatrix(n, _from_pair_digits(out.reshape(-1), n))
 
 
 def _connected(v: CorrelatorVector, axes: dict[int, str]) -> float:

@@ -116,11 +116,22 @@ def pauli_coefficients(mats: np.ndarray) -> np.ndarray:
 
     Returns a (4**N, k) array, one column per matrix of the stack.
     """
-    k, dim = mats.shape[0], mats.shape[1]
-    n = dim.bit_length() - 1
-    w = mats.reshape((k,) + (2,) * (2 * n))
-    w = np.transpose(w, [1 + a for a in _pair_order(n)] + [0]).reshape(4**n, k)
-    return pauli._apply_site_map(w, _B_EXTRACT)
+    return pauli._apply_site_map(_pair_digits(mats), _B_EXTRACT)
+
+
+def _pair_digits(mats: np.ndarray) -> np.ndarray:
+    """Matrices, batch first, as pair-digit vectors, batch on the trailing axes.
+
+    Entry e of a vector, read in base 4, has the pair digit of site j at
+    4**j, as in a string code; `_from_pair_digits` is the inverse.
+    """
+    mats = np.asarray(mats)
+    batch = mats.shape[:-2]
+    n = mats.shape[-1].bit_length() - 1
+    w = mats.reshape(batch + (2,) * (2 * n))
+    b = len(batch)
+    perm = [b + a for a in _pair_order(n)] + list(range(b))
+    return np.transpose(w, perm).reshape((4**n,) + batch)
 
 
 def _from_pair_digits(vec: np.ndarray, n: int) -> np.ndarray:

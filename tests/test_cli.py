@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -110,6 +111,31 @@ def test_decompose_task(tmp_path):
     assert float(report["cumulant_reconstruction_error"]) < 1e-12
     assert float(report["max_single_cell_trace"]) < 1e-12
     assert "subset=0,1,2 " in text
+
+
+_NO_CYCLE_CASES = {
+    "decompose": {
+        "sites": 4, "fields": [[0, 0, 0]] * 4, "couplings": [],
+        "initial_state": {"named": {"name": "w"}}, "tasks": ["decompose"],
+    },
+    "evolve": {"tasks": ["evolve"], "method": "expm"},
+    "spectral": {"tasks": ["spectrum", "resolvent", "validate"], "resolvent": {"z": [[0.5, 0.25]]}},
+}
+
+
+@pytest.mark.parametrize("case", list(_NO_CYCLE_CASES))
+def test_run_leaves_no_garbage_cycle(tmp_path, case):
+    # a cycle keeps what it reaches, such as every part of a decomposition,
+    # alive until the cyclic collector happens to run
+    cfg = write_config(tmp_path / "c.json", **_NO_CYCLE_CASES[case])
+    assert cli.run(cfg, tmp_path / "warm") == 0  # lazy imports and caches
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.run(cfg, tmp_path / "out") == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_resolvent_task(tmp_path):

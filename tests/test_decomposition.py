@@ -14,7 +14,6 @@ from corrdyn.decomposition import (
     cumulant_parts,
     cumulant_reconstruct,
     max_trace_defect,
-    permute_sites,
     reconstruct,
 )
 from corrdyn.density import extract_correlators, partial_trace_array
@@ -51,14 +50,6 @@ def brute_force_correlated(rho, subset):
         return total
 
     return part(subset)
-
-
-def test_permute_sites_round_trip(rng):
-    mat = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    # qubit order (2, 0, 1) -> ascending
-    out = permute_sites(mat, [2, 0, 1])
-    back = permute_sites(out, [1, 2, 0])
-    assert np.max(np.abs(back - mat)) < 1e-15
 
 
 def test_pair_part_is_reduced_minus_product(rng):
@@ -161,6 +152,14 @@ def test_reconstructions_name_a_part_or_reduced_matrix_of_the_wrong_shape(rng):
         message = rf"the cumulant part of subset \{{{sites}\}} is not {dim}x{dim}"
         with pytest.raises(ValueError, match=message):
             cumulant_reconstruct(3, {**cparts, mask: CumulantPart(mask, bad)})
+
+
+def test_max_trace_defect_names_a_part_of_the_wrong_shape(rng):
+    parts = list(correlated_parts(random_mixed_state(rng, 3)).values())
+    # a flat 4**k-entry part, a 2x2 one, and a 2-site part of the 3-site size
+    for bad in (np.zeros(16), np.eye(2) / 2, np.zeros((8, 8))):
+        with pytest.raises(ValueError, match=r"the correlated part of subset \{0,2\} is not 4x4"):
+            max_trace_defect(parts + [CorrelatedPart(0b101, bad)])
 
 
 def test_cumulant_reconstruction(rng):

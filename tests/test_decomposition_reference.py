@@ -1,6 +1,5 @@
 """The correlator-basis decomposition against the matrix-space reference."""
 
-import itertools
 import json
 import tracemalloc
 
@@ -33,54 +32,6 @@ TOL = 1e-12
 def _bits(a):
     """The bit pattern of every entry, so signed zeros and NaNs compare too."""
     return np.ascontiguousarray(a).view(np.int64)
-
-
-def _random_complex(rng, dim):
-    """A random complex matrix with some entries +0.0 and -0.0 in each part."""
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    zeros = rng.random(a.shape) < 0.2
-    a.real[zeros] = np.where(rng.random(a.shape) < 0.5, -0.0, 0.0)[zeros]
-    zeros = rng.random(a.shape) < 0.2
-    a.imag[zeros] = np.where(rng.random(a.shape) < 0.5, -0.0, 0.0)[zeros]
-    return a
-
-
-def test_kron_chain_matches_the_np_kron_chain_bit_for_bit():
-    rng = np.random.default_rng(4300)
-    dims = [2**k for k in range(8)]
-    pairs = [(d, e) for d, e in itertools.product(dims, dims) if d * e <= 128]
-    # a one-site block on the largest accumulated factors
-    for d, e in pairs + [(2, 128), (2, 256)]:
-        # e is the accumulated factor, d the block multiplied in last
-        mats = [_random_complex(rng, e), _random_complex(rng, d)]
-        expected = _bits(ref.kron_chain(mats))
-        assert np.array_equal(_bits(decomposition._kron_chain(mats)), expected), (d, e)
-        out = np.full((d * e, d * e), np.nan, dtype=complex)
-        got = decomposition._kron_chain(mats, out)
-        assert np.shares_memory(got, out)
-        assert np.array_equal(_bits(out), expected), (d, e)
-    # longer chains of one-site blocks and larger blocks
-    for sizes in [(2, 2, 2, 2, 2, 2, 2), (2, 4, 2, 8), (8, 2, 2, 2, 2), (4, 4, 2, 2, 2)]:
-        mats = [_random_complex(rng, s) for s in sizes]
-        out = np.empty((128, 128), dtype=complex)
-        decomposition._kron_chain(mats, out)
-        assert np.array_equal(_bits(out), _bits(ref.kron_chain(mats))), sizes
-
-
-def test_permute_sites_matches_the_transpose_bit_for_bit():
-    rng = np.random.default_rng(4400)
-    orders = [list(p) for n in range(1, 6) for p in itertools.permutations(range(n))]
-    for n in (6, 7):
-        # site labels need not be 0..n-1, only distinct
-        orders += [list(rng.choice(12, size=n, replace=False)) for _ in range(50)]
-    for sites in orders:
-        mat = _random_complex(rng, 2 ** len(sites))
-        expected = _bits(ref.permute_sites(mat, sites))
-        got = decomposition.permute_sites(mat, sites)
-        assert np.array_equal(_bits(got), expected), sites
-        buf = np.full_like(mat, np.nan)
-        got = decomposition.permute_sites(mat, sites, buf)
-        assert np.array_equal(_bits(got), expected), sites
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -229,26 +180,38 @@ def test_staged_cumulant_reconstruct_matches_per_term_sum(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_cumulant_reconstruct_forms_one_full_size_product_per_first_block(monkeypatch, n):
-    products, permutations = [], []
-    kron_chain, permute_sites = decomposition._kron_chain, decomposition.permute_sites
-
-    def counting_products(mats, out=None):
-        mat = kron_chain(mats, out)
-        products.append(len(mat) == 2**n)
-        return mat
-
-    def counting_permutations(mat, sites, buf=None):
-        permutations.append(len(mat) == 2**n)
-        return permute_sites(mat, sites, buf)
-
+    converted = []
+    pair_digits = decomposition._pair_digits
     parts = cumulant_parts(states.w_state(n))
-    monkeypatch.setattr(decomposition, "_kron_chain", counting_products)
-    monkeypatch.setattr(decomposition, "permute_sites", counting_permutations)
+    masks = {id(p.matrix): mask for mask, p in parts.items()}
+
+    def counting(mat):
+        converted.append(masks[id(mat)])
+        return pair_digits(mat)
+
+    monkeypatch.setattr(decomposition, "_pair_digits", counting)
     cumulant_reconstruct(n, parts)
-    # the first block holds site 0 and any subset of the other N - 1 sites
-    assert sum(products) == 2 ** (n - 1)
-    # the N first blocks {0}, {0, 1}, ..., S leave the sites in one order
-    assert sum(permutations) == 2 ** (n - 1) - n + 1
+    # every part enters the pair-digit layout exactly once
+    assert sorted(converted) == list(range(1, 2**n))
+    # the first blocks, which hold site 0, enter last: one full-size
+    # product each, after every tail was formed
+    heads = converted[2 ** (n - 1) - 1 :]
+    assert heads == sorted(heads) and all(a & 1 for a in heads)
+
+
+def test_cumulant_reconstruct_never_holds_every_part_in_the_pair_layout():
+    # the tails' grids and the first blocks' sums hold 5**(N-1) entries
+    # each, next to a few arrays of 4**N; converting every part up front
+    # adds the first blocks' 4 * 5**(N-1) and peaks at 2.8 MB, past the bound
+    n = 7
+    parts = cumulant_parts(states.w_state(n))
+    tracemalloc.start()
+    try:
+        cumulant_reconstruct(n, parts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 5**n
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
