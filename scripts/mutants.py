@@ -147,9 +147,21 @@ MUTANTS = [
     ),
     (
         "src/corrdyn/decomposition.py",
-        "for b in p.blocks[1:]:",
-        "for b in p.blocks[2:]:",
+        "for b in p[1:]:",
+        "for b in p[2:]:",
         "tests/test_decomposition_reference.py",
+    ),
+    (
+        "src/corrdyn/hamiltonian.py",
+        'object.__setattr__(self, "n_sites", int(self.n_sites))',
+        'object.__setattr__(self, "n_sites", self.n_sites)',
+        "tests/test_hierarchy.py",
+    ),
+    (
+        "src/corrdyn/cli.py",
+        "return np.sqrt(np.sum(m.real**2 + m.imag**2))",
+        "return np.linalg.norm(m)",
+        "tests/test_cli.py",
     ),
 ]
 

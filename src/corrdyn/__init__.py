@@ -9,7 +9,7 @@ oracle.
 
 __version__ = "0.1.0"
 
-from .combinatorics import Partition, enumerate_partitions, enumerate_subsets
+from .combinatorics import enumerate_partitions, enumerate_subsets
 from .decomposition import (
     CorrelatedPart,
     CumulantPart,
@@ -62,7 +62,6 @@ __all__ = [
     "EigenSystem",
     "Generator",
     "Observable",
-    "Partition",
     "PauliString",
     "SpectralReport",
     "SpinHamiltonian",

@@ -320,6 +320,11 @@ def _task_resolvent(cfg, gen, x0) -> dict[str, str]:
     return {"resolvent.csv": _csv(header, rows)}
 
 
+def _norm(m: np.ndarray) -> float:
+    """Frobenius norm in numpy's fixed summation order, whatever BLAS's thread count."""
+    return np.sqrt(np.sum(m.real**2 + m.imag**2))
+
+
 def _task_decompose(cfg, gen, x0) -> dict[str, str]:
     rho = from_correlators(x0)
     parts = decomposition.correlated_parts(rho)
@@ -330,12 +335,10 @@ def _task_decompose(cfg, gen, x0) -> dict[str, str]:
     lines = []
     for mask in sorted(cparts):
         sites = ",".join(str(s) for s in bit_indices(mask))
-        cnorm = (
-            _fmt(np.linalg.norm(parts[mask].matrix)) if mask in parts else _fmt(0.0)
-        )
+        cnorm = _fmt(_norm(parts[mask].matrix)) if mask in parts else _fmt(0.0)
         lines.append(
             f"subset={sites} norm_correlated={cnorm} "
-            f"norm_cumulant={_fmt(np.linalg.norm(cparts[mask].matrix))}"
+            f"norm_cumulant={_fmt(_norm(cparts[mask].matrix))}"
         )
     defect = decomposition.max_trace_defect(parts.values())
     recon = decomposition.reconstruct(cfg.sites, singles, parts)

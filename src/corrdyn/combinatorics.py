@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterator
 
 MAX_BITS = 24
@@ -68,52 +67,9 @@ def enumerate_subsets(mask: int) -> Iterator[int]:
         sub = (sub - mask) & mask
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A set partition: pairwise-disjoint nonempty blocks covering the input set.
-
-    Blocks are ordered by their smallest element, which is the canonical order
-    produced by restricted-growth enumeration.  They are stored as a tuple of
-    ints: blocks that are not an iterable, or a block that is a bool, not an
-    integer, <= 0 or past MAX_BITS bits, raise ValueError, and numpy integers
-    become ints.
-    """
-
-    blocks: tuple[int, ...]
-
-    def __post_init__(self):
-        if type(self.blocks) is not tuple:
-            try:
-                blocks = tuple(self.blocks)
-            except TypeError:
-                raise ValueError(
-                    f"partition blocks must be an iterable of ints, got {self.blocks!r}"
-                ) from None
-            object.__setattr__(self, "blocks", blocks)
-        seen = 0
-        prev_low = -1
-        for b in self.blocks:
-            if type(b) is not int:
-                # a bool or non-integer raises; other integers become ints
-                blocks = tuple(int(as_int(c, "partition block")) for c in self.blocks)
-                object.__setattr__(self, "blocks", blocks)
-                return self.__post_init__()
-            if not 0 < b < 1 << MAX_BITS:
-                raise ValueError(f"partition block {b} outside 1..2**{MAX_BITS}-1")
-            if b & seen:
-                raise ValueError("partition blocks must be disjoint")
-            low = b & -b
-            if low <= prev_low:
-                raise ValueError("blocks must be ordered by smallest element")
-            prev_low = low
-            seen |= b
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-
-def enumerate_partitions(mask: int) -> Iterator[Partition]:
-    """Yield every partition of the sites in `mask` exactly once.
+def enumerate_partitions(mask: int) -> Iterator[tuple[int, ...]]:
+    """Yield every partition of the sites in `mask` exactly once, as a tuple
+    of block masks ordered by their smallest site.
 
     Enumeration follows restricted-growth strings in lexicographic order, so
     the output order is canonical and duplicate-free by construction.  The
@@ -131,7 +87,7 @@ def enumerate_partitions(mask: int) -> Iterator[Partition]:
         blocks = [0] * nblocks
         for k, s in enumerate(sites):
             blocks[a[k]] |= 1 << s
-        yield Partition(tuple(blocks))
+        yield tuple(blocks)
         k = n - 1
         while k > 0 and a[k] > m[k]:
             k -= 1

@@ -375,9 +375,9 @@ def cumulant_reconstruct(
     rests = {a: np.zeros(_grid_shape(n, full ^ a), complex) for a in range(1, full + 1, 2)}
     for p in enumerate_partitions(full):
         term = 1.0
-        for b in p.blocks[1:]:
+        for b in p[1:]:
             term = term * tails[b]
-        rests[p.blocks[0]] += term
+        rests[p[0]] += term
     out = np.zeros((4,) * n, dtype=complex)
     for a, rest in rests.items():
         out += _pair_digits(parts[a].matrix).reshape(_grid_shape(n, a)) * rest

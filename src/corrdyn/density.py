@@ -66,9 +66,6 @@ class CorrelatorVector:
         """Expectation of a label in the string grammar (ladder tokens allowed)."""
         return pauli.parse_label(label, self.n_sites).expectation(self.values)
 
-    def to_ladder(self) -> np.ndarray:
-        return pauli.to_ladder(self.values)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:

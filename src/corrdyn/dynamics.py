@@ -206,22 +206,22 @@ def evolve(
     and scaling once per length, so each sample costs only its matvecs;
     each hM comes from Generator.scaled, so the plans never build M.
     t_max > 0 is rounded to a whole number of steps; a t_max or dt that is
-    a bool, Python's or numpy's, raises ValueError.  A step with
-    dt * ||M||_inf > 1 raises StepTooLargeError: at once when dt times H's
-    largest coefficient, a lower bound on ||M||_inf, is past 1, and without
-    reading M when dt * norm_bound(h) <= 1 admits it; only between the two
-    bounds, or with dt None (dt * ||M||_inf = 0.1), is ||M||_inf computed
-    from M.  Then hierarchy.admit, the check the CLI makes before any task,
-    raises SizeCapError before any sample or Taylor plan is allocated.
+    not positive and finite, or a bool, Python's or numpy's, raises
+    ValueError.  A step with dt * ||M||_inf > 1 raises StepTooLargeError: at
+    once when dt times H's largest coefficient, a lower bound on ||M||_inf,
+    is past 1, and without reading M when dt * norm_bound(h) <= 1 admits it;
+    only between the two bounds, or with dt None (dt * ||M||_inf = 0.1), is
+    ||M||_inf computed from M.  Then hierarchy.admit, the CLI's check before
+    any task, raises SizeCapError before any sample or Taylor plan is allocated.
     """
     if x0.n_sites != gen.n_sites:
         raise ValueError("state and generator site counts differ")
-    if _is_bool(t_max) or not t_max > 0:
-        raise ValueError("t_max must be a positive number")
+    if _is_bool(t_max) or not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be a positive number and finite, got {t_max!r}")
     if dt is None:
         dt = default_step(gen)
-    if _is_bool(dt) or not dt > 0:
-        raise ValueError("dt must be a positive number")
+    if _is_bool(dt) or not 0 < dt < math.inf:
+        raise ValueError(f"dt must be a positive number and finite, got {dt!r}")
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError("stride must be an integer >= 1")
     if method not in ("rk4", "expm"):

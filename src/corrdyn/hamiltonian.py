@@ -30,6 +30,7 @@ class SpinHamiltonian:
     def __post_init__(self):
         if not _is_integer(self.n_sites):
             raise ValueError("n_sites must be an integer")
+        object.__setattr__(self, "n_sites", int(self.n_sites))  # 4**N must not wrap
         f = np.asarray(self.fields, dtype=float)
         if f.shape != (self.n_sites, 3):
             raise ValueError(f"fields must be ({self.n_sites}, 3)")
@@ -40,6 +41,7 @@ class SpinHamiltonian:
         for (i, j), v in self.couplings.items():
             if not (_is_integer(i) and _is_integer(j)):
                 raise ValueError(f"coupling pair ({i}, {j}) must hold integer sites")
+            i, j = int(i), int(j)
             if i == j:
                 raise ValueError("no self-coupling")
             if not (0 <= i < j < self.n_sites):

@@ -62,7 +62,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .combinatorics import bell_number, bit_indices, check_mask
+from .combinatorics import as_int, bell_number, bit_indices, check_mask
 from .density import DensityMatrix, partial_trace_array
 from .errors import SizeCapError
 from .hamiltonian import SpinHamiltonian, restrict
@@ -322,8 +322,9 @@ def admit(n_sites: int, tasks, h: SpinHamiltonian | None = None, grid=None, meth
     MATVEC_OVERHEAD past WORK_CAP (rk4 4 a step; expm per interval of n steps
     the m_star * s of _plan_size(n * dt * norm_bound(h)), at least its plan's);
     then B_N * 4**N past DECOMPOSE_WORK_CAP, 4**N past DENSE_DIM_CAP, M alone
-    past BYTES_CAP.
+    past BYTES_CAP.  A numpy n_sites becomes an int, so 4**N cannot wrap.
     """
+    n_sites = as_int(n_sites, "n_sites")
 
     def check(need, cap, message):
         if not need <= cap:

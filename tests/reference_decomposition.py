@@ -99,7 +99,7 @@ def _cumulant_matrix(subset: int, red: Mapping[int, np.ndarray], memo: dict) -> 
         if len(p) < 2:
             continue
         out -= embed_product(
-            [(b, _cumulant_matrix(b, red, memo)) for b in p.blocks]
+            [(b, _cumulant_matrix(b, red, memo)) for b in p]
         )[1]
     memo[subset] = out
     return out
@@ -148,7 +148,7 @@ def cumulant_reconstruct(n_sites: int, parts: Mapping[int, CumulantPart]) -> Den
     full = (1 << n_sites) - 1
     out = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
     for p in enumerate_partitions(full):
-        out += embed_product([(b, parts[b].matrix) for b in p.blocks])[1]
+        out += embed_product([(b, parts[b].matrix) for b in p])[1]
     return DensityMatrix(n_sites, out)
 
 

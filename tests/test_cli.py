@@ -184,8 +184,14 @@ def test_product_and_correlator_initial_states(tmp_path):
     assert a == b  # the same product state through both entrances
 
 
-def test_parse_failures_exit_2(tmp_path):
+def test_parse_failures_exit_2(tmp_path, capsys):
+    assert cli.run(tmp_path / "missing.json", tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config")
     bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    assert cli.run(bad, tmp_path / "out") == 2
+    assert capsys.readouterr().err == "error: config must be a JSON object\n"
+
     bad.write_text("{not json")
     assert cli.run(bad, tmp_path / "out") == 2
 
@@ -247,6 +253,30 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "out" / "spectrum.csv").exists()
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for two BLAS threads")
+def test_decompose_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the 7-site part is 128x128 complex, large enough for OpenBLAS to split
+    # a dot product across threads
+    cfg = write_config(
+        tmp_path / "c.json", sites=7, fields=[[0.0] * 3] * 7, couplings=[],
+        initial_state={"named": {"name": "w"}}, tasks=["decompose"],
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        env = {**os.environ, "PYTHONPATH": path,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "corrdyn.cli", "run", str(cfg), "--out-dir", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out / "decomposition.txt").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("command", ["validate", "spectrum"])
@@ -319,10 +349,14 @@ _BAD_INPUTS = {
     "nan correlator": {"initial_state": {"correlators": {"z0": _NAN}}},
     "string correlator": {"initial_state": {"correlators": {"z0": "0.5"}}},
     "repeated correlator string": {"initial_state": {"correlators": {"x0 z1": 0.3, "z1 x0": -0.5}}},
+    "correlators list": {"initial_state": {"correlators": [["z0", 0.5]]}},
+    "correlator past one": {"initial_state": {"correlators": {"z0": 1.5}}},
     "inf t_max": {"time": {"t_max": _INF, "dt": 0.01}},
     "nan t_max": {"time": {"t_max": _NAN, "dt": 0.01}},
     "nan dt": {"time": {"t_max": 1.0, "dt": _NAN}},
+    "t_max past the double range": {"time": {"t_max": 10**400, "dt": 0.01}},
     "zero t_max": {"time": {"t_max": 0.0, "dt": 0.1}},
+    "zero dt": {"time": {"t_max": 1.0, "dt": 0.0}},
     "negative t_max": {"time": {"t_max": -1.0, "dt": 0.1}},
     "fractional stride": {"time": {"t_max": 1.0, "dt": 0.1, "stride": 1.5}},
     "nan phase": {"initial_state": {"named": {"name": "cat", "phase": _NAN}}},

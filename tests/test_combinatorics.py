@@ -3,8 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from corrdyn.combinatorics import (
-    MAX_BITS,
-    Partition,
     bell_number,
     bit_indices,
     enumerate_partitions,
@@ -89,61 +87,32 @@ def test_partition_properties(sites):
     seen = set()
     for p in enumerate_partitions(mask):
         union = 0
-        for b in p.blocks:
+        assert type(p) is tuple
+        for b in p:
+            assert type(b) is int
             assert b != 0
             assert b & union == 0
             union |= b
         assert union == mask
         # canonical order: blocks sorted by smallest element
-        lows = [b & -b for b in p.blocks]
+        lows = [b & -b for b in p]
         assert lows == sorted(lows)
-        assert p.blocks not in seen
-        seen.add(p.blocks)
-
-
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition((0b11, 0b10))  # overlapping
-    with pytest.raises(ValueError):
-        Partition((0b10, 0b01))  # not sorted by smallest element
-    with pytest.raises(ValueError):
-        Partition((0b01, 0))  # empty block
-
-
-@pytest.mark.parametrize(
-    "blocks", [(True, 2), (np.True_,), (1.5,), ("1",), (None,), (-1,), (1, -2)], ids=repr
-)
-def test_partition_refuses_blocks_that_are_not_positive_integers(blocks):
-    with pytest.raises(ValueError, match="partition block"):
-        Partition(blocks)
-
-
-def test_partition_stores_numpy_integer_blocks_as_ints():
-    p = Partition((np.int64(1), np.uint8(6)))
-    assert p == Partition((1, 6)) and hash(p) == hash(Partition((1, 6)))
-    assert all(type(b) is int for b in p.blocks)
+        assert p not in seen
+        seen.add(p)
 
 
 def test_partition_stores_its_blocks_as_a_tuple():
-    for blocks in ([1, 6], iter([1, 6]), [np.int64(1), 6]):
-        p = Partition(blocks)
-        assert type(p.blocks) is tuple and p.blocks == (1, 6)
-        assert p == Partition((1, 6)) and hash(p) == hash(Partition((1, 6)))
+    # restricted-growth order, blocks ordered by their smallest site
+    assert list(enumerate_partitions(0b111)) == [
+        (0b111,), (0b011, 0b100), (0b101, 0b010), (0b001, 0b110), (0b001, 0b010, 0b100)
+    ]
+    assert list(enumerate_partitions(0b1010)) == [(0b1010,), (0b0010, 0b1000)]
 
 
-@pytest.mark.parametrize("blocks", [5, None, 1.5, np.int64(3)], ids=repr)
-def test_partition_refuses_blocks_that_are_not_iterable(blocks):
-    with pytest.raises(ValueError, match="partition blocks must be an iterable"):
-        Partition(blocks)
-
-
-@pytest.mark.parametrize(
-    "blocks", [(1 << MAX_BITS,), (1, 1 << 40), (np.int64(1 << 40),)], ids=repr
-)
-def test_partition_refuses_a_block_past_max_bits(blocks):
-    with pytest.raises(ValueError, match="partition block"):
-        Partition(blocks)
-    assert Partition(((1 << MAX_BITS) - 1,)).blocks == ((1 << MAX_BITS) - 1,)
+def test_partition_stores_numpy_integer_blocks_as_ints():
+    for mask in (np.int64(7), np.uint8(13)):
+        for p in enumerate_partitions(mask):
+            assert type(p) is tuple and all(type(b) is int for b in p)
 
 
 def test_bit_indices():
@@ -167,5 +136,4 @@ def test_numpy_integer_masks_act_as_ints():
     assert bit_indices(np.int64(6)) == [1, 2]
     subsets = list(enumerate_subsets(np.uint8(5)))
     assert subsets == [0, 1, 4, 5] and all(type(m) is int for m in subsets)
-    expected = [p.blocks for p in enumerate_partitions(7)]
-    assert [p.blocks for p in enumerate_partitions(np.int64(7))] == expected
+    assert list(enumerate_partitions(np.int64(7))) == list(enumerate_partitions(7))

@@ -231,7 +231,7 @@ def test_cumulant_reconstruct_sums_every_partition_once(monkeypatch, n):
 
     def counting(mask):
         for p in enumerate_partitions(mask):
-            yielded.append(p.blocks)
+            yielded.append(p)
             yield p
 
     parts = cumulant_parts(states.w_state(n))

@@ -180,12 +180,20 @@ def test_expm_admission_counts_at_least_the_bytes_held(
             hierarchy.admit(3, ["evolve"], h, (0.3, 0.01, stride), "expm")
 
 
-@pytest.mark.parametrize("t_max", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("t_max", [0.0, -1.0, float("nan"), float("inf")])
 def test_evolve_needs_positive_t_max(t_max):
     gen = build_generator(SpinHamiltonian(1, [[0.0, 0.0, 1.0]]))
     for method in ("rk4", "expm"):
         with pytest.raises(ValueError, match="t_max"):
             evolve(gen, unit_vector(1), t_max, dt=0.1, method=method)
+
+
+@pytest.mark.parametrize("method", ["rk4", "expm"])
+def test_evolve_refuses_an_infinite_dt_when_h_has_no_terms(method):
+    # neither step bound refuses anything when H = 0
+    gen = build_generator(SpinHamiltonian(2, np.zeros((2, 3))))
+    with pytest.raises(ValueError, match="dt must be a positive number"):
+        evolve(gen, unit_vector(2), 1.0, dt=np.inf, method=method)
 
 
 def test_default_step_budget():

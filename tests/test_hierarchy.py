@@ -86,6 +86,17 @@ def test_hamiltonian_accepts_numpy_integers():
     h = SpinHamiltonian(np.int64(2), np.zeros((2, 3)), {(np.int32(0), np.int64(1)): np.eye(3)})
     assert np.array_equal(h.coupling(0, 1), np.eye(3))
     assert h.partners(1) == (0,)
+    assert type(h.n_sites) is int and all(type(s) is int for pair in h.couplings for s in pair)
+
+
+def test_a_numpy_site_count_cannot_wrap_four_to_the_n():
+    # 4**np.int64(32) wraps to 0 in int64, which would admit any size
+    fields = np.zeros((32, 3))
+    fields[0, 2] = 1.0
+    with pytest.raises(SizeCapError, match="generator capped"):
+        build_generator(SpinHamiltonian(np.int64(32), fields))
+    with pytest.raises(SizeCapError, match="spectral tasks capped"):
+        split_sectors(np.int64(32), 1)
 
 
 def test_free_static_spins_have_zero_generator():
