@@ -152,6 +152,18 @@ MUTANTS = [
         "tests/test_decomposition_reference.py",
     ),
     (
+        "src/corrdyn/decomposition.py",
+        "        mask = check_mask(mask)\n        if mask.bit_count() < 2:",
+        "        if mask.bit_count() < 2:",
+        "tests/test_decomposition.py",
+    ),
+    (
+        "src/corrdyn/hierarchy.py",
+        "add(sel, shift, s, v[alpha - 1, muj - 1])",
+        "add(sel, shift, s, v[muj - 1, alpha - 1])",
+        "tests/test_energy_conservation.py",
+    ),
+    (
         "src/corrdyn/hamiltonian.py",
         'object.__setattr__(self, "n_sites", int(self.n_sites))',
         'object.__setattr__(self, "n_sites", self.n_sites)',

@@ -11,8 +11,6 @@ __version__ = "0.1.0"
 
 from .combinatorics import enumerate_partitions, enumerate_subsets
 from .decomposition import (
-    CorrelatedPart,
-    CumulantPart,
     connected_pair,
     connected_triple,
     correlated_part,
@@ -54,10 +52,8 @@ from .oracle import EigenSystem, build_hamiltonian_matrix, eigensystem, evolve_e
 from .pauli import Observable, PauliString, epsilon, multiply, parse_label
 
 __all__ = [
-    "CorrelatedPart",
     "CorrelatorVector",
     "CoupledSplit",
-    "CumulantPart",
     "DensityMatrix",
     "EigenSystem",
     "Generator",

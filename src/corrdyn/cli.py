@@ -335,12 +335,12 @@ def _task_decompose(cfg, gen, x0) -> dict[str, str]:
     lines = []
     for mask in sorted(cparts):
         sites = ",".join(str(s) for s in bit_indices(mask))
-        cnorm = _fmt(_norm(parts[mask].matrix)) if mask in parts else _fmt(0.0)
+        cnorm = _fmt(_norm(parts[mask])) if mask in parts else _fmt(0.0)
         lines.append(
             f"subset={sites} norm_correlated={cnorm} "
-            f"norm_cumulant={_fmt(_norm(cparts[mask].matrix))}"
+            f"norm_cumulant={_fmt(_norm(cparts[mask]))}"
         )
-    defect = decomposition.max_trace_defect(parts.values())
+    defect = decomposition.max_trace_defect(parts)
     recon = decomposition.reconstruct(cfg.sites, singles, parts)
     crecon = decomposition.cumulant_reconstruct(cfg.sites, cparts)
     lines.append(f"max_single_cell_trace={_fmt(defect)}")

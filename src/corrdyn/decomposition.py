@@ -16,8 +16,10 @@ A subset A of cells carries two natural "interaction parts" of the state:
   with rho^CC of a single cell equal to its reduced matrix.
 
 Both coincide for |A| in {2, 3} and differ from order 4 on by products of
-pair terms.  Components are stored on their own subset's Hilbert space;
-products across disjoint subsets tensor-order sites ascending.
+pair terms.  Each component is a plain 2**k x 2**k matrix on its own
+subset's Hilbert space, and every collection of them a dict keyed by subset
+mask, masks ascending; products across disjoint subsets tensor-order sites
+ascending.
 
 Both are computed on the Pauli coefficients x[c] = tr(rho P_c), where a
 tensor product over disjoint subsets is a product of coefficients and both
@@ -39,8 +41,9 @@ site 0: the rest of the group's partitions are every partition of S - A
 once, summed on the sites of S - A, so the group is one full-size product
 rho^CC_A (x) rho_{S-A} and the full-size sum has 2**(N-1) terms, not B_N.
 Both reconstructions refuse a part or reduced matrix of the wrong shape,
-naming its subset or site, and so does `max_trace_defect`, which traces
-cells out of all parts of one subset size at once.  The tests' reference
+naming its subset or site, and so does `max_trace_defect`, which takes the
+same mapping, checks its keys, and traces cells out of all parts of one
+subset size at once.  The tests' reference
 sums dense reduced matrices with `np.kron` chains and transposes, term by
 term: the power set, and all B_N partitions at full size.
 Every whole-state entry point refuses a state past
@@ -49,8 +52,7 @@ hierarchy.DECOMPOSE_WORK_CAP (hierarchy.admit) before it allocates anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -74,22 +76,6 @@ from .density import (
 from .hierarchy import admit
 
 TRACE_ZERO_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class CorrelatedPart:
-    """Zero-trace correlated component of a subset (|subset| >= 2)."""
-
-    subset: int
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class CumulantPart:
-    """Cumulant component of a subset; equals the reduced matrix for one cell."""
-
-    subset: int
-    matrix: np.ndarray
 
 
 def _marginal(values: np.ndarray, n_sites: int, subset: int) -> np.ndarray:
@@ -187,7 +173,7 @@ def _parts_by_size(blocks: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
     return {mask: mats[mask] for mask in blocks}
 
 
-def correlated_part(rho: DensityMatrix, subset: int) -> CorrelatedPart:
+def correlated_part(rho: DensityMatrix, subset: int) -> np.ndarray:
     """rho^C of a subset with at least two cells.
 
     The single-cell component is identically zero by convention and is an
@@ -200,10 +186,10 @@ def correlated_part(rho: DensityMatrix, subset: int) -> CorrelatedPart:
         raise ValueError("subset references sites beyond the system")
     k = subset.bit_count()
     c = _correlated_grid(_state_grid(rho, subset))
-    return CorrelatedPart(subset, _part_matrices([c[(slice(1, None),) * k]], k)[0])
+    return _part_matrices([c[(slice(1, None),) * k]], k)[0]
 
 
-def correlated_parts(rho: DensityMatrix) -> dict[int, CorrelatedPart]:
+def correlated_parts(rho: DensityMatrix) -> dict[int, np.ndarray]:
     """rho^C for every subset with >= 2 cells, keyed by mask."""
     admit(rho.n_sites, ["decompose"])
     n = rho.n_sites
@@ -214,10 +200,10 @@ def correlated_parts(rho: DensityMatrix) -> dict[int, CorrelatedPart]:
         for mask in enumerate_subsets(full)
         if mask.bit_count() >= 2
     }
-    return {mask: CorrelatedPart(mask, m) for mask, m in _parts_by_size(blocks).items()}
+    return _parts_by_size(blocks)
 
 
-def cumulant_part(rho: DensityMatrix, subset: int) -> CumulantPart:
+def cumulant_part(rho: DensityMatrix, subset: int) -> np.ndarray:
     """rho^CC of a nonempty subset, via the moment-cumulant recursion."""
     subset = check_mask(subset)
     if subset == 0:
@@ -226,30 +212,34 @@ def cumulant_part(rho: DensityMatrix, subset: int) -> CumulantPart:
         raise ValueError("subset references sites beyond the system")
     k = subset.bit_count()
     kappa = _cumulant_blocks(_state_grid(rho, subset))
-    return CumulantPart(subset, _part_matrices([kappa[(1 << k) - 1]], k)[0])
+    return _part_matrices([kappa[(1 << k) - 1]], k)[0]
 
 
-def cumulant_parts(rho: DensityMatrix) -> dict[int, CumulantPart]:
+def cumulant_parts(rho: DensityMatrix) -> dict[int, np.ndarray]:
     """rho^CC for every nonempty subset, keyed by mask."""
     admit(rho.n_sites, ["decompose"])
     full = (1 << rho.n_sites) - 1
     kappa = _cumulant_blocks(_state_grid(rho, full))
     blocks = {mask: kappa[mask] for mask in enumerate_subsets(full) if mask}
-    return {mask: CumulantPart(mask, m) for mask, m in _parts_by_size(blocks).items()}
+    return _parts_by_size(blocks)
 
 
-def max_trace_defect(parts: Iterable[CorrelatedPart]) -> float:
+def max_trace_defect(parts: Mapping[int, np.ndarray]) -> float:
     """Largest |entry| left after tracing any single cell out of any rho^C.
 
     The parts of one subset size are stacked and reshaped once, to a batch
     axis and one (row, column) axis pair per cell, and each cell is traced
-    out over its own pair for the whole stack.  No parts give 0.  A part
-    of a k-site subset that is not 2**k x 2**k is refused, naming it.
+    out over its own pair for the whole stack.  No parts give 0.  A key
+    that is not a mask (`check_mask`) of at least 2 sites is refused, and
+    so is a part of a k-site subset that is not 2**k x 2**k, naming it.
     """
     by_size: dict[int, list[np.ndarray]] = {}
-    for part in parts:
-        _check_shape(part.subset, part.matrix, "correlated")
-        by_size.setdefault(part.subset.bit_count(), []).append(part.matrix)
+    for mask, matrix in parts.items():
+        mask = check_mask(mask)
+        if mask.bit_count() < 2:
+            raise ValueError(f"the {_part_name(mask, 'correlated')} has fewer than 2 sites")
+        _check_shape(mask, matrix, "correlated")
+        by_size.setdefault(mask.bit_count(), []).append(matrix)
     worst = 0.0
     for n, mats in by_size.items():
         w = np.stack(mats).reshape((len(mats),) + (2,) * (2 * n))
@@ -269,7 +259,7 @@ def _check_shape(mask: int, matrix: object, kind: str) -> None:
         raise ValueError(f"the {_part_name(mask, kind)} is not {dim}x{dim}")
 
 
-def _check_parts(parts: Mapping[int, object], n_sites: int, least: int, kind: str) -> None:
+def _check_parts(parts: Mapping[int, np.ndarray], n_sites: int, least: int, kind: str) -> None:
     """Refuse any key but a subset of >= `least` of the N sites, and any part
     of a k-site subset that is not 2**k x 2**k; name any missing subset."""
     if any(as_int(m, f"{kind} part key") >> n_sites or m.bit_count() < least for m in parts):
@@ -278,18 +268,18 @@ def _check_parts(parts: Mapping[int, object], n_sites: int, least: int, kind: st
         if mask.bit_count() >= least and mask not in parts:
             raise ValueError(f"missing the {_part_name(mask, kind)}")
         if mask in parts:
-            _check_shape(mask, parts[mask].matrix, kind)
+            _check_shape(mask, parts[mask], kind)
 
 
 def _power_set_sum(
-    k: int, upper: int, rbar: Sequence[np.ndarray], parts: Mapping[int, CorrelatedPart]
+    k: int, upper: int, rbar: Sequence[np.ndarray], parts: Mapping[int, np.ndarray]
 ) -> np.ndarray | None:
     """R(k, upper) of `reconstruct` on the k lowest sites and `upper`, as a
     pair-digit vector; None when it is 0."""
     if k == 0:
         if upper.bit_count() == 1:
             return None
-        return _pair_digits(parts[upper].matrix) if upper else np.ones(1, dtype=complex)
+        return _pair_digits(parts[upper]) if upper else np.ones(1, dtype=complex)
     # the larger term first: holding the smaller one instead at every level
     # of the recursion raises the traced peak at N=7 from 0.92 to 1.25 MB
     high = _power_set_sum(k - 1, upper | 1 << (k - 1), rbar, parts)
@@ -305,7 +295,7 @@ def _power_set_sum(
 def reconstruct(
     n_sites: int,
     singles: Mapping[int, np.ndarray],
-    parts: Mapping[int, CorrelatedPart],
+    parts: Mapping[int, np.ndarray],
 ) -> DensityMatrix:
     """Reassemble rho from single-cell reduced matrices and all rho^C.
 
@@ -351,7 +341,7 @@ def _grid_shape(n_sites: int, mask: int) -> list[int]:
 
 
 def cumulant_reconstruct(
-    n_sites: int, parts: Mapping[int, CumulantPart]
+    n_sites: int, parts: Mapping[int, np.ndarray]
 ) -> DensityMatrix:
     """Reassemble rho as the sum over all B_N partitions of cumulant products.
 
@@ -369,7 +359,7 @@ def cumulant_reconstruct(
     _check_parts(parts, n_sites, 1, "cumulant")
     n, full = n_sites, (1 << n_sites) - 1
     tails = {
-        b: _pair_digits(parts[b].matrix).reshape(_grid_shape(n, b))
+        b: _pair_digits(parts[b]).reshape(_grid_shape(n, b))
         for b in range(2, full + 1, 2)
     }
     rests = {a: np.zeros(_grid_shape(n, full ^ a), complex) for a in range(1, full + 1, 2)}
@@ -380,7 +370,7 @@ def cumulant_reconstruct(
         rests[p[0]] += term
     out = np.zeros((4,) * n, dtype=complex)
     for a, rest in rests.items():
-        out += _pair_digits(parts[a].matrix).reshape(_grid_shape(n, a)) * rest
+        out += _pair_digits(parts[a]).reshape(_grid_shape(n, a)) * rest
     return DensityMatrix(n, _from_pair_digits(out.reshape(-1), n))
 
 

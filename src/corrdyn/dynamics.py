@@ -75,6 +75,8 @@ class Trajectory:
 
     def expectation(self, obs: Observable) -> np.ndarray:
         """Time series of an observable; complex for ladder combinations."""
+        if obs.n_sites != self.n_sites:
+            raise ValueError("observable and trajectory site counts differ")
         return obs.expectation(self.values.T)
 
     def sector_norms(self) -> np.ndarray:

@@ -81,7 +81,8 @@ class PauliString:
     code: int
 
     def __post_init__(self):
-        as_int(self.n_sites, "n_sites")
+        if as_int(self.n_sites, "n_sites") < 0:
+            raise ValueError(f"n_sites must be >= 0, got {self.n_sites}")
         as_int(self.code, "code")
         if not 0 <= self.code < 4**self.n_sites:
             raise ValueError(f"code {self.code} out of range for {self.n_sites} sites")
@@ -247,7 +248,8 @@ def parse_label(text: str, n_sites: int) -> Observable:
     Each token is one axis character in x, y, z, +, - immediately followed by
     a decimal site index; the empty string denotes the identity.
     """
-    as_int(n_sites, "n_sites")
+    if as_int(n_sites, "n_sites") < 0:
+        raise ValueError(f"n_sites must be >= 0, got {n_sites}")
     terms: list[tuple[complex, int]] = [(1.0 + 0.0j, 0)]
     seen = 0
     for tok in text.split():

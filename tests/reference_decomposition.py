@@ -17,7 +17,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from corrdyn.combinatorics import bit_indices, enumerate_partitions, enumerate_subsets
-from corrdyn.decomposition import CorrelatedPart, CumulantPart
 from corrdyn.density import DensityMatrix, partial_trace_array
 
 
@@ -105,23 +104,19 @@ def _cumulant_matrix(subset: int, red: Mapping[int, np.ndarray], memo: dict) -> 
     return out
 
 
-def correlated_parts(rho: DensityMatrix) -> dict[int, CorrelatedPart]:
+def correlated_parts(rho: DensityMatrix) -> dict[int, np.ndarray]:
     red = reduced_matrices(rho)
-    return {
-        mask: CorrelatedPart(mask, _correlated_matrix(mask, red))
-        for mask in red
-        if mask.bit_count() >= 2
-    }
+    return {mask: _correlated_matrix(mask, red) for mask in red if mask.bit_count() >= 2}
 
 
-def cumulant_parts(rho: DensityMatrix) -> dict[int, CumulantPart]:
+def cumulant_parts(rho: DensityMatrix) -> dict[int, np.ndarray]:
     red = reduced_matrices(rho)
     memo: dict[int, np.ndarray] = {}
-    return {mask: CumulantPart(mask, _cumulant_matrix(mask, red, memo)) for mask in red}
+    return {mask: _cumulant_matrix(mask, red, memo) for mask in red}
 
 
 def reconstruct(
-    n_sites: int, singles: Mapping[int, np.ndarray], parts: Mapping[int, CorrelatedPart]
+    n_sites: int, singles: Mapping[int, np.ndarray], parts: Mapping[int, np.ndarray]
 ) -> DensityMatrix:
     """The power-set sum of (prod_{j not in A} rbar_j) rho^C_A, term by term.
 
@@ -136,28 +131,29 @@ def reconstruct(
             continue
         factors = [(1 << j, singles[j]) for j in bit_indices(full ^ sub)]
         if sub:
-            factors.append((sub, parts[sub].matrix))
+            factors.append((sub, parts[sub]))
         out += embed_product(factors)[1]
         terms += 1
     assert terms == 2**n_sites - n_sites
     return DensityMatrix(n_sites, out)
 
 
-def cumulant_reconstruct(n_sites: int, parts: Mapping[int, CumulantPart]) -> DensityMatrix:
+def cumulant_reconstruct(n_sites: int, parts: Mapping[int, np.ndarray]) -> DensityMatrix:
     """The sum over all B_N partitions of cumulant products, term by term."""
     full = (1 << n_sites) - 1
     out = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
     for p in enumerate_partitions(full):
-        out += embed_product([(b, parts[b].matrix) for b in p])[1]
+        out += embed_product([(b, parts[b]) for b in p])[1]
     return DensityMatrix(n_sites, out)
 
 
-def trace_defect(part: CorrelatedPart) -> float:
-    """Largest |entry| left after tracing each single cell out, one einsum each."""
-    n = part.subset.bit_count()
+def trace_defect(subset: int, part: np.ndarray) -> float:
+    """Largest |entry| left after tracing each single cell out of the part of
+    `subset`, one einsum each."""
+    n = subset.bit_count()
     worst = 0.0
     for k in range(n):
         keep = ((1 << n) - 1) ^ (1 << k)
-        t = partial_trace_array(part.matrix, n, keep)
+        t = partial_trace_array(part, n, keep)
         worst = max(worst, float(np.max(np.abs(t))))
     return worst

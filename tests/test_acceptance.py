@@ -79,8 +79,8 @@ def test_criterion_2_trace_zero_law():
             for rho in corpus(n):
                 parts = correlated_parts(rho)
                 assert len(parts) == 2**n - n - 1
-                for part in parts.values():
-                    worst = max(worst, max_trace_defect([part]))
+                for mask, part in parts.items():
+                    worst = max(worst, max_trace_defect({mask: part}))
         assert worst < 1e-12
 
 

@@ -4,8 +4,6 @@ import pytest
 from corrdyn import states
 from corrdyn.combinatorics import enumerate_subsets
 from corrdyn.decomposition import (
-    CorrelatedPart,
-    CumulantPart,
     connected_pair,
     connected_triple,
     correlated_part,
@@ -57,7 +55,7 @@ def test_pair_part_is_reduced_minus_product(rng):
     part = correlated_part(rho, 0b11)
     r0 = partial_trace_array(rho.data, 2, 0b01)
     r1 = partial_trace_array(rho.data, 2, 0b10)
-    assert np.max(np.abs(part.matrix - (rho.data - np.kron(r1, r0)))) < 1e-12
+    assert np.max(np.abs(part - (rho.data - np.kron(r1, r0)))) < 1e-12
 
 
 def test_correlated_part_rejects_single_cell(rng):
@@ -71,7 +69,7 @@ def test_correlated_part_rejects_single_cell(rng):
 def test_product_state_has_no_correlated_parts():
     rho = states.bloch_product([[0.3, 0.1, 0.2], [0.0, 0.0, 0.9], [0.5, 0.0, 0.0]])
     for part in correlated_parts(rho).values():
-        assert np.max(np.abs(part.matrix)) < 1e-12
+        assert np.max(np.abs(part)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -80,14 +78,14 @@ def test_correlated_part_matches_brute_force(rng, n):
     full = (1 << n) - 1
     expected = brute_force_correlated(rho, full)
     part = correlated_part(rho, full)
-    assert np.max(np.abs(part.matrix - expected)) < 1e-12
+    assert np.max(np.abs(part - expected)) < 1e-12
 
 
 def test_trace_zero_invariant(rng):
     for n in (2, 3, 4):
         rho = random_mixed_state(rng, n)
-        for part in correlated_parts(rho).values():
-            assert max_trace_defect([part]) < 1e-12
+        for mask, part in correlated_parts(rho).items():
+            assert max_trace_defect({mask: part}) < 1e-12
 
 
 def test_reconstruction_term_count_and_identity(rng):
@@ -145,21 +143,38 @@ def test_reconstructions_name_a_part_or_reduced_matrix_of_the_wrong_shape(rng):
             reconstruct(3, {**singles, 1: bad}, parts)
     for bad in (np.zeros((4, 1)), np.zeros((8, 8)), np.zeros(16)):
         with pytest.raises(ValueError, match=r"the correlated part of subset \{0,2\} is not 4x4"):
-            reconstruct(3, singles, {**parts, 0b101: CorrelatedPart(0b101, bad)})
+            reconstruct(3, singles, {**parts, 0b101: bad})
     cparts = cumulant_parts(rho)
     for mask, bad, dim in ((0b010, np.eye(4) / 4, 2), (0b111, np.zeros((8, 4)), 8)):
         sites = ",".join(str(j) for j in range(3) if mask >> j & 1)
         message = rf"the cumulant part of subset \{{{sites}\}} is not {dim}x{dim}"
         with pytest.raises(ValueError, match=message):
-            cumulant_reconstruct(3, {**cparts, mask: CumulantPart(mask, bad)})
+            cumulant_reconstruct(3, {**cparts, mask: bad})
 
 
 def test_max_trace_defect_names_a_part_of_the_wrong_shape(rng):
-    parts = list(correlated_parts(random_mixed_state(rng, 3)).values())
+    parts = correlated_parts(random_mixed_state(rng, 3))
     # a flat 4**k-entry part, a 2x2 one, and a 2-site part of the 3-site size
     for bad in (np.zeros(16), np.eye(2) / 2, np.zeros((8, 8))):
         with pytest.raises(ValueError, match=r"the correlated part of subset \{0,2\} is not 4x4"):
-            max_trace_defect(parts + [CorrelatedPart(0b101, bad)])
+            max_trace_defect({**parts, 0b101: bad})
+
+
+@pytest.mark.parametrize(
+    "key, dim, message",
+    [
+        (-3, 4, "outside the supported"),
+        (True, 2, "mask must be an integer"),
+        (3.0, 4, "mask must be an integer"),
+        (0b100, 2, r"the correlated part of subset \{2\} has fewer than 2 sites"),
+        (0, 1, r"the correlated part of subset \{\} has fewer than 2 sites"),
+    ],
+    ids=["negative", "bool", "float", "one-site", "empty"],
+)
+def test_max_trace_defect_refuses_a_key_that_is_not_a_mask_of_two_sites(key, dim, message):
+    # each part has the shape its key's bit count would ask for
+    with pytest.raises(ValueError, match=message):
+        max_trace_defect({key: np.eye(dim)})
 
 
 def test_cumulant_reconstruction(rng):
@@ -173,7 +188,7 @@ def test_cumulant_reconstruction(rng):
 def test_single_cell_cumulant_is_reduced_matrix(rng):
     rho = random_mixed_state(rng, 3)
     part = cumulant_part(rho, 0b010)
-    assert np.max(np.abs(part.matrix - partial_trace_array(rho.data, 3, 0b010))) < 1e-12
+    assert np.max(np.abs(part - partial_trace_array(rho.data, 3, 0b010))) < 1e-12
 
 
 def test_cumulant_equals_correlated_through_third_order(rng):
@@ -182,7 +197,7 @@ def test_cumulant_equals_correlated_through_third_order(rng):
     cparts = cumulant_parts(rho)
     for mask in parts:
         if mask.bit_count() in (2, 3):
-            assert np.max(np.abs(parts[mask].matrix - cparts[mask].matrix)) < 1e-12
+            assert np.max(np.abs(parts[mask] - cparts[mask])) < 1e-12
 
 
 def test_fourth_order_cumulant_identity(rng):
@@ -191,10 +206,10 @@ def test_fourth_order_cumulant_identity(rng):
     parts = correlated_parts(rho)
     cparts = cumulant_parts(rho)
     full = 0b1111
-    expected = np.array(parts[full].matrix, copy=True)
+    expected = np.array(parts[full], copy=True)
     for a, b in ((0b0011, 0b1100), (0b1001, 0b0110), (0b0101, 0b1010)):
-        expected -= embed_product([(a, parts[a].matrix), (b, parts[b].matrix)])[1]
-    assert np.max(np.abs(expected - cparts[full].matrix)) < 1e-12
+        expected -= embed_product([(a, parts[a]), (b, parts[b])])[1]
+    assert np.max(np.abs(expected - cparts[full])) < 1e-12
 
 
 def test_w_state_has_genuine_three_point_part():
@@ -260,5 +275,5 @@ def test_single_parts_take_a_numpy_integer_mask(rng):
     rho = random_mixed_state(rng, 3)
     for part in (correlated_part, cumulant_part):
         got = part(rho, np.int64(3))
-        assert type(got.subset) is int and got.subset == 3
-        assert np.array_equal(got.matrix, part(rho, 3).matrix)
+        assert type(got) is np.ndarray and got.shape == (4, 4)
+        assert np.array_equal(got, part(rho, 3))

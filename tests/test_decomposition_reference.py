@@ -38,15 +38,13 @@ def _bits(a):
 def test_max_trace_defect_equals_the_largest_reference_defect(n):
     rng = np.random.default_rng(4500 + n)
     for rho in (random_mixed_state(rng, n), states.w_state(n), states.ghz_state(n)):
-        parts = list(correlated_parts(rho).values())
+        parts = correlated_parts(rho)
         # a part with weight left under a partial trace
-        parts.append(decomposition.CorrelatedPart((1 << n) - 1, rho.data))
-        for chosen in (parts[:-1], parts):
-            expected = max(ref.trace_defect(p) for p in chosen)
+        for chosen in (parts, {**parts, (1 << n) - 1: rho.data}):
+            expected = max(ref.trace_defect(m, p) for m, p in chosen.items())
             got = decomposition.max_trace_defect(chosen)
             assert _bits(np.float64(got)) == _bits(np.float64(expected))
-    assert decomposition.max_trace_defect([]) == 0.0
-    assert decomposition.max_trace_defect(iter([])) == 0.0
+    assert decomposition.max_trace_defect({}) == 0.0
 
 
 def test_decomposition_refuses_past_the_work_cap_before_allocating():
@@ -85,7 +83,7 @@ def _states(n):
 
 def _worst(parts, expected):
     assert list(parts) == list(expected)
-    return max((np.max(np.abs(parts[m].matrix - expected[m].matrix)) for m in parts), default=0.0)
+    return max((np.max(np.abs(parts[m] - expected[m])) for m in parts), default=0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -103,10 +101,10 @@ def test_single_subset_parts_match_reference(n):
             if not mask:
                 continue
             expected = ref._cumulant_matrix(mask, red, {})
-            assert np.max(np.abs(cumulant_part(rho, mask).matrix - expected)) < TOL, name
+            assert np.max(np.abs(cumulant_part(rho, mask) - expected)) < TOL, name
             if mask.bit_count() >= 2:
                 expected = ref._correlated_matrix(mask, red)
-                got = correlated_part(rho, mask).matrix
+                got = correlated_part(rho, mask)
                 assert np.max(np.abs(got - expected)) < TOL, name
 
 
@@ -126,7 +124,7 @@ def test_reconstruct_matches_the_reference_sum_bit_for_bit(n):
     for _ in range(3):
         singles = {i: _dyadic_hermitian(rng, 2, 1.0) for i in range(n)}
         parts = {
-            m: decomposition.CorrelatedPart(m, _dyadic_hermitian(rng, 2 ** m.bit_count(), 0.0))
+            m: _dyadic_hermitian(rng, 2 ** m.bit_count(), 0.0)
             for m in enumerate_subsets((1 << n) - 1)
             if m.bit_count() >= 2
         }
@@ -183,7 +181,7 @@ def test_cumulant_reconstruct_forms_one_full_size_product_per_first_block(monkey
     converted = []
     pair_digits = decomposition._pair_digits
     parts = cumulant_parts(states.w_state(n))
-    masks = {id(p.matrix): mask for mask, p in parts.items()}
+    masks = {id(p): mask for mask, p in parts.items()}
 
     def counting(mat):
         converted.append(masks[id(mat)])
@@ -218,11 +216,12 @@ def test_cumulant_reconstruct_never_holds_every_part_in_the_pair_layout():
 def test_trace_defect_equals_the_per_cell_partial_trace_loop(n):
     rng = np.random.default_rng(4200 + n)
     for rho in (random_mixed_state(rng, n), states.w_state(n), states.ghz_state(n)):
-        for part in correlated_parts(rho).values():
-            assert decomposition.max_trace_defect([part]) == ref.trace_defect(part)
+        for mask, part in correlated_parts(rho).items():
+            assert decomposition.max_trace_defect({mask: part}) == ref.trace_defect(mask, part)
         # a part with weight left under a partial trace
-        part = decomposition.CorrelatedPart((1 << n) - 1, rho.data)
-        assert decomposition.max_trace_defect([part]) == ref.trace_defect(part) > 0
+        full = (1 << n) - 1
+        got = decomposition.max_trace_defect({full: rho.data})
+        assert got == ref.trace_defect(full, rho.data) > 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -272,9 +271,9 @@ def test_cli_norms_match_reference(tmp_path):
         for row in rows:
             fields = dict(tok.split("=") for tok in row.split())
             mask = sum(1 << int(s) for s in fields["subset"].split(","))
-            corr = np.linalg.norm(parts[mask].matrix) if mask in parts else 0.0
+            corr = np.linalg.norm(parts[mask]) if mask in parts else 0.0
             assert abs(float(fields["norm_correlated"]) - corr) < TOL
-            assert abs(float(fields["norm_cumulant"]) - np.linalg.norm(cparts[mask].matrix)) < TOL
+            assert abs(float(fields["norm_cumulant"]) - np.linalg.norm(cparts[mask])) < TOL
         report = _report(lines)
         assert float(report["reconstruction_error"]) < TOL
         assert float(report["cumulant_reconstruction_error"]) < TOL
@@ -316,7 +315,7 @@ def test_connected_correlators_are_correlated_coefficients():
             # the coefficient tr(rho^C P) of the string on the part's own sites
             local = {k: a for k, a in enumerate(ax)}
             p = PauliString.from_axes(len(sites), local).matrix()
-            expected = np.trace(part.matrix @ p).real
+            expected = np.trace(part @ p).real
             if len(sites) == 2:
                 got = decomposition.connected_pair(v, sites[0], sites[1], *ax)
             else:

@@ -14,6 +14,7 @@ from corrdyn.pauli import PauliString
 _ONE = states.bloch_product([[0.0, 0.0, 1.0]])
 _TWO = states.bloch_product([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
 _FIELD = [[0.0, 0.0, 1.0]]
+_TRAJECTORY = dynamics.Trajectory(2, [0.0], np.eye(16)[:1])
 
 
 def _reduced_eom_with_subset_zero():
@@ -46,6 +47,15 @@ _REFUSALS = {
     "partial trace past the sites": (lambda: partial_trace(_TWO, 0b100), "keep mask references"),
     "trajectory shape": (
         lambda: dynamics.Trajectory(1, [0.0, 0.1], np.zeros((3, 4))), "trajectory shape mismatch"
+    ),
+    # on 2 sites "z2" of 3 sites would index past the 16 values
+    "expectation of an observable of more sites": (
+        lambda: _TRAJECTORY.expectation(pauli.parse_label("z2", 3)),
+        "observable and trajectory site counts differ",
+    ),
+    "expectation of an observable of fewer sites": (
+        lambda: _TRAJECTORY.expectation(pauli.parse_label("z0", 1)),
+        "observable and trajectory site counts differ",
     ),
     "evolve a state of other sites": (
         lambda: dynamics.evolve(build_generator(SpinHamiltonian(1, _FIELD)),
@@ -85,6 +95,10 @@ _REFUSALS = {
     ),
     "string site out of range": (
         lambda: PauliString.from_axes(2, {2: "x"}), "site 2 out of range"
+    ),
+    "string of a negative site count": (lambda: PauliString(-1, 0), "n_sites must be >= 0"),
+    "label of a negative site count": (
+        lambda: pauli.parse_label("", -3), "n_sites must be >= 0"
     ),
     "string with a ladder axis": (lambda: PauliString.from_axes(2, {0: "+"}), "Cartesian only"),
     "product of strings over other sites": (
