@@ -175,6 +175,18 @@ MUTANTS = [
         "return np.linalg.norm(m)",
         "tests/test_cli.py",
     ),
+    (
+        "src/corrdyn/pauli.py",
+        "w = (w.reshape(d_in, -1).T @ t.T).reshape(-1)",
+        "w = (w.reshape(d_in, -1).T @ t).reshape(-1)",
+        "tests/test_pauli.py",
+    ),
+    (
+        "src/corrdyn/decomposition.py",
+        "_B_BUILD[:, 1:]) / 2**k, k)",
+        "_B_BUILD[:, 1:]), k)",
+        "tests/test_decomposition_reference.py",
+    ),
 ]
 
 # checks that each `old` occurs once; it cannot hold in a mutated copy

@@ -10,9 +10,12 @@ read), the seeded configs are written and each runs once through
 Two checkouts that print the same lines write the same bytes.  corrdyn is
 imported from this checkout's src/, put first on sys.path, and any other
 copy is refused, so each checkout runs its own code whatever is installed or
-on PYTHONPATH.  BLAS runs on one thread, as in the benchmark.
+on PYTHONPATH.  BLAS runs on one thread, as in the benchmark, or on
+`--threads N`: the thread variables are set before numpy is imported, and
+N may not exceed the CPUs this process may run on, so two runs that differ
+only in N show whether an output depends on the BLAS thread count.
 
-Usage: python scripts/output_digests.py --seeds 1 2 [--scale tiny]
+Usage: python scripts/output_digests.py --seeds 1 2 [--scale tiny] [--threads N]
 """
 
 import argparse
@@ -42,10 +45,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--scale", choices=("full", "tiny"), default="full")
+    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if not 1 <= args.threads <= cpus:
+        parser.error(f"--threads must be from 1 to {cpus}, the CPUs available, got {args.threads}")
 
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
+        os.environ[var] = str(args.threads)
     cli = import_cli()
     sys.path.insert(1, str(ROOT / "perfbench"))
     import workloads

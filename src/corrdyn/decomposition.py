@@ -27,12 +27,12 @@ kinds of part (beyond single cells) are supported on every site of their
 subset.  The correlated coefficients are one per-site triangular transform
 of x, and the cumulant coefficients follow the moment-cumulant recursion
 over subsets; the matrices of all parts of one subset size are then formed
-from their coefficients in one batched transform.  The checks stay in matrix
-space and share nothing with that route.  Both reconstructions work on the
-pair-digit vectors of `density._pair_digits`, where each site's (row,
-column) bits form one base-4 digit.  Held as N-site grids with size-1
-axes off their sites, parts on disjoint subsets multiply by broadcasting,
-and the product already lands in site order.
+from their 3**k trace-free coefficients, one GEMM a site for the batch.
+The checks stay in matrix space and share nothing with that route.  Both
+reconstructions work on the pair-digit vectors of `density._pair_digits`,
+where each site's (row, column) bits form one base-4 digit.  Held as
+N-site grids with size-1 axes off their sites, parts on disjoint subsets
+multiply by broadcasting, and the product already lands in site order.
 `reconstruct` sums the power set as one depth-first recursion over the
 sites: 2**N - 1 steps of about 5**N operations in all, not 2**N - N
 full-size Kronecker products.  `cumulant_reconstruct` enumerates the B_N
@@ -66,6 +66,7 @@ from .combinatorics import (
     mask_of,
 )
 from .density import (
+    _B_BUILD,
     CorrelatorVector,
     DensityMatrix,
     _from_pair_digits,
@@ -153,13 +154,15 @@ def _cumulant_blocks(grid: np.ndarray) -> dict[int, np.ndarray]:
 def _part_matrices(blocks: Sequence[np.ndarray], k: int) -> np.ndarray:
     """Matrices of k-site parts from their full-support coefficients.
 
-    One transform builds the whole (len(blocks), 2**k, 2**k) stack.
+    One transform builds the whole (len(blocks), 2**k, 2**k) stack.  A part
+    of k >= 2 sites is trace-free on every site, so its 3**k coefficients go
+    straight through the 4x3 trace-free columns of the per-site map.
     """
-    coeffs = np.zeros((4,) * k + (len(blocks),))
-    coeffs[(slice(1, None),) * k] = np.stack([b.reshape((3,) * k) for b in blocks], -1)
-    # a single cell's part is its reduced matrix, the only one with a trace
-    coeffs[(0,) * k] = 1.0 if k == 1 else 0.0
-    return operator_matrix(coeffs.reshape(4**k, len(blocks)))
+    coeffs = np.stack([b.reshape(-1) for b in blocks], -1)
+    if k == 1:
+        # a single cell's part is its reduced matrix, the only one with a trace
+        return operator_matrix(np.vstack([np.ones(len(blocks)), coeffs]))
+    return _from_pair_digits(pauli._apply_site_map(coeffs, _B_BUILD[:, 1:]) / 2**k, k)
 
 
 def _parts_by_size(blocks: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:

@@ -173,26 +173,31 @@ def multiply(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
     return phase, PauliString(a.n_sites, code)
 
 
-def _sites_of(length: int) -> int:
+def _sites_of(length: int, base: int = 4) -> int:
     n = 0
-    while 4**n < length:
+    while base**n < length:
         n += 1
-    if 4**n != length:
-        raise ValueError(f"length {length} is not a power of 4")
+    if base**n != length:
+        raise ValueError(f"length {length} is not a power of {base}")
     return n
 
 
 def _apply_site_map(values: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Apply a 4x4 map independently to every base-4 digit of the index.
+    """Apply a d_out x d_in map independently to every base-d_in digit of the index.
 
-    The index is the first axis; any further axes are a batch carried along.
+    The index is the first axis, d_out**n long in the C-ordered result; any
+    further axes are a batch carried along.  Each site is one GEMM on the
+    leading digit, whose output digit moves to the end, so the digits end in
+    order behind the batch and one transposing copy puts the index first.
     """
     values = np.asarray(values, dtype=complex)
-    n = _sites_of(values.shape[0])
-    w = values.reshape((4,) * n + values.shape[1:])
-    for k in range(n):
-        w = np.moveaxis(np.tensordot(t, w, axes=([1], [k])), 0, k)
-    return w.reshape(values.shape)
+    d_out, d_in = t.shape
+    n = _sites_of(values.shape[0], d_in)
+    w = values.reshape(-1)
+    for _ in range(n):
+        w = (w.reshape(d_in, -1).T @ t.T).reshape(-1)
+    out = np.ascontiguousarray(w.reshape(-1, d_out**n).T)
+    return out.reshape((d_out**n,) + values.shape[1:])
 
 
 _SQRT2 = np.sqrt(2.0)
@@ -227,6 +232,13 @@ class Observable:
 
     n_sites: int
     terms: tuple[tuple[complex, int], ...]
+
+    def __post_init__(self):
+        if as_int(self.n_sites, "n_sites") < 0:
+            raise ValueError(f"n_sites must be >= 0, got {self.n_sites}")
+        for _, c in self.terms:
+            if not 0 <= as_int(c, "code") < 4**self.n_sites:
+                raise ValueError(f"code {c} out of range for {self.n_sites} sites")
 
     @property
     def is_single_string(self) -> bool:

@@ -16,8 +16,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from corrdyn import decomposition
 from corrdyn.combinatorics import bit_indices, enumerate_partitions, enumerate_subsets
-from corrdyn.density import DensityMatrix, partial_trace_array
+from corrdyn.density import _B_BUILD, DensityMatrix, _from_pair_digits, partial_trace_array
+from reference_pauli import tensordot_site_map
 
 
 def permute_sites(mat: np.ndarray, sites: list[int]) -> np.ndarray:
@@ -157,3 +159,34 @@ def trace_defect(subset: int, part: np.ndarray) -> float:
         t = partial_trace_array(part, n, keep)
         worst = max(worst, float(np.max(np.abs(t))))
     return worst
+
+
+def padded_part_matrix(block: np.ndarray, k: int) -> np.ndarray:
+    """Matrix of a k-site part from its 3**k full-support coefficients.
+
+    The coefficients are zero-padded to a (4,)*k grid, digit 0 of each site
+    holding 0 (1 at the identity for a single cell), and go through the full
+    4x4 build map one `tensordot` per site, then are divided by 2**k.
+    """
+    coeffs = np.zeros((4,) * k)
+    coeffs[(slice(1, None),) * k] = block.reshape((3,) * k)
+    coeffs[(0,) * k] = 1.0 if k == 1 else 0.0
+    return _from_pair_digits(tensordot_site_map(coeffs.reshape(-1), _B_BUILD) / 2**k, k)
+
+
+def padded_parts(rho: DensityMatrix) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """rho^C and rho^CC keyed by mask, each part from the coefficients that
+    `corrdyn.decomposition` computes, one zero-padded transform per part."""
+    n = rho.n_sites
+    full = (1 << n) - 1
+    grid = decomposition._state_grid(rho, full)
+    c = decomposition._correlated_grid(grid)
+    kappa = decomposition._cumulant_blocks(grid)
+    masks = [m for m in enumerate_subsets(full) if m]
+    correlated = {
+        m: padded_part_matrix(c[decomposition._support(n, m)], m.bit_count())
+        for m in masks
+        if m.bit_count() >= 2
+    }
+    cumulant = {m: padded_part_matrix(kappa[m], m.bit_count()) for m in masks}
+    return correlated, cumulant

@@ -93,6 +93,16 @@ def test_parts_match_reference(n):
         assert _worst(cumulant_parts(rho), ref.cumulant_parts(rho)) < TOL, name
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_parts_equal_the_zero_padded_transform_bit_for_bit(n):
+    for name, rho in _states(n).items():
+        correlated, cumulant = ref.padded_parts(rho)
+        for got, want in ((correlated_parts(rho), correlated), (cumulant_parts(rho), cumulant)):
+            assert list(got) == list(want), name
+            for mask in got:
+                assert np.array_equal(_bits(got[mask]), _bits(want[mask])), (name, mask)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_single_subset_parts_match_reference(n):
     for name, rho in _states(n).items():

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_pauli as ref
 from corrdyn import pauli
-from corrdyn.pauli import PauliString, epsilon, multiply, parse_label
+from corrdyn.density import _B_BUILD, _B_EXTRACT
+from corrdyn.dynamics import Trajectory
+from corrdyn.pauli import Observable, PauliString, epsilon, multiply, parse_label
 
 
 def test_epsilon_convention():
@@ -194,8 +197,86 @@ def test_pauli_site_counts_must_be_integers(n):
         PauliString(n, 1)
     with pytest.raises(ValueError, match="n_sites must be an integer"):
         parse_label("x0", n)
+    with pytest.raises(ValueError, match="n_sites must be an integer"):
+        Observable(n, ((1.0, 0),))
 
 
 def test_pauli_site_counts_take_numpy_integers():
     assert np.array_equal(PauliString(np.int64(2), 7).matrix(), PauliString(2, 7).matrix())
     assert parse_label("x0 z1", np.int64(2)).code == parse_label("x0 z1", 2).code
+
+
+_SITE_MAPS = {"build": _B_BUILD, "extract": _B_EXTRACT, "ladder": pauli._TO_LADDER}
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _complex_normal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)], ids=str)
+@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("name", _SITE_MAPS)
+def test_site_map_matches_the_tensordot_path_bit_for_bit(rng, name, n, batch):
+    t = _SITE_MAPS[name]
+    # each output of the build and extract maps is one rounding of two exact
+    # products; the ladder map's 1/sqrt(2) products round too, so the GEMM's
+    # order can show, and it is held on the real tables it is given (complex
+    # input at N=1 with a batch differed in the last bit)
+    values = _complex_normal(rng, (4**n,) + batch)
+    if name == "ladder":
+        values = values.real
+    got = pauli._apply_site_map(values, t)
+    # the layout, too: a reduction over the index sums in another order on
+    # a transposed view (`np.linalg.norm(axis=0)` in `eigenpair_residual`)
+    assert got.shape == values.shape and got.flags.c_contiguous
+    assert np.array_equal(_bits(got), _bits(ref.tensordot_site_map(values, t)))
+
+
+@pytest.mark.parametrize("batch", [(), (5,)], ids=str)
+@pytest.mark.parametrize("k", range(2, 8))
+def test_trace_free_site_map_matches_the_zero_padded_map_bit_for_bit(rng, k, batch):
+    # the real coefficients of parts, as `decomposition._part_matrices` feeds them
+    coeffs = rng.normal(size=(3**k,) + batch)
+    got = pauli._apply_site_map(coeffs, _B_BUILD[:, 1:])
+    assert got.shape == (4**k,) + batch
+    assert np.array_equal(_bits(got), _bits(ref.padded_site_map(coeffs, _B_BUILD[:, 1:])))
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("name", [*_SITE_MAPS, "trace-free"])
+def test_site_map_equals_the_dense_tensor_power(rng, name, n):
+    t = _B_BUILD[:, 1:] if name == "trace-free" else _SITE_MAPS[name]
+    values = _complex_normal(rng, (t.shape[1] ** n, 2))
+    want = ref.kron_site_map(n, t) @ values
+    got = pauli._apply_site_map(values, t)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_trace_free_site_map_refuses_a_length_not_a_power_of_3():
+    with pytest.raises(ValueError, match="length 4 is not a power of 3"):
+        pauli._apply_site_map(np.zeros(4), _B_BUILD[:, 1:])
+
+
+@pytest.mark.parametrize("code", [-1, 16, 64])
+def test_observable_refuses_a_code_out_of_range(code):
+    # on 2 sites code -1 read slot 15, and 64 ended in an IndexError
+    trajectory = Trajectory(2, [0.0], np.eye(16)[:1])
+    with pytest.raises(ValueError, match=f"code {code} out of range for 2 sites"):
+        trajectory.expectation(Observable(2, ((1.0, code),)))
+
+
+@pytest.mark.parametrize("code", [1.0, True, "1"], ids=repr)
+def test_observable_codes_must_be_integers(code):
+    with pytest.raises(ValueError, match="code must be an integer"):
+        Observable(2, ((1.0, 0), (0.5, code)))
+
+
+def test_observable_takes_numpy_integers_and_parsed_labels():
+    obs = Observable(np.int64(2), ((1.0, np.int64(15)),))
+    assert obs.expectation(np.arange(16.0)) == 15.0
+    for label in ["", "x0", "+0 -1", "z1 +0", "-0"]:
+        assert parse_label(label, 2).n_sites == 2

@@ -100,6 +100,9 @@ _REFUSALS = {
     "label of a negative site count": (
         lambda: pauli.parse_label("", -3), "n_sites must be >= 0"
     ),
+    "observable of a negative site count": (
+        lambda: pauli.Observable(-1, ()), "n_sites must be >= 0"
+    ),
     "string with a ladder axis": (lambda: PauliString.from_axes(2, {0: "+"}), "Cartesian only"),
     "product of strings over other sites": (
         lambda: pauli.multiply(PauliString(1, 1), PauliString(2, 1)),

@@ -89,6 +89,24 @@ def test_output_digests_runs_its_own_checkout(tmp_path):
     assert proc.stderr.startswith(f"error: corrdyn imported from {decoy / 'corrdyn'}")
 
 
+def test_output_digests_prints_the_same_lines_on_one_and_two_threads():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    # refused before numpy is imported, so no thread is started
+    for bad in (0, cpus + 1):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "output_digests.py"), "--seeds", "1",
+             "--threads", str(bad)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2 and not proc.stdout
+        assert f"--threads must be from 1 to {cpus}" in proc.stderr
+    tiny = ("--seeds", "1", "--scale", "tiny", "--threads")
+    one = _run("output_digests.py", *tiny, "1").stdout
+    assert len(one.splitlines()) == 20
+    assert _run("output_digests.py", *tiny, str(min(cpus, 2))).stdout == one
+
+
 def test_each_mutant_applies_to_this_checkout():
     # the mutants themselves run only in scripts/mutants.py, on copies
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
