@@ -147,8 +147,14 @@ MUTANTS = [
     ),
     (
         "src/corrdyn/decomposition.py",
-        "for b in p[1:]:",
         "for b in p[2:]:",
+        "for b in p[3:]:",
+        "tests/test_decomposition_reference.py",
+    ),
+    (
+        "src/corrdyn/decomposition.py",
+        "np.arange(2 ** (t - 1) - 1)",
+        "np.arange(2 ** (t - 1) - 2)",
         "tests/test_decomposition_reference.py",
     ),
     (

@@ -71,22 +71,23 @@ def enumerate_partitions(mask: int) -> Iterator[tuple[int, ...]]:
     """Yield every partition of the sites in `mask` exactly once, as a tuple
     of block masks ordered by their smallest site.
 
-    Enumeration follows restricted-growth strings in lexicographic order, so
-    the output order is canonical and duplicate-free by construction.  The
-    number of partitions of an n-element set is the Bell number B_n.
+    Enumeration follows restricted-growth strings in lexicographic order
+    (Knuth, TAOCP 4A, 7.2.1.5, Algorithm H), so the output order is
+    canonical and duplicate-free by construction.  The block masks are
+    updated in place as the string advances: only the sites whose digit
+    changed move.  The number of partitions of an n-element set is the Bell
+    number B_n.
     """
-    sites = bit_indices(mask)
-    n = len(sites)
+    mask = check_mask(mask)
+    bits = [1 << s for s in bit_indices(mask)]
+    n = len(bits)
     if n == 0:
         raise ValueError("cannot partition empty set")
     # a = restricted-growth string, m[k] = max(a[:k]) so a[k] may grow to m[k]+1
     a = [0] * n
     m = [0] * n
+    blocks = [mask]
     while True:
-        nblocks = max(a) + 1
-        blocks = [0] * nblocks
-        for k, s in enumerate(sites):
-            blocks[a[k]] |= 1 << s
         yield tuple(blocks)
         k = n - 1
         while k > 0 and a[k] > m[k]:
@@ -94,11 +95,22 @@ def enumerate_partitions(mask: int) -> Iterator[tuple[int, ...]]:
         # a[k] > m[k] can only fail the loop at k == 0
         if k == 0:
             return
+        # site k moves up one block, and every later site back to block 0
+        blocks[a[k]] ^= bits[k]
         a[k] += 1
+        if a[k] == len(blocks):
+            blocks.append(bits[k])
+        else:
+            blocks[a[k]] |= bits[k]
         mk = max(m[k], a[k])
         for j in range(k + 1, n):
-            a[j] = 0
+            if a[j]:
+                blocks[a[j]] ^= bits[j]
+                blocks[0] |= bits[j]
+                a[j] = 0
             m[j] = mk
+        # the blocks past a[:k+1]'s largest digit were emptied
+        del blocks[mk + 1 :]
 
 
 def bell_number(n: int) -> int:

@@ -24,10 +24,12 @@ ascending.
 Both are computed on the Pauli coefficients x[c] = tr(rho P_c), where a
 tensor product over disjoint subsets is a product of coefficients and both
 kinds of part (beyond single cells) are supported on every site of their
-subset.  The correlated coefficients are one per-site triangular transform
-of x, and the cumulant coefficients follow the moment-cumulant recursion
-over subsets; the matrices of all parts of one subset size are then formed
-from their 3**k trace-free coefficients, one GEMM a site for the batch.
+subset.  The route works one subset size t at a time, on (C(N, t), 3**t)
+stacks of full-support coefficients, one gather each: the correlated
+coefficients are one per-site triangular transform of x, the cumulant
+coefficients the moment-cumulant recursion batched per size
+(`_cumulants`), and each stack becomes the matrices of its parts from
+their 3**k trace-free coefficients, one GEMM a site for the batch.
 The checks stay in matrix space and share nothing with that route.  Both
 reconstructions work on the pair-digit vectors of `density._pair_digits`,
 where each site's (row, column) bits form one base-4 digit.  Held as
@@ -36,8 +38,10 @@ multiply by broadcasting, and the product already lands in site order.
 `reconstruct` sums the power set as one depth-first recursion over the
 sites: 2**N - 1 steps of about 5**N operations in all, not 2**N - N
 full-size Kronecker products.  `cumulant_reconstruct` enumerates the B_N
-set partitions once and files each under its first block A, which holds
-site 0: the rest of the group's partitions are every partition of S - A
+set partitions once (`enumerate_partitions`, whose block masks move in
+place as its restricted-growth string advances) and files each under its
+first block A, which holds site 0: the rest of the group's partitions are
+every partition of S - A
 once, summed on the sites of S - A, so the group is one full-size product
 rho^CC_A (x) rho_{S-A} and the full-size sum has 2**(N-1) terms, not B_N.
 Both reconstructions refuse a part or reduced matrix of the wrong shape,
@@ -96,15 +100,37 @@ def _state_grid(rho: DensityMatrix, subset: int) -> np.ndarray:
     return _marginal(extract_correlators(rho).values, rho.n_sites, subset)
 
 
-def _support(k: int, mask: int) -> tuple:
-    """Index of the codes of a k-site grid whose support is exactly `mask`.
+def _subset_tables(n: int) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """The subsets of n sites grouped by size, from numpy integer ops.
 
-    Sites outside the mask keep a size-1 axis, so blocks on disjoint
-    supports multiply by broadcasting.
+    masks[t] holds the masks of the t-site subsets ascending, sites[t] the
+    sites of each, ascending, one row a subset, and rank[mask] is a mask's
+    place in its size's list.
     """
-    return tuple(
-        slice(1, None) if mask >> (k - 1 - p) & 1 else slice(0, 1) for p in range(k)
-    )
+    every = np.arange(1 << n)
+    size = np.bitwise_count(every)
+    order = np.argsort(size, kind="stable")
+    counts = np.bincount(size, minlength=n + 1)
+    ends = np.cumsum(counts)
+    rank = np.empty(1 << n, dtype=np.intp)
+    rank[order] = every - np.repeat(ends - counts, counts)
+    masks = np.split(order, ends[:-1])
+    bits = every[:, None] >> np.arange(n) & 1
+    sites = [np.nonzero(bits[m])[1].reshape(len(m), t) for t, m in enumerate(masks)]
+    return masks, sites, rank
+
+
+def _full_support(values: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """Coefficients of the strings whose support is exactly each subset.
+
+    `values` is a flat 4**N coefficient vector, site j's digit at 4**j, and
+    `sites` one row of t sites per subset.  Row i of the (rows, 3**t) result
+    is subset i's own grid of digits 1..3, its p-th lowest site at 3**p: one
+    gather for the whole stack.
+    """
+    t = sites.shape[1]
+    digits = np.arange(3**t)[:, None] // 3 ** np.arange(t) % 3 + 1
+    return values[4**sites @ digits.T]
 
 
 def _correlated_grid(grid: np.ndarray) -> np.ndarray:
@@ -124,56 +150,61 @@ def _correlated_grid(grid: np.ndarray) -> np.ndarray:
     return c
 
 
-def _cumulant_blocks(grid: np.ndarray) -> dict[int, np.ndarray]:
-    """Cumulant coefficients kappa(T) on the codes of support exactly T.
+def _cumulants(x: list[np.ndarray], sites: list[np.ndarray], rank: np.ndarray) -> list:
+    """Cumulant coefficients kappa(T) of every nonempty subset T, per size.
 
-    Every nonempty T of the grid's sites, by the moment-cumulant recursion
-    grouped by the block that holds the lowest site:
+    x[t] is the `_full_support` stack of the t-site subsets, and kappa
+    comes in the same layout (None for size 0).  The moment-cumulant
+    recursion, grouped by the block A that holds the lowest site of T,
 
-        kappa(T) = x(T) - sum_{A contains min T, A != T} kappa(A) x(T - A)
+        kappa(T) = x(T) - sum_{A contains min T, A != T} kappa(A) x(T - A),
 
-    kappa of one site is its Bloch vector.
+    runs for all t-site subsets at once: a relative pattern names which of
+    T's other t-1 sites A holds, and each of the 2**(t-1) - 1 patterns is
+    one gathered broadcast product and one subtraction for the stack.  The
+    patterns ascend as A's masks do within each T, the order of the
+    per-subset loop, so each bit is that loop's.  kappa of one site is its
+    Bloch vector.
     """
-    k = grid.ndim
-    full = (1 << k) - 1
-    x = {t: grid[_support(k, t)] for t in enumerate_subsets(full)}
-    kappa: dict[int, np.ndarray] = {}
-    for t in enumerate_subsets(full):
-        if not t:
-            continue
-        low = t & -t
-        rest = t ^ low
-        out = x[t].copy()
-        for a in enumerate_subsets(rest):
-            if a != rest:
-                out -= kappa[low | a] * x[rest ^ a]
-        kappa[t] = out
+    kappa = [None, x[1]]
+    for t in range(2, len(x)):
+        rows = len(x[t])
+        # in_a[r, p]: A holds T's p-th lowest site under pattern r
+        in_a = (np.arange(2 ** (t - 1) - 1)[:, None] << 1 | 1) >> np.arange(t) & 1
+        site_bits = 1 << sites[t].T
+        first, rest = rank[in_a @ site_bits], rank[(1 - in_a) @ site_bits]
+        out = x[t].reshape((rows,) + (3,) * t).copy()
+        for pattern, a, b in zip(in_a[:, ::-1].tolist(), first, rest):
+            k = sum(pattern)
+            ka = kappa[k][a].reshape([rows] + [3 if d else 1 for d in pattern])
+            xb = x[t - k][b].reshape([rows] + [1 if d else 3 for d in pattern])
+            out -= ka * xb
+        kappa.append(out.reshape(rows, -1))
     return kappa
 
 
-def _part_matrices(blocks: Sequence[np.ndarray], k: int) -> np.ndarray:
-    """Matrices of k-site parts from their full-support coefficients.
+def _part_matrices(stack: np.ndarray, k: int) -> np.ndarray:
+    """Matrices of k-site parts from a (parts, 3**k) stack of their
+    full-support coefficients.
 
-    One transform builds the whole (len(blocks), 2**k, 2**k) stack.  A part
-    of k >= 2 sites is trace-free on every site, so its 3**k coefficients go
+    One transform builds the whole (parts, 2**k, 2**k) stack.  A part of
+    k >= 2 sites is trace-free on every site, so its 3**k coefficients go
     straight through the 4x3 trace-free columns of the per-site map.
     """
-    coeffs = np.stack([b.reshape(-1) for b in blocks], -1)
     if k == 1:
         # a single cell's part is its reduced matrix, the only one with a trace
-        return operator_matrix(np.vstack([np.ones(len(blocks)), coeffs]))
-    return _from_pair_digits(pauli._apply_site_map(coeffs, _B_BUILD[:, 1:]) / 2**k, k)
+        return operator_matrix(np.vstack([np.ones(len(stack)), stack.T]))
+    return _from_pair_digits(pauli._apply_site_map(stack.T, _B_BUILD[:, 1:]) / 2**k, k)
 
 
-def _parts_by_size(blocks: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """Matrix of every part keyed by mask, from one transform per subset size."""
-    by_size: dict[int, list[int]] = {}
-    for mask in blocks:
-        by_size.setdefault(mask.bit_count(), []).append(mask)
+def _parts_by_mask(
+    n: int, masks: list[np.ndarray], stacks: Mapping[int, np.ndarray]
+) -> dict[int, np.ndarray]:
+    """Matrix of every part keyed by mask ascending, one transform per size."""
     mats = {}
-    for k, masks in by_size.items():
-        mats.update(zip(masks, _part_matrices([blocks[m] for m in masks], k)))
-    return {mask: mats[mask] for mask in blocks}
+    for k, stack in stacks.items():
+        mats.update(zip(masks[k].tolist(), _part_matrices(stack, k)))
+    return {m: mats[m] for m in enumerate_subsets((1 << n) - 1) if m in mats}
 
 
 def correlated_part(rho: DensityMatrix, subset: int) -> np.ndarray:
@@ -189,21 +220,23 @@ def correlated_part(rho: DensityMatrix, subset: int) -> np.ndarray:
         raise ValueError("subset references sites beyond the system")
     k = subset.bit_count()
     c = _correlated_grid(_state_grid(rho, subset))
-    return _part_matrices([c[(slice(1, None),) * k]], k)[0]
+    return _part_matrices(c[(slice(1, None),) * k].reshape(1, -1), k)[0]
 
 
 def correlated_parts(rho: DensityMatrix) -> dict[int, np.ndarray]:
     """rho^C for every subset with >= 2 cells, keyed by mask."""
     admit(rho.n_sites, ["decompose"])
     n = rho.n_sites
-    full = (1 << n) - 1
-    c = _correlated_grid(_state_grid(rho, full))
-    blocks = {
-        mask: c[_support(n, mask)]
-        for mask in enumerate_subsets(full)
-        if mask.bit_count() >= 2
-    }
-    return _parts_by_size(blocks)
+    masks, sites, _ = _subset_tables(n)
+    c = _correlated_grid(_state_grid(rho, (1 << n) - 1)).reshape(-1)
+    return _parts_by_mask(n, masks, {t: _full_support(c, sites[t]) for t in range(2, n + 1)})
+
+
+def _cumulant_stacks(values: np.ndarray, n: int) -> tuple[list[np.ndarray], list]:
+    """The subset masks per size (`_subset_tables`) of an n-site coefficient
+    vector, and the `_cumulants` of its subsets."""
+    masks, sites, rank = _subset_tables(n)
+    return masks, _cumulants([_full_support(values, s) for s in sites], sites, rank)
 
 
 def cumulant_part(rho: DensityMatrix, subset: int) -> np.ndarray:
@@ -214,17 +247,16 @@ def cumulant_part(rho: DensityMatrix, subset: int) -> np.ndarray:
     if subset >> rho.n_sites:
         raise ValueError("subset references sites beyond the system")
     k = subset.bit_count()
-    kappa = _cumulant_blocks(_state_grid(rho, subset))
-    return _part_matrices([kappa[(1 << k) - 1]], k)[0]
+    _, kappa = _cumulant_stacks(_state_grid(rho, subset).reshape(-1), k)
+    return _part_matrices(kappa[k], k)[0]
 
 
 def cumulant_parts(rho: DensityMatrix) -> dict[int, np.ndarray]:
     """rho^CC for every nonempty subset, keyed by mask."""
     admit(rho.n_sites, ["decompose"])
-    full = (1 << rho.n_sites) - 1
-    kappa = _cumulant_blocks(_state_grid(rho, full))
-    blocks = {mask: kappa[mask] for mask in enumerate_subsets(full) if mask}
-    return _parts_by_size(blocks)
+    n = rho.n_sites
+    masks, kappa = _cumulant_stacks(extract_correlators(rho).values, n)
+    return _parts_by_mask(n, masks, {t: kappa[t] for t in range(1, n + 1)})
 
 
 def max_trace_defect(parts: Mapping[int, np.ndarray]) -> float:
@@ -234,18 +266,24 @@ def max_trace_defect(parts: Mapping[int, np.ndarray]) -> float:
     axis and one (row, column) axis pair per cell, and each cell is traced
     out over its own pair for the whole stack.  No parts give 0.  A key
     that is not a mask (`check_mask`) of at least 2 sites is refused, and
-    so is a part of a k-site subset that is not 2**k x 2**k, naming it.
+    so is a part of a k-site subset that is not 2**k x 2**k, or one with a
+    non-finite entry, naming it: a NaN would drop out of the max.
     """
-    by_size: dict[int, list[np.ndarray]] = {}
+    by_size: dict[int, dict[int, np.ndarray]] = {}
     for mask, matrix in parts.items():
         mask = check_mask(mask)
         if mask.bit_count() < 2:
             raise ValueError(f"the {_part_name(mask, 'correlated')} has fewer than 2 sites")
         _check_shape(mask, matrix, "correlated")
-        by_size.setdefault(mask.bit_count(), []).append(matrix)
+        by_size.setdefault(mask.bit_count(), {})[mask] = matrix
     worst = 0.0
     for n, mats in by_size.items():
-        w = np.stack(mats).reshape((len(mats),) + (2,) * (2 * n))
+        w = np.stack(list(mats.values()))
+        finite = np.isfinite(w).reshape(len(w), -1).all(axis=1)
+        if not finite.all():
+            bad = list(mats)[int(np.argmin(finite))]
+            raise ValueError(f"the {_part_name(bad, 'correlated')} is not finite")
+        w = w.reshape((len(mats),) + (2,) * (2 * n))
         for p in range(n):
             worst = max(worst, float(np.max(np.abs(np.trace(w, 0, 1 + p, 1 + n + p)))))
     return worst
@@ -352,7 +390,8 @@ def cumulant_reconstruct(
     product of blocks is one broadcast multiply that lands in site order.
     Each of the B_N partitions is enumerated once, and the product of its
     blocks after the first is added into rho_{S-A} of its first block A,
-    the one holding site 0.  The other blocks never hold site 0, so their
+    the one holding site 0: it starts from the second block's grid, and the
+    one-block partition adds 1.  The other blocks never hold site 0, so their
     2**(N-1) - 1 grids are formed once, up front.  By the distributive law
     rho is the sum of the 2**(N-1) full-size products rho^CC_A (x) rho_{S-A},
     each A's grid formed where it is used, put in matrix order once.  Every
@@ -367,8 +406,11 @@ def cumulant_reconstruct(
     }
     rests = {a: np.zeros(_grid_shape(n, full ^ a), complex) for a in range(1, full + 1, 2)}
     for p in enumerate_partitions(full):
-        term = 1.0
-        for b in p[1:]:
+        if len(p) == 1:
+            rests[full] += 1  # the one-block partition: rho_{S-S} = 1
+            continue
+        term = tails[p[1]]
+        for b in p[2:]:
             term = term * tails[b]
         rests[p[0]] += term
     out = np.zeros((4,) * n, dtype=complex)

@@ -347,7 +347,18 @@ def eigenpair_residual(gen: Generator) -> float:
     u = pauli_coefficients(v @ c @ vh)
     w = pauli_coefficients(v @ (1j * omega * c) @ vh)
     defect = _apply_real(gen.matrix, u) - w
-    return float(np.max(np.linalg.norm(defect, axis=0) / np.linalg.norm(u, axis=0)))
+    return float(np.max(_column_norms(defect) / _column_norms(u)))
+
+
+def _column_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of a 2-D array.
+
+    Each column is summed as one contiguous row of a C-ordered transpose,
+    in numpy's fixed summation order, so the bits do not depend on the
+    memory order of `a`; those of np.linalg.norm(a, axis=0) do.
+    """
+    t = np.ascontiguousarray(a.T)
+    return np.sqrt(np.sum(t.real**2 + t.imag**2, axis=1))
 
 
 @dataclass(frozen=True)

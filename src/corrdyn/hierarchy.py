@@ -101,12 +101,13 @@ WORK_CAP = 1.2e12
 # cumulant_reconstruct's work from above: it enumerates the B_N partitions
 # and sums each first block's tails on the other sites, B_{N-1} tails of
 # 4**(N-1) entries for the block {0} alone.  A `corrdyn run` decompose of a
-# W state took 0.24 s at 8 sites and 2.3 s at 9 (5.5e9) on one x86-64 vCPU
-# (in-process medians of 10 and 5 runs; 0.37 s and 2.9 s with Kronecker
-# products and qubit permutations in place of broadcast products, 1.17 s
-# and 20.3 s summing all B_N partitions at full size).  The cap admits
-# N <= 9: 10 sites need 1.2e11, and their block {0} alone would sum
-# B_9 = 21,147 tails of 4**9 entries.
+# W state took 0.19-0.26 s at 8 sites and 1.8-2.1 s at 9 (5.5e9) on one
+# shared x86-64 vCPU (in-process medians of 10 and 5 runs, 3 and 2 of them;
+# 0.22-0.27 s and 2.0-2.2 s with the cumulants one subset at a time, 0.37 s
+# and 2.9 s with Kronecker products and qubit permutations in place of
+# broadcast products, 1.17 s and 20.3 s summing all B_N partitions at full
+# size).  The cap admits N <= 9: 10 sites need 1.2e11, and their block {0}
+# alone would sum B_9 = 21,147 tails of 4**9 entries.
 DECOMPOSE_WORK_CAP = 1e11
 # work on dense arrays over more than this many correlator slots: the
 # spectrum, the resolvent and the sector blocks

@@ -91,6 +91,7 @@ class PauliString:
     def from_axes(cls, n_sites: int, axes: dict[int, str]) -> "PauliString":
         code = 0
         for site, axis in axes.items():
+            site = as_int(site, "site")
             if not 0 <= site < n_sites:
                 raise ValueError(f"site {site} out of range")
             if axis not in _AXIS_TO_DIGIT:

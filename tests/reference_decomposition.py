@@ -174,17 +174,57 @@ def padded_part_matrix(block: np.ndarray, k: int) -> np.ndarray:
     return _from_pair_digits(tensordot_site_map(coeffs.reshape(-1), _B_BUILD) / 2**k, k)
 
 
+def support(k: int, mask: int) -> tuple:
+    """Index of the codes of a k-site grid whose support is exactly `mask`.
+
+    Sites outside the mask keep a size-1 axis, so blocks on disjoint
+    supports multiply by broadcasting.
+    """
+    return tuple(
+        slice(1, None) if mask >> (k - 1 - p) & 1 else slice(0, 1) for p in range(k)
+    )
+
+
+def cumulant_blocks(grid: np.ndarray) -> dict[int, np.ndarray]:
+    """Cumulant coefficients kappa(T) on the codes of support exactly T.
+
+    Every nonempty T of the grid's sites, one subset at a time, by the
+    moment-cumulant recursion grouped by the block that holds the lowest site:
+
+        kappa(T) = x(T) - sum_{A contains min T, A != T} kappa(A) x(T - A)
+
+    with the A in ascending mask order.  kappa of one site is its Bloch
+    vector.  This is the per-subset loop that `decomposition._cumulants`
+    batches per subset size.
+    """
+    k = grid.ndim
+    full = (1 << k) - 1
+    x = {t: grid[support(k, t)] for t in enumerate_subsets(full)}
+    kappa: dict[int, np.ndarray] = {}
+    for t in enumerate_subsets(full):
+        if not t:
+            continue
+        low = t & -t
+        rest = t ^ low
+        out = x[t].copy()
+        for a in enumerate_subsets(rest):
+            if a != rest:
+                out -= kappa[low | a] * x[rest ^ a]
+        kappa[t] = out
+    return kappa
+
+
 def padded_parts(rho: DensityMatrix) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """rho^C and rho^CC keyed by mask, each part from the coefficients that
-    `corrdyn.decomposition` computes, one zero-padded transform per part."""
+    """rho^C and rho^CC keyed by mask, each part from the coefficients of the
+    per-subset slow paths, one zero-padded transform per part."""
     n = rho.n_sites
     full = (1 << n) - 1
     grid = decomposition._state_grid(rho, full)
     c = decomposition._correlated_grid(grid)
-    kappa = decomposition._cumulant_blocks(grid)
+    kappa = cumulant_blocks(grid)
     masks = [m for m in enumerate_subsets(full) if m]
     correlated = {
-        m: padded_part_matrix(c[decomposition._support(n, m)], m.bit_count())
+        m: padded_part_matrix(c[support(n, m)], m.bit_count())
         for m in masks
         if m.bit_count() >= 2
     }

@@ -11,6 +11,29 @@ from corrdyn.combinatorics import (
 )
 
 
+def rebuilt_partitions(mask: int):
+    """Every partition of `mask`'s sites, each tuple of blocks rebuilt from
+    scratch from its restricted-growth string, in lexicographic order."""
+    sites = bit_indices(mask)
+    n = len(sites)
+    a = [0] * n
+    m = [0] * n  # m[k] = max(a[:k]), so a[k] may grow to m[k] + 1
+    while True:
+        blocks = [0] * (max(a) + 1)
+        for k, s in enumerate(sites):
+            blocks[a[k]] |= 1 << s
+        yield tuple(blocks)
+        k = n - 1
+        while k > 0 and a[k] > m[k]:
+            k -= 1
+        if k == 0:
+            return
+        a[k] += 1
+        for j in range(k + 1, n):
+            a[j] = 0
+            m[j] = max(m[k], a[k])
+
+
 def bell_triangle(n: int) -> int:
     """Independent Bell-number oracle via the Bell triangle recurrence."""
     row = [1]
@@ -99,6 +122,12 @@ def test_partition_properties(sites):
         assert lows == sorted(lows)
         assert p not in seen
         seen.add(p)
+
+
+def test_in_place_blocks_equal_blocks_rebuilt_per_partition():
+    sparse = [mask_of(s) for s in ([0, 10], [1, 4, 7, 10], [0, 2, 3, 5, 8, 9, 10], [3, 9])]
+    for mask in list(range(1, 1 << 8)) + sparse:
+        assert list(enumerate_partitions(mask)) == list(rebuilt_partitions(mask)), mask
 
 
 def test_partition_stores_its_blocks_as_a_tuple():

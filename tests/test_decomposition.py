@@ -177,6 +177,18 @@ def test_max_trace_defect_refuses_a_key_that_is_not_a_mask_of_two_sites(key, dim
         max_trace_defect({key: np.eye(dim)})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
+def test_max_trace_defect_names_a_part_that_is_not_finite(rng, bad):
+    # max() keeps its running value past a NaN, so a NaN part would read 0.0
+    parts = correlated_parts(random_mixed_state(rng, 3))
+    part = np.array(parts[0b101], copy=True)
+    part[0, 3] = bad  # off every single-cell partial trace
+    with pytest.raises(ValueError, match=r"the correlated part of subset \{0,2\} is not finite"):
+        max_trace_defect({**parts, 0b101: part})
+    with pytest.raises(ValueError, match=r"subset \{0,1\} is not finite"):
+        max_trace_defect({0b11: np.full((4, 4), np.nan)})
+
+
 def test_cumulant_reconstruction(rng):
     for n in (2, 3, 4):
         rho = random_mixed_state(rng, n)
@@ -249,6 +261,15 @@ def test_connected_pair_values():
     # connected
     vc = extract_correlators(states.cat_state(2))
     assert abs(connected_pair(vc, 0, 1, "z", "z") - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("site", [True, np.True_, 1.0, "1"], ids=repr)
+def test_connected_pair_refuses_a_site_that_is_not_an_integer(site):
+    # True would read site 1, 0.667 on a W state, and 1.0 fail in `<<`
+    v = extract_correlators(states.w_state(3))
+    with pytest.raises(ValueError, match="site must be an integer"):
+        connected_pair(v, site, 0, "x", "x")
+    assert connected_pair(v, np.int64(1), 0, "x", "x") == connected_pair(v, 1, 0, "x", "x")
 
 
 def test_connected_pair_product_state():

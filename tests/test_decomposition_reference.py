@@ -103,6 +103,20 @@ def test_parts_equal_the_zero_padded_transform_bit_for_bit(n):
                 assert np.array_equal(_bits(got[mask]), _bits(want[mask])), (name, mask)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_batched_cumulants_equal_the_per_subset_loop_bit_for_bit(n):
+    # the same products subtracted in the same order, one size at a time
+    full = (1 << n) - 1
+    for name, rho in _states(n).items():
+        grid = decomposition._state_grid(rho, full)
+        masks, kappa = decomposition._cumulant_stacks(grid.reshape(-1), n)
+        want = ref.cumulant_blocks(grid)
+        got = {m: row for t in range(1, n + 1) for m, row in zip(masks[t].tolist(), kappa[t])}
+        assert sorted(got) == sorted(want), name
+        for mask, row in got.items():
+            assert np.array_equal(_bits(row), _bits(want[mask].reshape(-1))), (name, mask)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_single_subset_parts_match_reference(n):
     for name, rho in _states(n).items():
@@ -290,9 +304,10 @@ def test_cli_norms_match_reference(tmp_path):
 
 
 def _corrupt_last_entry(fn):
-    def corrupted(grid):
-        out = fn(grid)
-        block = out[max(out)] if isinstance(out, dict) else out
+    def corrupted(*args):
+        out = fn(*args)
+        # the per-size stacks end with the one subset of every site
+        block = out[-1] if isinstance(out, list) else out
         block.flat[-1] += 1e-6  # the all-z string, support on every site
         return out
 
@@ -302,7 +317,7 @@ def _corrupt_last_entry(fn):
 @pytest.mark.parametrize(
     "target, key",
     [("_correlated_grid", "reconstruction_error"),
-     ("_cumulant_blocks", "cumulant_reconstruction_error")],
+     ("_cumulants", "cumulant_reconstruction_error")],
 )
 def test_matrix_checks_catch_one_corrupted_coefficient(tmp_path, monkeypatch, target, key):
     clean = _report(_decompose(tmp_path, 3, {"named": {"name": "w"}}))

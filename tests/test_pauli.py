@@ -136,6 +136,13 @@ def test_pauli_string_refuses_a_code_that_is_not_an_integer_in_range(code, messa
     assert PauliString(2, np.int64(15)).code == 15
 
 
+@pytest.mark.parametrize("site", [True, False, np.bool_(True), 0.0, 1.5, "0", None], ids=repr)
+def test_from_axes_refuses_a_site_that_is_not_an_integer(site):
+    with pytest.raises(ValueError, match="site must be an integer"):
+        PauliString.from_axes(2, {site: "x"})
+    assert PauliString.from_axes(2, {np.int64(1): "x"}) == PauliString.from_axes(2, {1: "x"})
+
+
 @given(st.integers(0, 4**3 - 1))
 def test_label_parse_round_trip(code):
     s = PauliString(3, code)

@@ -16,7 +16,13 @@ import scipy.sparse as sp
 
 from corrdyn import cli, dynamics, oracle
 from corrdyn.density import pauli_coefficients
-from corrdyn.dynamics import _apply_real, eigenpair_residual, resolvent, spectrum
+from corrdyn.dynamics import (
+    _apply_real,
+    _column_norms,
+    eigenpair_residual,
+    resolvent,
+    spectrum,
+)
 from corrdyn.errors import PoleProximityError
 from corrdyn.hamiltonian import SpinHamiltonian
 from corrdyn.hierarchy import Generator, build_generator
@@ -113,6 +119,19 @@ def test_eigenpair_residual_is_machine_level(rng):
             bound = 1e-12 * max(1.0, gen.infinity_norm())
             assert eigenpair_residual(gen) < bound, name
             assert pairwise_eigenpair_residual(gen) < bound, name
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_column_norms_do_not_depend_on_the_memory_order(rng, dtype):
+    # the certificate's (4**N, 4) probe columns; np.linalg.norm(a, axis=0)
+    # sums a C-ordered and an F-ordered copy in different orders
+    a = rng.standard_normal((4**5, 4)).astype(dtype)
+    if dtype is complex:
+        a += 1j * rng.standard_normal(a.shape)
+    got = _column_norms(a)
+    again = _column_norms(np.asfortranarray(a))
+    assert got.view(np.int64).tolist() == again.view(np.int64).tolist()
+    assert np.max(np.abs(got / np.linalg.norm(a, axis=0) - 1)) < 1e-14
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
